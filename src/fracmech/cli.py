@@ -20,7 +20,9 @@ physically unsuitable configuration (unbound or collision orbits).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
+import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -180,13 +182,7 @@ def _write_manifest(
             "version": __version__,
             "subcommand": subcommand,
             "parameters": parameters,
-            "tolerances": {
-                "rel_tol": cfg.rel_tol,
-                "abs_tol": cfg.abs_tol,
-                "event_tol": cfg.event_tol,
-                "max_steps": cfg.max_steps,
-                "initial_step": cfg.initial_step,
-            },
+            "tolerances": dataclasses.asdict(cfg),
             "outputs": list(outputs),
             "duration_s": duration,
         },
@@ -383,6 +379,8 @@ def cmd_sweep(args, config) -> int:
     d_alpha = _resolved(args, config, "d-alpha", float, 1.0)
     g2 = _resolved(args, config, "g2", float, 1.0)
     jobs = _resolved(args, config, "jobs", int, 1)
+    if jobs < 1:
+        raise DomainError(f"--jobs must be at least 1, got {jobs}")
     for a in alphas:
         if not 1.0 < a <= 2.0:
             raise DomainError(f"sweep alpha {a} outside (1, 2]")
@@ -401,7 +399,8 @@ def cmd_sweep(args, config) -> int:
         for e in sorted(energies)
     ]
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        workers = min(jobs, len(tasks), os.cpu_count() or 1)
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_point, tasks))
     else:
         rows = [_sweep_point(task) for task in tasks]

@@ -8,30 +8,36 @@ p = 0 for alpha < 2; the error estimate shrinks steps through turning
 points on its own, and a hard step cap applies while |p| is tiny so no
 single step can jump far past a turning point.
 
-Events are sign crossings located by bisection on the dense-output
-polynomial: momentum components (turning points), position components
-(origin crossings), optional position-level crossings, and the optional
-radial flux q.p whose rising zeros mark closest approach on orbits.
+Events are sign crossings of functions held as data (a component of the
+state minus a level, or the radial flux q.p): momentum components
+(turning points), position components (origin crossings), optional
+position-level crossings, and the optional q.p whose rising zeros mark
+closest approach on orbits.  Each crossing is located by bisection in
+the step's own theta in [0, 1] on its dense-output quartic, so the work
+is bounded however far the span lies from t = 0.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DomainError, MaxStepsExceeded, StepSizeUnderflow
+from .errors import DomainError, IntegrationError, MaxStepsExceeded, StepSizeUnderflow
 from .model import (
     FractionalParams,
     InitialConditions,
     PhaseState,
     PowerLawPotential,
     abs_power,
+    energy_rows,
     hamiltonian,
+    phase_field,
+    require_finite,
     turning_point,
-    velocity_from_momentum,
 )
 from .trajectory import DenseSegment, Trajectory
 
@@ -49,6 +55,7 @@ class IntegratorConfig:
     event_tol: float = 1e-12
 
     def __post_init__(self) -> None:
+        require_finite(**vars(self))
         if not (self.rel_tol > 0.0 and self.abs_tol > 0.0 and self.event_tol > 0.0):
             raise DomainError("integrator tolerances must be positive")
         if self.max_steps <= 0:
@@ -69,7 +76,6 @@ class EventRecord:
 
 
 # Dormand-Prince 5(4) tableau
-_C = (0.0, 1.0 / 5.0, 3.0 / 10.0, 4.0 / 5.0, 8.0 / 9.0, 1.0)
 _A = (
     (),
     (1.0 / 5.0,),
@@ -117,8 +123,7 @@ def _rms(v: np.ndarray) -> float:
 
 
 def _initial_step(
-    rhs: Callable[[float, np.ndarray], np.ndarray],
-    t0: float,
+    rhs: Callable[[np.ndarray], np.ndarray],
     y0: np.ndarray,
     f0: np.ndarray,
     scale: np.ndarray,
@@ -130,7 +135,7 @@ def _initial_step(
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, span)
     y1 = y0 + h0 * f0
-    f1 = rhs(t0 + h0, y1)
+    f1 = rhs(y1)
     d2 = _rms((f1 - f0) / scale) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
@@ -139,59 +144,70 @@ def _initial_step(
     return min(100.0 * h0, h1, span)
 
 
-class _EventFunc:
-    """One scanned scalar function of the stacked state vector."""
+@dataclass(frozen=True)
+class _Events:
+    """The event functions of one run as data: row r is y[index[r]] - level[r],
+    and with ``radial`` a last row is the radial flux q.p.  Each row has a
+    kind label, a component (None for q.p) and a direction: +1 counts
+    rising zeros only, -1 falling only, 0 both."""
 
-    __slots__ = ("kind", "index", "component", "direction", "level", "dim")
+    index: np.ndarray
+    level: np.ndarray
+    radial: bool
+    kinds: tuple[str, ...]
+    components: tuple[int | None, ...]
+    directions: tuple[int, ...]
 
-    def __init__(self, kind: str, dim: int, component: int | None = None,
-                 direction: int = 0, level: float = 0.0):
-        self.kind = kind
-        self.dim = dim
-        self.component = component
-        self.direction = direction
-        self.level = level
+    @classmethod
+    def of(cls, d: int, q_levels: Sequence[tuple[int, float]], radial_direction: int | None):
+        """Turning points (p_j = 0), origin crossings (q_j = 0), the level
+        crossings q[c] = level, and optionally the zeros of q.p."""
+        level_comps, levels = [int(c) for c, _ in q_levels], [float(v) for _, v in q_levels]
+        for comp in level_comps:
+            if not 0 <= comp < d:
+                raise DomainError(f"level-crossing component {comp} outside dimension {d}")
+        radial = [] if radial_direction is None else [int(radial_direction)]
+        return cls(
+            index=np.array([*range(d, 2 * d), *range(d), *level_comps], dtype=int),
+            level=np.array([0.0] * (2 * d) + levels),
+            radial=bool(radial),
+            kinds=("turning_point",) * d + ("origin_crossing",) * d
+            + ("custom",) * (len(level_comps) + len(radial)),
+            components=(*range(d), *range(d), *level_comps, *[None] * len(radial)),
+            directions=(0,) * (2 * d + len(level_comps)) + tuple(radial),
+        )
 
-    def __call__(self, y: np.ndarray) -> float:
-        if self.kind == "turning_point":
-            return float(y[self.dim + self.component])
-        if self.kind == "origin_crossing":
-            return float(y[self.component])
-        if self.level != 0.0 or self.component is not None:
-            return float(y[self.component] - self.level)
-        # radial flux q.p
-        return float(np.dot(y[: self.dim], y[self.dim :]))
+    def values(self, y: np.ndarray) -> list[float]:
+        g = (y[self.index] - self.level).tolist()
+        if self.radial:
+            d = y.size // 2
+            g.append(float(np.dot(y[:d], y[d:])))
+        return g
 
-
-def _build_events(
-    dim: int,
-    q_levels: Iterable[tuple[int, float]],
-    radial_direction: int | None,
-) -> list[_EventFunc]:
-    funcs: list[_EventFunc] = []
-    for j in range(dim):
-        funcs.append(_EventFunc("turning_point", dim, component=j))
-    for j in range(dim):
-        funcs.append(_EventFunc("origin_crossing", dim, component=j))
-    for comp, level in q_levels:
-        if not 0 <= comp < dim:
-            raise DomainError(f"level-crossing component {comp} outside dimension {dim}")
-        funcs.append(_EventFunc("custom", dim, component=comp, level=float(level)))
-    if radial_direction is not None:
-        funcs.append(_EventFunc("custom", dim, direction=int(radial_direction)))
-    return funcs
+    def crossed(self, g_old: list[float], g_new: list[float]) -> list[int]:
+        """Rows whose sign change over a step is a counted zero; a row that
+        starts exactly at zero is departing an event, not crossing one."""
+        return [
+            r
+            for r, (a, b, way) in enumerate(zip(g_old, g_new, self.directions))
+            if (a < 0.0 <= b and way >= 0) or (a > 0.0 >= b and way <= 0)
+        ]
 
 
-def _locate(
-    func: _EventFunc, seg: DenseSegment, t_lo: float, t_hi: float,
-    g_lo: float, event_tol: float,
-) -> float:
-    """Bisection for the crossing time inside [t_lo, t_hi] on dense output."""
-    lo, hi = t_lo, t_hi
+_MAX_HALVINGS = 60  # exhausts a double's 53-bit mantissa with room to spare
+
+
+def _locate(events: _Events, row: int, seg: DenseSegment, g_lo: float, event_tol: float) -> float:
+    """Bisection in theta on the step's quartic for the zero of one event
+    row; stops once the bracket spans at most event_tol in time, or after
+    _MAX_HALVINGS halvings.  Returns theta in [0, 1]."""
+    lo, hi = 0.0, 1.0
     neg = g_lo < 0.0
-    while hi - lo > event_tol:
+    for _ in range(_MAX_HALVINGS):
+        if (hi - lo) * seg.width <= event_tol:
+            break
         mid = 0.5 * (lo + hi)
-        gm = func(seg.eval(mid))
+        gm = events.values(seg.at(mid))[row]
         if gm == 0.0:
             return mid
         if (gm < 0.0) == neg:
@@ -201,6 +217,9 @@ def _locate(
     return 0.5 * (lo + hi)
 
 
+# overflow anywhere in a run is reported by the explicit finiteness checks,
+# which name the failing state, not by numpy warnings
+@np.errstate(all="ignore")
 def integrate(
     params: FractionalParams,
     pot: PowerLawPotential,
@@ -219,18 +238,25 @@ def integrate(
     crossings of q[component] through a level as kind "custom";
     ``radial_direction`` adds zeros of q.p (+1 rising only, -1 falling
     only, 0 both).  ``stop_after=(kind, n)`` truncates the run at the
-    n-th event of that kind.
+    n-th event of that kind.  A step whose size, error norm or new state
+    is not finite, or a non-finite energy, raises IntegrationError.
     """
     if cfg is None:
         cfg = IntegratorConfig()
     t0, t1 = float(span[0]), float(span[1])
+    require_finite(span=(t0, t1))
     if not t1 > t0:
         raise DomainError(f"integration span must have t1 > t0, got {span}")
     q0, p0 = ic.resolve(params)
     d = q0.size
     y = np.concatenate([q0, p0]).astype(float)
-    state0 = PhaseState(t0, q0, p0)
-    e0 = hamiltonian(params, pot, state0)
+    scan = _Events.of(d, q_levels, radial_direction)
+    stops = [stop_after is not None and k == stop_after[0] for k in scan.kinds]
+    rhs = functools.partial(phase_field, params, pot)
+
+    e0 = hamiltonian(params, pot, PhaseState(t0, q0, p0))
+    if not math.isfinite(e0):
+        raise IntegrationError(f"non-finite energy {e0} at t = {t0}, y = {y}", t=t0, y=y)
 
     # characteristic magnitudes for absolute-tolerance scaling
     try:
@@ -252,41 +278,22 @@ def integrate(
     # steps shrink geometrically into a turning point and out again.
     p_band = 0.1 * p_scale if params.alpha < 2.0 else 0.0
 
-    alpha, d_alpha = params.alpha, params.d_alpha
-    strength, degree = pot.strength, pot.degree
-
-    def rhs(t: float, yv: np.ndarray) -> np.ndarray:
-        qv = yv[:d]
-        pv = yv[d:]
-        pn = math.sqrt(float(np.dot(pv, pv)))
-        qdot = (alpha * d_alpha * abs_power(pn, alpha - 2.0)) * pv if pn > 0.0 else np.zeros(d)
-        qn = math.sqrt(float(np.dot(qv, qv)))
-        if qn > 0.0:
-            pdot = (-strength * degree * abs_power(qn, degree - 2.0)) * qv
-        elif degree > 1.0:
-            pdot = np.zeros(d)
-        else:
-            raise DomainError("force is singular at q = 0 for degree <= 1")
-        return np.concatenate([qdot, pdot])
-
-    funcs = _build_events(d, q_levels, radial_direction)
-
     times = [t0]
     ys = [y.copy()]
-    energies = [e0]
-    segments: list[DenseSegment] = []
+    coefs: list[np.ndarray] = []
+    widths: list[float] = []
     events: list[EventRecord] = []
     stop_count = 0
     accepted = 0
     rejected = 0
 
-    f = rhs(t0, y)
+    f = rhs(y)
     scale0 = atol + cfg.rel_tol * np.abs(y)
     h = cfg.initial_step if cfg.initial_step is not None else _initial_step(
-        rhs, t0, y, f, scale0, t1 - t0
+        rhs, y, f, scale0, t1 - t0
     )
     t = t0
-    g_old = [fn(y) for fn in funcs]
+    g_old = scan.values(y)
     K = np.empty((7, 2 * d))
     finished = False
 
@@ -315,14 +322,19 @@ def integrate(
         K[0] = f
         for i in range(1, 6):
             ysum = y + h * sum(a * K[j] for j, a in enumerate(_A[i]) if a != 0.0)
-            K[i] = rhs(t + _C[i] * h, ysum)
+            K[i] = rhs(ysum)
         y_new = y + h * sum(a * K[j] for j, a in enumerate(_A[6]) if a != 0.0)
         t_new = t + h
-        f_new = rhs(t_new, y_new)
+        f_new = rhs(y_new)
         K[6] = f_new
         err_vec = h * (_ERR @ K)
         scale = atol + cfg.rel_tol * np.maximum(np.abs(y), np.abs(y_new))
         err_norm = _rms(err_vec / scale)
+        if not (math.isfinite(err_norm) and math.isfinite(h) and np.isfinite(y_new).all()):
+            raise IntegrationError(
+                f"non-finite step at t = {t}: h = {h}, error norm = {err_norm}, "
+                f"y = {y} -> {y_new}", t=t, y=y.copy()
+            )
 
         if err_norm > 1.0:
             rejected += 1
@@ -332,46 +344,30 @@ def integrate(
 
         accepted += 1
         coef = K.T @ _DENSE
-        seg = DenseSegment(t, h, y.copy(), coef)
 
-        # scan and bisect sign crossings of the event functions
-        g_new = [fn(y_new) for fn in funcs]
-        step_hits: list[tuple[float, _EventFunc]] = []
-        for fn, ga, gb in zip(funcs, g_old, g_new):
-            if ga == 0.0:
-                continue  # departing an exact event state, not a crossing
-            if not (ga < 0.0 <= gb or ga > 0.0 >= gb):
-                continue
-            if fn.direction > 0 and not ga < 0.0:
-                continue
-            if fn.direction < 0 and not ga > 0.0:
-                continue
-            step_hits.append((_locate(fn, seg, t, t_new, ga, cfg.event_tol), fn))
-        step_hits.sort(key=lambda item: item[0])
-
-        truncate_at: float | None = None
-        for t_ev, fn in step_hits:
-            y_ev = seg.eval(t_ev)
-            st = PhaseState(t_ev, y_ev[:d], y_ev[d:])
-            events.append(EventRecord(fn.kind, t_ev, st, fn.component))
-            if stop_after is not None and fn.kind == stop_after[0]:
-                stop_count += 1
-                if stop_count >= stop_after[1]:
-                    truncate_at = t_ev
-                    break
-
-        segments.append(seg)
-        if truncate_at is not None and truncate_at > t:
-            y_stop = seg.eval(truncate_at)
-            times.append(truncate_at)
-            ys.append(y_stop)
-            energies.append(
-                hamiltonian(params, pot, PhaseState(truncate_at, y_stop[:d], y_stop[d:]))
+        # locate the sign crossings of the event functions on this step
+        g_new = scan.values(y_new)
+        hit_rows = scan.crossed(g_old, g_new)
+        if hit_rows:
+            seg = DenseSegment(t, h, y, coef)
+            hits = sorted(
+                (_locate(scan, r, seg, g_old[r], cfg.event_tol), r) for r in hit_rows
             )
-            break
+            for theta, r in hits:
+                t_ev, y_ev = t + theta * h, seg.at(theta)
+                state = PhaseState(t_ev, y_ev[:d], y_ev[d:])
+                events.append(EventRecord(scan.kinds[r], t_ev, state, scan.components[r]))
+                if stops[r]:
+                    stop_count += 1
+                    if stop_count >= stop_after[1]:
+                        if t_ev > t:  # the run ends on the event
+                            t_new, y_new, finished = t_ev, y_ev, True
+                        break
+
+        coefs.append(coef)
+        widths.append(h)
         times.append(t_new)
         ys.append(y_new)
-        energies.append(hamiltonian(params, pot, PhaseState(t_new, y_new[:d], y_new[d:])))
 
         t, y, f, g_old = t_new, y_new, f_new, g_new
         if not finished:
@@ -379,12 +375,15 @@ def integrate(
             h *= min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
 
     arr = np.asarray(ys)
+    energies = energy_rows(params, pot, arr[:, :d], arr[:, d:])
+
     traj = Trajectory(
         times=np.asarray(times),
         positions=arr[:, :d],
         momenta=arr[:, d:],
-        energies=np.asarray(energies),
-        segments=tuple(segments),
+        energies=energies,
+        coefs=np.asarray(coefs),
+        widths=np.asarray(widths),
         accepted_steps=accepted,
         rejected_steps=rejected,
     )
@@ -405,27 +404,42 @@ def measure_period(
     the fourth is one full cycle, with both endpoints event-located so
     start-up effects cancel.
     """
-    pot.require_oscillator()
-    if not energy > 0.0:
-        raise DomainError(f"oscillator energy must be positive, got {energy}")
-    q_turn = turning_point(pot, energy)
-    ic = InitialConditions(q0=np.array([q_turn]), p0=np.array([0.0]))
+    from .oscillator import OscillatorSpec  # oscillator imports this module
 
-    # period prefactor; the Beta factor is bounded by pi on the exponent range
-    a, b = params.alpha, pot.degree
-    tau = (
-        abs_power(energy, 1.0 / a + 1.0 / b - 1.0)
-        / (a * b * abs_power(params.d_alpha, 1.0 / a) * abs_power(pot.strength, 1.0 / b))
-    )
-    horizon = 8.5 * math.pi * tau
-    for _ in range(3):
-        _, events = integrate(
-            params, pot, ic, (0.0, horizon), cfg, stop_after=("turning_point", 4)
+    spec = OscillatorSpec(params, pot, energy)  # validates the oscillator
+    ic = InitialConditions(q0=np.array([spec.q_turn]), p0=np.array([0.0]))
+    # the Beta factor of the quarter period is bounded by pi on the exponent range
+    horizon = 8.5 * math.pi * spec.time_scale
+    turning = first_event_times(params, pot, ic, "turning_point", 4, horizon, cfg, runs=3)
+    return turning[3] - turning[1]
+
+
+def first_event_times(
+    params: FractionalParams,
+    pot: PowerLawPotential,
+    ic: InitialConditions,
+    kind: str,
+    count: int,
+    horizon: float,
+    cfg: IntegratorConfig | None = None,
+    *,
+    runs: int,
+    **events,
+) -> list[float]:
+    """Times of the first ``count`` events of ``kind`` from t = 0.
+
+    Each run stops at the count-th such event; the horizon doubles after a
+    run that ends short, for at most ``runs`` runs.  ``events`` passes
+    ``q_levels`` / ``radial_direction`` on to :func:`integrate`.
+    """
+    for _ in range(runs):
+        _, found = integrate(
+            params, pot, ic, (0.0, horizon), cfg, stop_after=(kind, count), **events
         )
-        turning = [ev.time for ev in events if ev.kind == "turning_point"]
-        if len(turning) >= 4:
-            return turning[3] - turning[1]
+        times = [ev.time for ev in found if ev.kind == kind]
+        if len(times) >= count:
+            return times
         horizon *= 2.0
     raise MaxStepsExceeded(
-        f"fewer than four turning points found within horizon {horizon}"
+        f"fewer than {count} {kind} events found within horizon {horizon}"
     )

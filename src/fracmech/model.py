@@ -72,7 +72,34 @@ def _vec(x, name: str = "vector") -> np.ndarray:
 
 
 def _norm(v: np.ndarray) -> float:
-    return float(math.sqrt(float(np.dot(v, v))))
+    return math.sqrt(float(np.dot(v, v)))
+
+
+def require_finite(**values) -> None:
+    """Raise DomainError naming the first keyword value with an inf or NaN."""
+    for name, value in values.items():
+        if value is not None and not np.all(np.isfinite(value)):
+            raise DomainError(f"{name} must be finite, got {value}")
+
+
+def _velocity(alpha: float, d_alpha: float, p: np.ndarray) -> np.ndarray:
+    """qdot = alpha d_alpha |p|^(alpha-1) p/|p|, continuously extended to 0
+    at p = 0 (valid because alpha > 1)."""
+    n = _norm(p)
+    if n == 0.0:
+        return np.zeros_like(p)
+    return alpha * d_alpha * abs_power(n, alpha - 2.0) * p
+
+
+def _force(strength: float, degree: float, q: np.ndarray) -> np.ndarray:
+    """pdot = -dV/dq = -strength degree |q|^(degree-1) q/|q|; 0 at q = 0
+    for degree > 1, where degree <= 1 has no continuous force and raises."""
+    n = _norm(q)
+    if n == 0.0:
+        if degree > 1.0:
+            return np.zeros_like(q)
+        raise DomainError(f"force is undefined at q = 0 for degree {degree} <= 1")
+    return -strength * degree * abs_power(n, degree - 2.0) * q
 
 
 @dataclass(frozen=True)
@@ -84,6 +111,7 @@ class FractionalParams:
     d_alpha: float
 
     def __post_init__(self) -> None:
+        require_finite(**vars(self))
         if not (1.0 < self.alpha <= 2.0):
             raise DomainError(f"alpha must be in (1, 2], got {self.alpha}")
         if not self.d_alpha > 0.0:
@@ -111,6 +139,7 @@ class PowerLawPotential:
     degree: float
 
     def __post_init__(self) -> None:
+        require_finite(**vars(self))
         if self.degree == 0.0:
             raise DomainError("potential degree must be nonzero")
 
@@ -122,20 +151,9 @@ class PowerLawPotential:
         return self.strength * abs_power(n, self.degree)
 
     def gradient(self, q) -> np.ndarray:
-        """dV/dq = strength * degree * |q|^(degree-1) * q/|q|.
-
-        Vanishes at the origin for degree > 1 (continuous extension with
-        sgn(0) = 0); degree <= 1 has no continuous gradient there and raises.
-        """
-        v = _vec(q, "q")
-        n = _norm(v)
-        if n == 0.0:
-            if self.degree > 1.0:
-                return np.zeros_like(v)
-            raise DomainError(
-                f"force is undefined at q = 0 for degree {self.degree} <= 1"
-            )
-        return self.strength * self.degree * abs_power(n, self.degree - 2.0) * v
+        """dV/dq = strength * degree * |q|^(degree-1) * q/|q|, the negated
+        force; degree <= 1 has no continuous gradient at q = 0 and raises."""
+        return -_force(self.strength, self.degree, _vec(q, "q"))
 
     def require_oscillator(self) -> None:
         """Check the bounded-oscillator constraints strength > 0, 1 < degree <= 2."""
@@ -195,6 +213,7 @@ class InitialConditions:
             object.__setattr__(self, "p0", _vec(self.p0, "p0"))
         if self.qdot0 is not None:
             object.__setattr__(self, "qdot0", _vec(self.qdot0, "qdot0"))
+        require_finite(q0=self.q0, p0=self.p0, qdot0=self.qdot0)
 
     def resolve(self, params: FractionalParams) -> tuple[np.ndarray, np.ndarray]:
         """Return (q0, p0), converting a supplied velocity if needed."""
@@ -211,6 +230,15 @@ def hamiltonian(params: FractionalParams, pot: PowerLawPotential, state: PhaseSt
     """Total energy d_alpha * |p|^alpha + V(q); conserved along trajectories."""
     kinetic = params.d_alpha * abs_power(_norm(_vec(state.p, "p")), params.alpha)
     return kinetic + pot.energy(state.q)
+
+
+def energy_rows(
+    params: FractionalParams, pot: PowerLawPotential, q: np.ndarray, p: np.ndarray
+) -> np.ndarray:
+    """The Hamiltonian at each row of the (n, d) arrays q and p, in one
+    vectorised pass; agrees with :func:`hamiltonian` to rounding."""
+    qn, pn = np.sqrt(np.sum(q * q, axis=1)), np.sqrt(np.sum(p * p, axis=1))
+    return params.d_alpha * pn**params.alpha + pot.strength * qn**pot.degree
 
 
 def lagrangian(params: FractionalParams, pot: PowerLawPotential, q, qdot) -> float:
@@ -240,12 +268,16 @@ def momentum_from_velocity(params: FractionalParams, qdot) -> np.ndarray:
 def velocity_from_momentum(params: FractionalParams, p) -> np.ndarray:
     """qdot = alpha d_alpha |p|^(alpha-1) p/|p|, continuously extended to 0
     at p = 0 (valid because alpha > 1)."""
-    a, d = params.alpha, params.d_alpha
-    v = _vec(p, "p")
-    n = _norm(v)
-    if n == 0.0:
-        return np.zeros_like(v)
-    return a * d * abs_power(n, a - 2.0) * v
+    return _velocity(params.alpha, params.d_alpha, _vec(p, "p"))
+
+
+def phase_field(params: FractionalParams, pot: PowerLawPotential, y: np.ndarray) -> np.ndarray:
+    """(qdot, pdot) at the stacked state y = (q, p), stacked the same way:
+    the canonical equations as the integrator steps them."""
+    d = y.size // 2
+    return np.concatenate(
+        [_velocity(params.alpha, params.d_alpha, y[d:]), _force(pot.strength, pot.degree, y[:d])]
+    )
 
 
 def hamilton_rhs(
@@ -259,9 +291,7 @@ def hamilton_rhs(
     argument.  The force is singular or discontinuous at q = 0 when
     degree <= 1, which is a domain error there.
     """
-    qdot = velocity_from_momentum(params, state.p)
-    pdot = -pot.gradient(state.q)
-    return qdot, pdot
+    return velocity_from_momentum(params, state.p), _force(pot.strength, pot.degree, state.q)
 
 
 def euler_lagrange_residual(

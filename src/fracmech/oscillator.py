@@ -19,7 +19,7 @@ from scipy.integrate import quad
 
 from .errors import DomainError, IntegrationError
 from .integrate import IntegratorConfig, measure_period
-from .model import FractionalParams, PowerLawPotential, abs_power, turning_point
+from .model import FractionalParams, PowerLawPotential, abs_power, require_finite, turning_point
 from .specfun import inc_beta, inv_inc_beta
 from .specfun import beta as beta_fn
 
@@ -47,6 +47,7 @@ class OscillatorSpec:
 
     def __post_init__(self) -> None:
         self.pot.require_oscillator()
+        require_finite(energy=self.energy)
         if not self.energy > 0.0:
             raise DomainError(f"oscillator energy must be positive, got {self.energy}")
 

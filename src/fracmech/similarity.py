@@ -11,14 +11,15 @@ beta = -1 whose time exponent 2 - 1/alpha generalizes Kepler's third law
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .errors import DomainError, IntegrationError, UnsuitablePhysicsError
-from .integrate import IntegratorConfig, integrate
+from .errors import DomainError, UnsuitablePhysicsError
+from .integrate import IntegratorConfig, first_event_times
 from .model import (
     FractionalParams,
     InitialConditions,
@@ -27,7 +28,7 @@ from .model import (
     hamiltonian,
     velocity_from_momentum,
 )
-from .trajectory import DenseSegment, Trajectory
+from .trajectory import Trajectory
 
 __all__ = [
     "SimilarityExponents",
@@ -86,7 +87,7 @@ def scale_trajectory(
 
     q -> rho q, t -> rho^(1-beta+beta/alpha) t, p -> rho^(beta/alpha) p
     (equivalently: the momentum of the scaled velocity), energies scaled
-    by rho^beta.  Dense segments are remapped too, so the result
+    by rho^beta.  The dense output is remapped too, so the result
     interpolates exactly like a directly integrated trajectory.
     """
     if not rho > 0.0:
@@ -97,23 +98,15 @@ def scale_trajectory(
     lam_e = rho**exps.energy_vs_length
     d = traj.dimension
     stretch = np.concatenate([np.full(d, rho), np.full(d, lam_p)])
-    segments = tuple(
-        DenseSegment(
-            t_start=seg.t_start * lam_t,
-            width=seg.width * lam_t,
-            y_start=seg.y_start * stretch,
-            coef=(seg.coef * stretch[:, None]) / lam_t,
-        )
-        for seg in traj.segments
-    )
-    return Trajectory(
+    dense = traj.coefs is not None
+    return dataclasses.replace(
+        traj,
         times=traj.times * lam_t,
         positions=traj.positions * rho,
         momenta=traj.momenta * lam_p,
         energies=traj.energies * lam_e,
-        segments=segments,
-        accepted_steps=traj.accepted_steps,
-        rejected_steps=traj.rejected_steps,
+        coefs=traj.coefs * stretch[:, None] / lam_t if dense else None,
+        widths=traj.widths * lam_t if dense else None,
     )
 
 
@@ -133,34 +126,6 @@ def _scaled_ics(
     return InitialConditions(
         q0=q0 * rho, p0=p0 * _momentum_factor(rho, alpha, beta_degree)
     )
-
-
-def _first_landmark_time(
-    params: FractionalParams,
-    pot: PowerLawPotential,
-    ic: InitialConditions,
-    cfg: IntegratorConfig | None,
-    kind: str,
-    level: float | None,
-    horizon: float,
-) -> float:
-    """Time of the first landmark event, doubling the horizon until found."""
-    levels = [] if level is None else [(0, level)]
-    for _ in range(40):
-        _, events = integrate(
-            params,
-            pot,
-            ic,
-            (0.0, horizon),
-            cfg,
-            q_levels=levels,
-            stop_after=(kind, 1),
-        )
-        hits = [ev for ev in events if ev.kind == kind]
-        if hits:
-            return hits[0].time
-        horizon *= 2.0
-    raise IntegrationError(f"no {kind} landmark found within horizon {horizon}")
 
 
 def _base_horizon(
@@ -203,30 +168,28 @@ def verify_scaling(
     beta_degree = pot.degree
     t_exp = exponents(params.alpha, beta_degree).time_vs_length
     if pot.strength > 0.0 and pot.degree > 1.0:
-        kind, level_of = "turning_point", None
+        kind, levels = "turning_point", []
     elif pot.strength > 0.0:
-        kind, level_of = "origin_crossing", None
+        kind, levels = "origin_crossing", []
     else:
         if float(np.linalg.norm(q0)) == 0.0:
             raise DomainError("attractive-potential landmark needs q0 != 0")
-        kind, level_of = "custom", 0.5 * float(q0[0])
+        kind, levels = "custom", [(0, 0.5 * float(q0[0]))]
+
+    def landmark_time(ic: InitialConditions, rho: float, horizon: float) -> float:
+        scaled = [(c, level * rho) for c, level in levels]
+        return first_event_times(
+            params, pot, ic, kind, 1, horizon, cfg, runs=40, q_levels=scaled
+        )[0]
+
     guess = _base_horizon(params, pot, q0, p0)
-    base_time = _first_landmark_time(
-        params, pot, InitialConditions(q0=q0, p0=p0), cfg, kind, level_of, guess
-    )
+    base_time = landmark_time(InitialConditions(q0=q0, p0=p0), 1.0, guess)
     rows = []
     for rho in rho_list:
         if not rho > 0.0:
             raise DomainError(f"scale factors must be positive, got {rho}")
-        scaled_level = None if level_of is None else level_of * rho
-        t_rho = _first_landmark_time(
-            params,
-            pot,
-            _scaled_ics(q0, p0, rho, params.alpha, beta_degree),
-            cfg,
-            kind,
-            scaled_level,
-            guess * rho**t_exp * 1.5,
+        t_rho = landmark_time(
+            _scaled_ics(q0, p0, rho, params.alpha, beta_degree), rho, guess * rho**t_exp * 1.5
         )
         measured = t_rho / base_time
         predicted = rho**t_exp
@@ -260,33 +223,6 @@ class KeplerReport:
     predicted_slope: float
     fitted_slope: float | None
     fit_residual: float | None
-
-
-def _radial_period(
-    params: FractionalParams,
-    pot: PowerLawPotential,
-    ic: InitialConditions,
-    cfg: IntegratorConfig | None,
-    horizon: float,
-) -> float:
-    """Time between two successive closest approaches (rising q.p zeros)."""
-    for _ in range(20):
-        _, events = integrate(
-            params,
-            pot,
-            ic,
-            (0.0, horizon),
-            cfg,
-            radial_direction=+1,
-            stop_after=("custom", 2),
-        )
-        hits = [ev for ev in events if ev.kind == "custom"]
-        if len(hits) >= 2:
-            return hits[1].time - hits[0].time
-        horizon *= 2.0
-    raise IntegrationError(
-        f"orbit not radially recurrent within horizon {horizon}"
-    )
 
 
 def fractional_kepler_check(
@@ -328,20 +264,20 @@ def fractional_kepler_check(
     t_exp = 2.0 - 1.0 / alpha
     v0 = float(np.linalg.norm(velocity_from_momentum(params, p0)))
     r0 = float(np.linalg.norm(q0))
-    base_T = _radial_period(
-        params, pot, InitialConditions(q0=q0, p0=p0), cfg, 40.0 * r0 / v0
-    )
+
+    def radial_period(ic: InitialConditions, horizon: float) -> float:
+        """Time between two successive closest approaches (rising q.p zeros)."""
+        peri = first_event_times(
+            params, pot, ic, "custom", 2, horizon, cfg, runs=20, radial_direction=+1
+        )
+        return peri[1] - peri[0]
+
+    base_T = radial_period(InitialConditions(q0=q0, p0=p0), 40.0 * r0 / v0)
     rows = []
     for rho in rho_list:
         if not rho > 0.0:
             raise DomainError(f"scale factors must be positive, got {rho}")
-        T_rho = _radial_period(
-            params,
-            pot,
-            _scaled_ics(q0, p0, rho, alpha, -1.0),
-            cfg,
-            3.0 * base_T * rho**t_exp,
-        )
+        T_rho = radial_period(_scaled_ics(q0, p0, rho, alpha, -1.0), 3.0 * base_T * rho**t_exp)
         measured = T_rho / base_T
         predicted = rho**t_exp
         rows.append(

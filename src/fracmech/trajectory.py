@@ -1,15 +1,15 @@
 """Trajectory containers with dense output, and the action functional.
 
 A Trajectory is the ordered record an integration run produces: phase-space
-samples with per-sample energy, plus one quartic interpolation segment per
-accepted step so states can be evaluated anywhere inside the span.
+samples with per-sample energy, plus the quartic interpolant of every
+accepted step, held as arrays, so states can be evaluated anywhere inside
+the span.
 """
 
 from __future__ import annotations
 
-import bisect
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,6 +23,25 @@ from .model import (
 )
 
 __all__ = ["DenseSegment", "Trajectory", "action"]
+
+_DEGREES = np.arange(1.0, 5.0)
+
+
+def _quartic(coef: np.ndarray, theta, derivative: bool = False) -> np.ndarray:
+    """coef @ [theta, theta^2, theta^3, theta^4], or with ``derivative`` its
+    theta-derivative coef @ [1, 2 theta, 3 theta^2, 4 theta^3]; the leading
+    axes of coef, shape (..., 2d, 4), broadcast against those of theta."""
+    th = np.asarray(theta)[..., None]
+    basis = _DEGREES * th ** (_DEGREES - 1.0) if derivative else th**_DEGREES
+    return (coef @ basis[..., None])[..., 0]
+
+
+def _theta(t: float, t_start: float, width: float) -> float:
+    """Fraction of the step [t_start, t_start + width] elapsed at time t."""
+    theta = (t - t_start) / width
+    if not -1e-9 <= theta <= 1.0 + 1e-9:
+        raise DomainError(f"time {t} outside segment [{t_start}, {t_start + width}]")
+    return min(max(theta, 0.0), 1.0)
 
 
 @dataclass(frozen=True)
@@ -43,21 +62,15 @@ class DenseSegment:
     def t_end(self) -> float:
         return self.t_start + self.width
 
-    def _theta(self, t: float) -> float:
-        theta = (t - self.t_start) / self.width
-        if not -1e-9 <= theta <= 1.0 + 1e-9:
-            raise DomainError(f"time {t} outside segment [{self.t_start}, {self.t_end}]")
-        return min(max(theta, 0.0), 1.0)
+    def at(self, theta: float) -> np.ndarray:
+        """State at the fraction theta in [0, 1] of the step."""
+        return self.y_start + self.width * _quartic(self.coef, theta)
 
     def eval(self, t: float) -> np.ndarray:
-        th = self._theta(t)
-        powers = np.array([th, th * th, th**3, th**4])
-        return self.y_start + self.width * (self.coef @ powers)
+        return self.at(_theta(t, self.t_start, self.width))
 
     def eval_derivative(self, t: float) -> np.ndarray:
-        th = self._theta(t)
-        dpowers = np.array([1.0, 2.0 * th, 3.0 * th * th, 4.0 * th**3])
-        return self.coef @ dpowers
+        return _quartic(self.coef, _theta(t, self.t_start, self.width), derivative=True)
 
 
 @dataclass(frozen=True)
@@ -67,14 +80,19 @@ class Trajectory:
     times: shape (n,), strictly increasing
     positions, momenta: shape (n, d)
     energies: shape (n,), the Hamiltonian at each sample
-    segments: n - 1 dense segments covering consecutive sample intervals
+    coefs: shape (n - 1, 2d, 4), the dense-output quartic of each step
+    widths: shape (n - 1,), each step's length; step i starts at sample i
+        and covers [times[i], times[i] + widths[i]], which for the last
+        step of a run stopped at an event reaches past times[-1]
+    coefs and widths are None for a trajectory without dense output.
     """
 
     times: np.ndarray
     positions: np.ndarray
     momenta: np.ndarray
     energies: np.ndarray
-    segments: tuple[DenseSegment, ...] = field(default=())
+    coefs: np.ndarray | None = None
+    widths: np.ndarray | None = None
     accepted_steps: int = 0
     rejected_steps: int = 0
 
@@ -86,6 +104,10 @@ class Trajectory:
             raise DomainError("trajectory arrays have inconsistent shapes")
         if n > 1 and not np.all(np.diff(self.times) > 0.0):
             raise DomainError("trajectory times must be strictly increasing")
+        if (self.coefs is None) != (self.widths is None) or (
+            self.coefs is not None and (len(self.coefs), len(self.widths)) != (n - 1, n - 1)
+        ):
+            raise DomainError("dense output needs one quartic and one width per step")
 
     @property
     def dimension(self) -> int:
@@ -106,16 +128,20 @@ class Trajectory:
     def state(self, i: int) -> PhaseState:
         return PhaseState(float(self.times[i]), self.positions[i], self.momenta[i])
 
+    def segment(self, i: int) -> DenseSegment:
+        """The dense-output interpolant of step i."""
+        y_start = np.concatenate([self.positions[i], self.momenta[i]])
+        return DenseSegment(float(self.times[i]), float(self.widths[i]), y_start, self.coefs[i])
+
     def _segment_at(self, t: float) -> DenseSegment:
-        if not self.segments:
+        if self.coefs is None or len(self.coefs) == 0:
             raise DomainError("trajectory has no dense segments to interpolate")
         lo, hi = self.t0, self.t_end
         slop = 1e-9 * max(1.0, abs(lo), abs(hi))
         if not lo - slop <= t <= hi + slop:
             raise DomainError(f"time {t} outside trajectory span [{lo}, {hi}]")
-        i = bisect.bisect_right(self.times.tolist(), t) - 1
-        i = min(max(i, 0), len(self.segments) - 1)
-        return self.segments[i]
+        i = int(self.times.searchsorted(t, side="right")) - 1
+        return self.segment(min(max(i, 0), len(self.coefs) - 1))
 
     def eval(self, t: float) -> PhaseState:
         y = self._segment_at(t).eval(t)
@@ -138,19 +164,8 @@ class Trajectory:
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(8)
 _GL_X = 0.5 * (_GL_X + 1.0)
 _GL_W = 0.5 * _GL_W
-
-
-def _segment_action(
-    params: FractionalParams, pot: PowerLawPotential, seg: DenseSegment, d: int,
-    t_lo: float, t_hi: float,
-) -> float:
-    span = t_hi - t_lo
-    total = 0.0
-    for x, w in zip(_GL_X, _GL_W):
-        y = seg.eval(t_lo + span * x)
-        qdot = velocity_from_momentum(params, y[d:])
-        total += w * lagrangian(params, pot, y[:d], qdot)
-    return span * total
+# the rule on a whole step, then on its first and its second half
+_NODES = np.concatenate([_GL_X, 0.5 * _GL_X, 0.5 + 0.5 * _GL_X])
 
 
 def action(
@@ -166,19 +181,20 @@ def action(
     quadrature error.  Warns when that error exceeds quad_tol, which means
     the stored step data is too coarse for the requested accuracy.
     """
-    if len(traj.times) < 2 or not traj.segments:
+    if traj.coefs is None or len(traj.coefs) == 0:
         return 0.0
     d = traj.dimension
-    total = 0.0
-    err = 0.0
-    for seg in traj.segments:
-        coarse = _segment_action(params, pot, seg, d, seg.t_start, seg.t_end)
-        mid = seg.t_start + 0.5 * seg.width
-        fine = _segment_action(params, pot, seg, d, seg.t_start, mid) + _segment_action(
-            params, pot, seg, d, mid, seg.t_end
-        )
-        total += fine
-        err += abs(fine - coarse)
+    y_start = np.hstack([traj.positions[:-1], traj.momenta[:-1]])
+    widths = traj.widths
+    # states at every node of every step: shape (steps, nodes, 2d)
+    ys = y_start[:, None] + widths[:, None, None] * _quartic(traj.coefs[:, None], _NODES)
+    lag = [lagrangian(params, pot, y[:d], velocity_from_momentum(params, y[d:]))
+           for y in ys.reshape(-1, 2 * d)]
+    lag = np.reshape(lag, (len(widths), 3, len(_GL_W))) @ _GL_W
+    coarse = widths * lag[:, 0]
+    fine = 0.5 * widths * (lag[:, 1] + lag[:, 2])
+    total = float(np.sum(fine))
+    err = float(np.sum(np.abs(fine - coarse)))
     if err > quad_tol * max(1.0, abs(total)):
         warnings.warn(
             f"action quadrature error estimate {err:.3e} exceeds tolerance {quad_tol:.3e}",

@@ -24,14 +24,14 @@ def child_env():
     return env
 
 
-def run_cli(*argv, cwd):
+def run_cli(*argv, cwd, timeout=300):
     return subprocess.run(
         [sys.executable, "-m", "fracmech.cli", *argv],
         cwd=cwd,
         env=child_env(),
         capture_output=True,
         text=True,
-        timeout=300,
+        timeout=timeout,
     )
 
 
@@ -194,6 +194,26 @@ def test_period_zero_energy_rejected(tmp_path):
     assert "energy" in proc.stderr
 
 
+def test_period_infinite_energy_rejected_at_once(tmp_path):
+    proc = run_cli(
+        "period", "--alpha", "1.5", "--beta", "1.5", "--energy", "inf",
+        cwd=tmp_path, timeout=10,
+    )
+    assert proc.returncode == 2
+    assert "energy must be finite" in proc.stderr
+
+
+def test_period_overflow_names_the_non_finite_state(tmp_path):
+    proc = run_cli(
+        "period", "--alpha", "1.5", "--beta", "1.5", "--energy", "1e300",
+        "--out", str(tmp_path / "p.json"), cwd=tmp_path,
+    )
+    assert proc.returncode == 3
+    assert "non-finite energy" in proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
+    assert "fewer than four turning points" not in proc.stderr
+
+
 def test_period_check_tolerance_failure_is_numeric_exit(tmp_path):
     proc = run_cli(
         "period", "--alpha", "1.5", "--beta", "1.5", "--check-tol", "1e-15",
@@ -307,6 +327,36 @@ def test_sweep_workers_do_not_change_bytes(tmp_path):
     assert run_cli(*argv, "--jobs", "1", "--out", str(a), cwd=tmp_path).returncode == 0
     assert run_cli(*argv, "--jobs", "2", "--out", str(b), cwd=tmp_path).returncode == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_sweep_worker_count_is_bounded(tmp_path, monkeypatch):
+    # in process, with a pool stand-in that records its size and maps
+    # serially, so no worker process is ever started
+    import fracmech.cli as cli
+
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    argv = ["sweep", "--alphas", "1.5", "--betas", "1.5", "--energies", "2.0",
+            "--out", str(tmp_path / "one.csv")]
+    assert cli.main([*argv, "--jobs", "64"]) == 0
+    assert sizes == [1]
+    assert cli.main([*argv, "--jobs", "0"]) == 2
+    assert cli.main([*argv, "--jobs", "-3"]) == 2
+    assert sizes == [1]
 
 
 # ------------------------------------------------------------------- kepler

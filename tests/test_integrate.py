@@ -15,6 +15,7 @@ from fracmech import (
     DomainError,
     FractionalParams,
     InitialConditions,
+    IntegrationError,
     IntegratorConfig,
     MaxStepsExceeded,
     OscillatorSpec,
@@ -37,6 +38,74 @@ def test_config_validation():
         IntegratorConfig(abs_tol=-1e-12)
     with pytest.raises(DomainError):
         IntegratorConfig(max_steps=0)
+
+
+HARMONIC_IC = InitialConditions(q0=np.array([1.0]), p0=np.array([0.0]))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: FractionalParams(1.5, math.inf),
+        lambda: FractionalParams(math.nan, 1.0),
+        lambda: PowerLawPotential(math.nan, 2.0),
+        lambda: PowerLawPotential(1.0, math.inf),
+        lambda: OscillatorSpec(M1, OSC, math.inf),
+        lambda: OscillatorSpec(M1, OSC, math.nan),
+        lambda: InitialConditions(q0=np.array([math.inf]), p0=np.array([0.0])),
+        lambda: InitialConditions(q0=np.array([1.0]), p0=np.array([math.nan])),
+        lambda: InitialConditions(q0=np.array([1.0, 0.0]), qdot0=np.array([0.0, -math.inf])),
+        lambda: integrate(M1, OSC, HARMONIC_IC, (0.0, math.inf)),
+        lambda: integrate(M1, OSC, HARMONIC_IC, (math.nan, 1.0)),
+        lambda: IntegratorConfig(rel_tol=math.inf),
+        lambda: IntegratorConfig(abs_tol=math.nan),
+        lambda: IntegratorConfig(event_tol=math.inf),
+        lambda: IntegratorConfig(initial_step=math.inf),
+        lambda: IntegratorConfig(max_steps=math.inf),
+    ],
+    ids=[
+        "d_alpha-inf", "alpha-nan", "strength-nan", "degree-inf", "energy-inf",
+        "energy-nan", "q0-inf", "p0-nan", "qdot0-inf", "span-end-inf",
+        "span-start-nan", "rel_tol-inf", "abs_tol-nan", "event_tol-inf",
+        "initial_step-inf", "max_steps-inf",
+    ],
+)
+def test_non_finite_inputs_rejected(build):
+    with pytest.raises(DomainError):
+        build()
+
+
+def test_non_finite_step_is_never_accepted():
+    # one huge first step overflows the stages; its NaN error norm must
+    # not pass the acceptance test (nan > 1.0 is False)
+    with pytest.raises(IntegrationError, match="non-finite step") as err:
+        integrate(M1, OSC, HARMONIC_IC, (0.0, 1e300), IntegratorConfig(initial_step=1e300))
+    assert err.value.t == 0.0
+    assert list(err.value.y) == [1.0, 0.0]
+
+
+def test_non_finite_energy_raises_with_the_state():
+    # |q| = 1e200 overflows |q|^2 inside the norm
+    ic = InitialConditions(q0=np.array([1e200]), p0=np.array([0.0]))
+    with pytest.raises(IntegrationError, match="non-finite energy") as err:
+        integrate(M1, OSC, ic, (0.0, 1.0))
+    assert err.value.t == 0.0
+    assert list(err.value.y) == [1e200, 0.0]
+
+
+@pytest.mark.parametrize(
+    "span, base",
+    [((8150.0, 8250.0), (0.0, 100.0)), ((1e6, 1e6 + 10.0), (0.0, 10.0))],
+)
+def test_events_far_from_the_time_origin(span, base):
+    # past t = 2^13 the default event_tol is below one ulp of t; events are
+    # located in the step's own theta, so the run ends and matches the same
+    # motion started at t = 0
+    _, far = integrate(M1, OSC, HARMONIC_IC, span)
+    _, near = integrate(M1, OSC, HARMONIC_IC, base)
+    assert [ev.kind for ev in far] == [ev.kind for ev in near]
+    shifted = [ev.time - span[0] for ev in far]
+    assert shifted == pytest.approx([ev.time for ev in near], abs=1e-6)
 
 
 def test_span_must_be_forward():
