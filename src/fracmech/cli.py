@@ -12,6 +12,10 @@ representation that reparses to the identical value, and CSV files use
 LF line endings unconditionally; identical flags therefore give
 byte-identical outputs.
 
+A ``--config`` file supplies defaults for the chosen subcommand's long
+flags: its values become the subparser's argparse defaults, so explicit
+flags still win and every value goes through the flag's own type.
+
 Exit codes: 0 success, 2 flag or domain validation, 3 numeric failure
 (integration breakdown or a cross-check beyond its tolerance), 4
 physically unsuitable configuration (unbound or collision orbits).
@@ -35,7 +39,6 @@ from . import __version__
 from .errors import (
     DomainError,
     FracmechError,
-    IntegrationError,
     UnsuitablePhysicsError,
 )
 from .integrate import IntegratorConfig, integrate, measure_period
@@ -84,46 +87,38 @@ def _load_config(path: str) -> dict[str, str]:
         if "=" not in line:
             raise DomainError(f"config line is not key = value: {raw!r}")
         key, value = line.split("=", 1)
-        out[key.strip().lower().replace("_", "-")] = value.strip()
+        out[key.strip().lower().replace("-", "_")] = value.strip()
     return out
-
-
-def _resolved(args, config: dict[str, str], key: str, conv: Callable, default=None):
-    """Flag value if given, else config-file value, else the default."""
-    cli = getattr(args, key.replace("-", "_"), None)
-    if cli is not None:
-        return cli
-    if key in config:
-        try:
-            return conv(config[key])
-        except (ValueError, argparse.ArgumentTypeError) as exc:
-            raise DomainError(f"bad config value for {key}: {exc}") from exc
-    return default
 
 
 def _config_flag(text: str) -> bool:
     return text.strip().lower() in ("1", "true", "yes", "on")
 
 
-def _integrator_config(args, config) -> IntegratorConfig:
-    kwargs = {}
-    for key, conv in (
-        ("rel-tol", float),
-        ("abs-tol", float),
-        ("event-tol", float),
-        ("max-steps", int),
-        ("initial-step", float),
-    ):
-        value = _resolved(args, config, key, conv)
-        if value is not None:
-            kwargs[key.replace("-", "_")] = value
-    return IntegratorConfig(**kwargs)
+def _config_defaults(args: argparse.Namespace) -> dict:
+    """The config file of a first parse as defaults for its subcommand.
+
+    Keys must name a long flag of that subcommand; values stay strings, so
+    argparse converts them with the flag's type, except for on/off flags,
+    whose ``store_true`` action never converts a default.
+    """
+    defaults = {}
+    for key, value in _load_config(args.config).items():
+        if key in ("func", "command", "config") or not hasattr(args, key):
+            raise DomainError(f"unknown config key {key!r} for {args.command}")
+        current = getattr(args, key)
+        defaults[key] = _config_flag(value) if isinstance(current, bool) else value
+    return defaults
 
 
-def _kinetic_params(args, config, d_alpha_default: float | None = None) -> FractionalParams:
-    mass = _resolved(args, config, "mass", float)
-    alpha = _resolved(args, config, "alpha", float)
-    d_alpha = _resolved(args, config, "d-alpha", float)
+def _integrator_config(args) -> IntegratorConfig:
+    """The tolerances given as flags or config values, library defaults for the rest."""
+    given = {f.name: getattr(args, f.name) for f in dataclasses.fields(IntegratorConfig)}
+    return IntegratorConfig(**{k: v for k, v in given.items() if v is not None})
+
+
+def _kinetic_params(args, d_alpha_default: float | None = None) -> FractionalParams:
+    mass, alpha, d_alpha = args.mass, args.alpha, args.d_alpha
     if mass is not None:
         if d_alpha is not None:
             raise DomainError("--mass and --d-alpha are mutually exclusive")
@@ -139,15 +134,9 @@ def _kinetic_params(args, config, d_alpha_default: float | None = None) -> Fract
     return FractionalParams(alpha, d_alpha)
 
 
-def _potential(args, config, g2_default: float | None = None) -> PowerLawPotential:
-    g2 = _resolved(args, config, "g2", float)
-    beta = _resolved(args, config, "beta", float)
-    strength = _resolved(args, config, "strength", float)
-    degree = _resolved(args, config, "degree", float)
-    s = strength if strength is not None else g2
-    d = degree if degree is not None else beta
-    if s is None:
-        s = g2_default
+def _potential(args) -> PowerLawPotential:
+    s = args.strength if args.strength is not None else args.g2
+    d = args.degree if args.degree is not None else args.beta
     if s is None or d is None:
         raise DomainError(
             "potential is underspecified: give --g2/--beta (oscillator form) "
@@ -167,56 +156,21 @@ def _write_json(path: str, doc: dict) -> None:
     Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
-def _write_manifest(
-    path: str,
-    subcommand: str,
-    parameters: dict,
-    cfg: IntegratorConfig,
-    outputs: Sequence[str],
-    duration: float,
-) -> None:
-    _write_json(
-        path,
-        {
-            "tool": "fracmech",
-            "version": __version__,
-            "subcommand": subcommand,
-            "parameters": parameters,
-            "tolerances": dataclasses.asdict(cfg),
-            "outputs": list(outputs),
-            "duration_s": duration,
-        },
-    )
-
-
-def _out_paths(args, config, default_out: str) -> tuple[str, str]:
-    out = _resolved(args, config, "out", str, default_out)
-    manifest = _resolved(args, config, "manifest", str, out + ".manifest.json")
-    return out, manifest
-
-
-def cmd_simulate(args, config) -> int:
-    started = time.perf_counter()
-    params = _kinetic_params(args, config)
-    pot = _potential(args, config)
-    cfg = _integrator_config(args, config)
-    q0 = _resolved(args, config, "q0", _float_list)
-    if q0 is None:
+def cmd_simulate(args, cfg: IntegratorConfig):
+    """Integrate the equations of motion and write a trajectory CSV."""
+    params = _kinetic_params(args)
+    pot = _potential(args)
+    if args.q0 is None:
         raise DomainError("--q0 is required")
-    p0 = _resolved(args, config, "p0", _float_list)
-    qdot0 = _resolved(args, config, "qdot0", _float_list)
     ic = InitialConditions(
-        q0=np.array(q0, dtype=float),
-        p0=None if p0 is None else np.array(p0, dtype=float),
-        qdot0=None if qdot0 is None else np.array(qdot0, dtype=float),
+        q0=np.array(args.q0, dtype=float),
+        p0=None if args.p0 is None else np.array(args.p0, dtype=float),
+        qdot0=None if args.qdot0 is None else np.array(args.qdot0, dtype=float),
     )
-    t0 = _resolved(args, config, "t0", float, 0.0)
-    t1 = _resolved(args, config, "t1", float)
-    if t1 is None:
+    if args.t1 is None:
         raise DomainError("--t1 is required")
-    out, manifest = _out_paths(args, config, "trajectory.csv")
 
-    traj, _events = integrate(params, pot, ic, (t0, t1), cfg)
+    traj, _events = integrate(params, pot, ic, (args.t0, args.t1), cfg)
     d = traj.dimension
     e0 = float(traj.energies[0])
     scale = max(abs(e0), _TINY)
@@ -233,99 +187,66 @@ def cmd_simulate(args, config) -> int:
         + [traj.energies[i], abs(traj.energies[i] - e0) / scale]
         for i in range(len(traj.times))
     ]
-    _write_csv(out, header, rows)
-    _write_manifest(
-        manifest,
-        "simulate",
-        {
-            "alpha": params.alpha,
-            "d_alpha": params.d_alpha,
-            "strength": pot.strength,
-            "degree": pot.degree,
-            "q0": q0,
-            "p0": p0,
-            "qdot0": qdot0,
-            "t0": t0,
-            "t1": t1,
-        },
-        cfg,
-        [out],
-        time.perf_counter() - started,
-    )
+    _write_csv(args.out, header, rows)
     print(
         f"simulate: {len(rows)} samples, max energy drift "
-        f"{max(r[-1] for r in rows):.3e}, wrote {out}"
+        f"{max(r[-1] for r in rows):.3e}, wrote {args.out}"
     )
-    return 0
+    parameters = {
+        "alpha": params.alpha,
+        "d_alpha": params.d_alpha,
+        "strength": pot.strength,
+        "degree": pot.degree,
+        "q0": args.q0,
+        "p0": args.p0,
+        "qdot0": args.qdot0,
+        "t0": args.t0,
+        "t1": args.t1,
+    }
+    return parameters, [args.out], 0
 
 
-def cmd_period(args, config) -> int:
-    started = time.perf_counter()
-    params = _kinetic_params(args, config, d_alpha_default=1.0)
-    pot = _potential(args, config, g2_default=1.0)
-    cfg = _integrator_config(args, config)
-    energy = _resolved(args, config, "energy", float, 1.0)
-    check_tol = _resolved(args, config, "check-tol", float, 1e-4)
-    skip_ode = bool(_resolved(args, config, "skip-ode", _config_flag, False))
-    out, manifest = _out_paths(args, config, "period.json")
-
-    spec = OscillatorSpec(params, pot, energy)
-    report = period_report(spec, cfg, include_ode=not skip_ode)
-    _write_json(
-        out,
-        {
-            "closed_form": report.closed_form,
-            "quadrature": report.quadrature,
-            "ode_measured": report.ode_measured,
-            "max_pairwise_rel_diff": report.max_pairwise_rel_diff,
-        },
-    )
-    _write_manifest(
-        manifest,
-        "period",
-        {
-            "alpha": params.alpha,
-            "d_alpha": params.d_alpha,
-            "g2": pot.strength,
-            "beta": pot.degree,
-            "energy": energy,
-            "check_tol": check_tol,
-            "skip_ode": skip_ode,
-        },
-        cfg,
-        [out],
-        time.perf_counter() - started,
-    )
+def cmd_period(args, cfg: IntegratorConfig):
+    """Closed-form vs quadrature vs measured oscillation period."""
+    params = _kinetic_params(args, d_alpha_default=1.0)
+    pot = _potential(args)
+    spec = OscillatorSpec(params, pot, args.energy)
+    report = period_report(spec, cfg, include_ode=not args.skip_ode)
+    _write_json(args.out, dataclasses.asdict(report))
+    parameters = {
+        "alpha": params.alpha,
+        "d_alpha": params.d_alpha,
+        "g2": pot.strength,
+        "beta": pot.degree,
+        "energy": args.energy,
+        "check_tol": args.check_tol,
+        "skip_ode": args.skip_ode,
+    }
     print(
         f"period: closed_form={report.closed_form!r} "
-        f"max_pairwise_rel_diff={report.max_pairwise_rel_diff:.3e}, wrote {out}"
+        f"max_pairwise_rel_diff={report.max_pairwise_rel_diff:.3e}, wrote {args.out}"
     )
-    if report.max_pairwise_rel_diff > check_tol:
-        return _fail(
+    code = 0
+    if report.max_pairwise_rel_diff > args.check_tol:
+        code = _fail(
             f"period routes disagree by {report.max_pairwise_rel_diff:.3e} "
-            f"(check tolerance {check_tol:.3e})",
+            f"(check tolerance {args.check_tol:.3e})",
             3,
         )
-    return 0
+    return parameters, [args.out], code
 
 
-def cmd_hj(args, config) -> int:
-    started = time.perf_counter()
-    params = _kinetic_params(args, config, d_alpha_default=1.0)
-    pot = _potential(args, config, g2_default=1.0)
-    cfg = _integrator_config(args, config)
-    energy = _resolved(args, config, "energy", float, 1.0)
-    samples = _resolved(args, config, "samples", int, 256)
+def cmd_hj(args, cfg: IntegratorConfig):
+    """Time-of-flight solution vs integrated motion over one period."""
+    params = _kinetic_params(args, d_alpha_default=1.0)
+    pot = _potential(args)
+    energy, samples = args.energy, args.samples
     if samples < 1:
         raise DomainError(f"--samples must be at least 1, got {samples}")
-    out, manifest = _out_paths(args, config, "hj_compare.csv")
 
     spec = OscillatorSpec(params, pot, energy)
     full = period(spec)
-    if samples == 1:
-        times = [0.0]
-    else:
-        times = [full * i / (samples - 1) for i in range(samples)]
+    times = [full * i / max(samples - 1, 1) for i in range(samples)]
     # phase convention: at t = 0 the particle crosses the origin moving in
     # the positive direction, so all the energy is kinetic
     p_start = abs_power(energy / params.d_alpha, 1.0 / params.alpha)
@@ -336,27 +257,20 @@ def cmd_hj(args, config) -> int:
         q_hj = hj_trajectory(spec, t)
         q_ode = float(traj.eval(t).q[0]) if t > 0.0 else 0.0
         rows.append([t, q_hj, q_ode, abs(q_hj - q_ode)])
-    _write_csv(out, ["t", "q_hj", "q_ode", "abs_diff"], rows)
-    _write_manifest(
-        manifest,
-        "hj",
-        {
-            "alpha": params.alpha,
-            "d_alpha": params.d_alpha,
-            "g2": pot.strength,
-            "beta": pot.degree,
-            "energy": energy,
-            "samples": samples,
-        },
-        cfg,
-        [out],
-        time.perf_counter() - started,
-    )
+    _write_csv(args.out, ["t", "q_hj", "q_ode", "abs_diff"], rows)
     print(
         f"hj: {len(rows)} samples over one period, max |q_hj - q_ode| = "
-        f"{max(r[3] for r in rows):.3e}, wrote {out}"
+        f"{max(r[3] for r in rows):.3e}, wrote {args.out}"
     )
-    return 0
+    parameters = {
+        "alpha": params.alpha,
+        "d_alpha": params.d_alpha,
+        "g2": pot.strength,
+        "beta": pot.degree,
+        "energy": energy,
+        "samples": samples,
+    }
+    return parameters, [args.out], 0
 
 
 def _sweep_point(task) -> tuple[float, ...]:
@@ -370,87 +284,59 @@ def _sweep_point(task) -> tuple[float, ...]:
     return (alpha, beta, energy, t_closed, t_quad, t_ode, spread)
 
 
-def cmd_sweep(args, config) -> int:
-    started = time.perf_counter()
-    cfg = _integrator_config(args, config)
-    alphas = _resolved(args, config, "alphas", _float_list, [1.1, 1.25, 1.5, 1.75, 2.0])
-    betas = _resolved(args, config, "betas", _float_list, [1.1, 1.25, 1.5, 1.75, 2.0])
-    energies = _resolved(args, config, "energies", _float_list, [0.5, 1.0, 2.0, 10.0])
-    d_alpha = _resolved(args, config, "d-alpha", float, 1.0)
-    g2 = _resolved(args, config, "g2", float, 1.0)
-    jobs = _resolved(args, config, "jobs", int, 1)
-    if jobs < 1:
-        raise DomainError(f"--jobs must be at least 1, got {jobs}")
-    for a in alphas:
-        if not 1.0 < a <= 2.0:
-            raise DomainError(f"sweep alpha {a} outside (1, 2]")
-    for b in betas:
-        if not 1.0 < b <= 2.0:
-            raise DomainError(f"sweep beta {b} outside (1, 2]")
-    for e in energies:
+def cmd_sweep(args, cfg: IntegratorConfig):
+    """Period grid over exponents and energies."""
+    alphas, betas, energies = sorted(args.alphas), sorted(args.betas), sorted(args.energies)
+    if args.jobs < 1:
+        raise DomainError(f"--jobs must be at least 1, got {args.jobs}")
+    for name, values in (("alpha", args.alphas), ("beta", args.betas)):
+        for v in values:
+            if not 1.0 < v <= 2.0:
+                raise DomainError(f"sweep {name} {v} outside (1, 2]")
+    for e in args.energies:
         if not e > 0.0:
             raise DomainError(f"sweep energy {e} must be positive")
-    out, manifest = _out_paths(args, config, "sweep.csv")
 
     tasks = [
-        (a, b, e, d_alpha, g2, cfg)
-        for a in sorted(alphas)
-        for b in sorted(betas)
-        for e in sorted(energies)
+        (a, b, e, args.d_alpha, args.g2, cfg) for a in alphas for b in betas for e in energies
     ]
-    if jobs > 1:
-        workers = min(jobs, len(tasks), os.cpu_count() or 1)
+    if args.jobs > 1:
+        workers = min(args.jobs, len(tasks), os.cpu_count() or 1)
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_point, tasks))
     else:
         rows = [_sweep_point(task) for task in tasks]
     _write_csv(
-        out,
+        args.out,
         ["alpha", "beta", "energy", "T_closed", "T_quad", "T_ode", "rel_spread"],
         rows,
     )
-    _write_manifest(
-        manifest,
-        "sweep",
-        {
-            "alphas": sorted(alphas),
-            "betas": sorted(betas),
-            "energies": sorted(energies),
-            "d_alpha": d_alpha,
-            "g2": g2,
-            "jobs": jobs,
-        },
-        cfg,
-        [out],
-        time.perf_counter() - started,
-    )
     print(
         f"sweep: {len(rows)} grid points, max rel_spread "
-        f"{max(r[6] for r in rows):.3e}, wrote {out}"
+        f"{max(r[6] for r in rows):.3e}, wrote {args.out}"
     )
-    return 0
+    parameters = {
+        "alphas": alphas,
+        "betas": betas,
+        "energies": energies,
+        "d_alpha": args.d_alpha,
+        "g2": args.g2,
+        "jobs": args.jobs,
+    }
+    return parameters, [args.out], 0
 
 
-def cmd_kepler(args, config) -> int:
-    started = time.perf_counter()
-    params = _kinetic_params(args, config, d_alpha_default=1.0)
-    cfg = _integrator_config(args, config)
-    strength = _resolved(args, config, "strength", float, -1.0)
-    q0 = _resolved(args, config, "q0", _float_list, [1.0, 0.0])
-    p0 = _resolved(args, config, "p0", _float_list, [0.0, 0.8])
-    rhos = _resolved(args, config, "rhos", _float_list, [1.0, 2.0, 4.0, 8.0])
-    check_tol = _resolved(args, config, "check-tol", float, 1e-3)
-    out, manifest = _out_paths(args, config, "kepler.csv")
-    summary_default = str(Path(out).with_name(Path(out).stem + "_summary.json"))
-    summary_path = _resolved(args, config, "summary", str, summary_default)
+def cmd_kepler(args, cfg: IntegratorConfig):
+    """Orbital-period scaling against the similarity prediction."""
+    params = _kinetic_params(args, d_alpha_default=1.0)
+    out, check_tol = args.out, args.check_tol
+    summary = args.summary
+    if summary is None:
+        summary = str(Path(out).with_name(Path(out).stem + "_summary.json"))
 
+    ic = InitialConditions(q0=np.array(args.q0), p0=np.array(args.p0))
     report = fractional_kepler_check(
-        params.alpha,
-        InitialConditions(q0=np.array(q0), p0=np.array(p0)),
-        rhos,
-        cfg,
-        d_alpha=params.d_alpha,
-        strength=strength,
+        params.alpha, ic, args.rhos, cfg, d_alpha=params.d_alpha, strength=args.strength
     )
     _write_csv(
         out,
@@ -463,7 +349,7 @@ def cmd_kepler(args, config) -> int:
         else abs(report.fitted_slope - report.predicted_slope) <= check_tol
     )
     _write_json(
-        summary_path,
+        summary,
         {
             "predicted_slope": report.predicted_slope,
             "fitted_slope": report.fitted_slope,
@@ -473,60 +359,68 @@ def cmd_kepler(args, config) -> int:
             "passed": passed,
         },
     )
-    _write_manifest(
-        manifest,
-        "kepler",
-        {
-            "alpha": params.alpha,
-            "d_alpha": params.d_alpha,
-            "strength": strength,
-            "q0": q0,
-            "p0": p0,
-            "rhos": rhos,
-            "check_tol": check_tol,
-        },
-        cfg,
-        [out, summary_path],
-        time.perf_counter() - started,
-    )
+    parameters = {
+        "alpha": params.alpha,
+        "d_alpha": params.d_alpha,
+        "strength": args.strength,
+        "q0": args.q0,
+        "p0": args.p0,
+        "rhos": args.rhos,
+        "check_tol": check_tol,
+    }
+    code = 0
     if report.fitted_slope is None:
         print(f"kepler: single scale factor, no fit; wrote {out}")
-        return 0
-    print(
-        f"kepler: fitted slope {report.fitted_slope!r} vs predicted "
-        f"{report.predicted_slope!r}, wrote {out}"
-    )
-    if not passed:
-        return _fail(
-            f"fitted slope {report.fitted_slope} deviates from predicted "
-            f"{report.predicted_slope} by more than {check_tol}",
-            3,
+    else:
+        print(
+            f"kepler: fitted slope {report.fitted_slope!r} vs predicted "
+            f"{report.predicted_slope!r}, wrote {out}"
         )
-    return 0
+        if not passed:
+            code = _fail(
+                f"fitted slope {report.fitted_slope} deviates from predicted "
+                f"{report.predicted_slope} by more than {check_tol}",
+                3,
+            )
+    return parameters, [out, summary], code
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="key = value defaults file; explicit flags win")
-    common.add_argument("--out", help="primary output path")
-    common.add_argument("--manifest", help="manifest JSON path (default: OUT.manifest.json)")
-    common.add_argument("--rel-tol", type=float, help="integrator relative tolerance")
-    common.add_argument("--abs-tol", type=float, help="integrator absolute tolerance")
-    common.add_argument("--event-tol", type=float, help="event location tolerance")
-    common.add_argument("--max-steps", type=int, help="integrator step budget")
-    common.add_argument("--initial-step", type=float, help="fixed first step size")
+# Each subparser gets its own actions (no ``parents=``), so a config default
+# set on one subcommand never leaks into another through a shared action.
 
-    kinetic = argparse.ArgumentParser(add_help=False)
-    kinetic.add_argument("--alpha", type=float, help="kinetic exponent in (1, 2]")
-    kinetic.add_argument("--d-alpha", type=float, help="kinetic scale factor")
-    kinetic.add_argument("--mass", type=float, help="shorthand for alpha=2, d-alpha=1/(2 mass)")
 
-    potential = argparse.ArgumentParser(add_help=False)
-    potential.add_argument("--g2", type=float, help="oscillator strength g^2 (alias of --strength)")
-    potential.add_argument("--beta", type=float, help="oscillator degree (alias of --degree)")
-    potential.add_argument("--strength", type=float, help="potential prefactor, signed")
-    potential.add_argument("--degree", type=float, help="potential exponent, nonzero")
+def _add_command(sub, name: str, func: Callable, out: str) -> argparse.ArgumentParser:
+    p = sub.add_parser(
+        name, help=func.__doc__, formatter_class=argparse.ArgumentDefaultsHelpFormatter
+    )
+    p.set_defaults(func=func)
+    p.add_argument("--config", help="key = value defaults file; explicit flags win")
+    p.add_argument("--out", default=out, help="primary output path")
+    p.add_argument("--manifest", help="manifest JSON path; None writes OUT.manifest.json")
+    p.add_argument("--rel-tol", type=float, help="integrator relative tolerance")
+    p.add_argument("--abs-tol", type=float, help="integrator absolute tolerance")
+    p.add_argument("--event-tol", type=float, help="event location tolerance")
+    p.add_argument("--max-steps", type=int, help="integrator step budget")
+    p.add_argument("--initial-step", type=float, help="fixed first step size")
+    return p
 
+
+def _add_kinetic(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--alpha", type=float, help="kinetic exponent in (1, 2]")
+    p.add_argument("--d-alpha", type=float, help="kinetic scale factor")
+    p.add_argument("--mass", type=float, help="shorthand for alpha=2, d-alpha=1/(2 mass)")
+
+
+def _add_potential(p: argparse.ArgumentParser, g2: float | None = None) -> None:
+    p.add_argument(
+        "--g2", type=float, default=g2, help="oscillator strength g^2 (alias of --strength)"
+    )
+    p.add_argument("--beta", type=float, help="oscillator degree (alias of --degree)")
+    p.add_argument("--strength", type=float, help="potential prefactor, signed")
+    p.add_argument("--degree", type=float, help="potential exponent, nonzero")
+
+
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     parser = argparse.ArgumentParser(
         prog="fracmech",
         description="Fractional-kinetics classical mechanics toolkit",
@@ -534,77 +428,76 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"fracmech {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_sim = sub.add_parser(
-        "simulate",
-        parents=[common, kinetic, potential],
-        help="integrate the equations of motion and write a trajectory CSV",
-    )
-    p_sim.add_argument("--q0", type=_float_list, help="initial position, comma-separated")
-    p_sim.add_argument("--p0", type=_float_list, help="initial momentum")
-    p_sim.add_argument("--qdot0", type=_float_list, help="initial velocity (alternative to --p0)")
-    p_sim.add_argument("--t0", type=float, help="span start (default 0)")
-    p_sim.add_argument("--t1", type=float, help="span end")
-    p_sim.set_defaults(func=cmd_simulate)
+    p = _add_command(sub, "simulate", cmd_simulate, "trajectory.csv")
+    _add_kinetic(p)
+    _add_potential(p)
+    p.add_argument("--q0", type=_float_list, help="initial position, comma-separated")
+    p.add_argument("--p0", type=_float_list, help="initial momentum")
+    p.add_argument("--qdot0", type=_float_list, help="initial velocity (alternative to --p0)")
+    p.add_argument("--t0", type=float, default=0.0, help="span start")
+    p.add_argument("--t1", type=float, help="span end")
 
-    p_per = sub.add_parser(
-        "period",
-        parents=[common, kinetic, potential],
-        help="closed-form vs quadrature vs measured oscillation period",
-    )
-    p_per.add_argument("--energy", type=float, help="oscillator energy, positive")
-    p_per.add_argument("--check-tol", type=float, help="max allowed route disagreement (default 1e-4)")
-    p_per.add_argument("--skip-ode", action="store_true", default=None, help="skip the ODE measurement")
-    p_per.set_defaults(func=cmd_period)
+    p = _add_command(sub, "period", cmd_period, "period.json")
+    _add_kinetic(p)
+    _add_potential(p, g2=1.0)
+    p.add_argument("--energy", type=float, default=1.0, help="oscillator energy, positive")
+    p.add_argument("--check-tol", type=float, default=1e-4, help="max allowed route disagreement")
+    p.add_argument("--skip-ode", action="store_true", help="skip the ODE measurement")
 
-    p_hj = sub.add_parser(
-        "hj",
-        parents=[common, kinetic, potential],
-        help="time-of-flight solution vs integrated motion over one period",
-    )
-    p_hj.add_argument("--energy", type=float, help="oscillator energy, positive")
-    p_hj.add_argument("--samples", type=int, help="number of comparison times (default 256)")
-    p_hj.set_defaults(func=cmd_hj)
+    p = _add_command(sub, "hj", cmd_hj, "hj_compare.csv")
+    _add_kinetic(p)
+    _add_potential(p, g2=1.0)
+    p.add_argument("--energy", type=float, default=1.0, help="oscillator energy, positive")
+    p.add_argument("--samples", type=int, default=256, help="number of comparison times")
 
-    p_sweep = sub.add_parser(
-        "sweep",
-        parents=[common],
-        help="period grid over exponents and energies",
-    )
-    p_sweep.add_argument("--alphas", type=_float_list, help="kinetic exponents, comma-separated")
-    p_sweep.add_argument("--betas", type=_float_list, help="potential degrees")
-    p_sweep.add_argument("--energies", type=_float_list, help="energies")
-    p_sweep.add_argument("--d-alpha", type=float, help="kinetic scale factor (default 1)")
-    p_sweep.add_argument("--g2", type=float, help="oscillator strength (default 1)")
-    p_sweep.add_argument("--jobs", type=int, help="parallel worker processes (default 1)")
-    p_sweep.set_defaults(func=cmd_sweep)
+    p = _add_command(sub, "sweep", cmd_sweep, "sweep.csv")
+    grid = [1.1, 1.25, 1.5, 1.75, 2.0]
+    p.add_argument("--alphas", type=_float_list, default=grid, help="kinetic exponents")
+    p.add_argument("--betas", type=_float_list, default=grid, help="potential degrees")
+    p.add_argument("--energies", type=_float_list, default=[0.5, 1.0, 2.0, 10.0], help="energies")
+    p.add_argument("--d-alpha", type=float, default=1.0, help="kinetic scale factor")
+    p.add_argument("--g2", type=float, default=1.0, help="oscillator strength")
+    p.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
 
-    p_kep = sub.add_parser(
-        "kepler",
-        parents=[common, kinetic],
-        help="orbital-period scaling against the similarity prediction",
-    )
-    p_kep.add_argument("--strength", type=float, help="attractive strength, negative (default -1)")
-    p_kep.add_argument("--q0", type=_float_list, help="planar initial position (default 1,0)")
-    p_kep.add_argument("--p0", type=_float_list, help="planar initial momentum (default 0,0.8)")
-    p_kep.add_argument("--rhos", type=_float_list, help="length scale factors (default 1,2,4,8)")
-    p_kep.add_argument("--check-tol", type=float, help="max |fitted - predicted| slope (default 1e-3)")
-    p_kep.add_argument("--summary", help="fit summary JSON path")
-    p_kep.set_defaults(func=cmd_kepler)
-    return parser
+    p = _add_command(sub, "kepler", cmd_kepler, "kepler.csv")
+    _add_kinetic(p)
+    p.add_argument("--strength", type=float, default=-1.0, help="attractive strength, negative")
+    p.add_argument("--q0", type=_float_list, default=[1.0, 0.0], help="planar initial position")
+    p.add_argument("--p0", type=_float_list, default=[0.0, 0.8], help="planar initial momentum")
+    p.add_argument("--rhos", type=_float_list, default=[1.0, 2.0, 4.0, 8.0], help="length scales")
+    p.add_argument("--check-tol", type=float, default=1e-3, help="max |fitted - predicted| slope")
+    p.add_argument("--summary", help="fit summary JSON path; None writes <OUT stem>_summary.json")
+    return parser, sub.choices
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
+    parser, commands = _build_parser()
     args = parser.parse_args(argv)
     try:
-        config = _load_config(args.config) if args.config else {}
-        return args.func(args, config)
+        if args.config:
+            commands[args.command].set_defaults(**_config_defaults(args))
+            args = parser.parse_args(argv)
+        cfg = _integrator_config(args)
+        started = time.perf_counter()
+        parameters, outputs, code = args.func(args, cfg)
+        manifest = args.manifest if args.manifest is not None else args.out + ".manifest.json"
+        _write_json(
+            manifest,
+            {
+                "tool": "fracmech",
+                "version": __version__,
+                "subcommand": args.command,
+                "parameters": parameters,
+                "tolerances": dataclasses.asdict(cfg),
+                "outputs": outputs,
+                "duration_s": time.perf_counter() - started,
+            },
+        )
+        return code
     except UnsuitablePhysicsError as exc:
         return _fail(str(exc), 4)
     except DomainError as exc:
         return _fail(str(exc), 2)
-    except IntegrationError as exc:
-        return _fail(str(exc), 3)
     except FracmechError as exc:
         return _fail(str(exc), 3)
     except OSError as exc:

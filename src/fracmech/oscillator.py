@@ -15,8 +15,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.integrate import quad
-
 from .errors import DomainError, IntegrationError
 from .integrate import IntegratorConfig, measure_period
 from .model import FractionalParams, PowerLawPotential, abs_power, require_finite, turning_point
@@ -103,6 +101,9 @@ def _beta_integral_quad(a: float, b: float) -> float:
     turns each endpoint-singular half into a bounded smooth integrand:
     int_0^(1/2) z^(a-1)(1-z)^(b-1) dz = (1/a) int_0^((1/2)^a) (1 - u^(1/a))^(b-1) du.
     """
+    # imported here so that importing the package (and every CLI start)
+    # does not pay for scipy; only this independent cross-check needs it
+    from scipy.integrate import quad
 
     def half(aa: float, bb: float) -> tuple[float, float]:
         upper = 0.5**aa

@@ -169,7 +169,8 @@ def inv_inc_beta(a: float, b: float, target: float) -> float:
     Bracketed bisection refined by safeguarded Newton steps with
     derivative x^(a-1) (1-x)^(b-1); bisection guarantees convergence even
     though the derivative is unbounded at the endpoints when a < 1 or
-    b < 1.  The result satisfies |B_x - target| < 1e-12 * B(a, b).
+    b < 1.  The result satisfies |B_x - target| < 1e-12 * B(a, b); when
+    200 iterations do not get there, DomainError names the residual.
     """
     total = beta(a, b)
     if not 0.0 <= target <= total * (1.0 + 1e-12):
@@ -202,7 +203,10 @@ def inv_inc_beta(a: float, b: float, target: float) -> float:
         if hi - lo <= 1e-16 * hi:
             return x_new
         x = x_new
-    return x
+    raise DomainError(
+        f"inverse incomplete Beta failed to converge for a={a}, b={b}, "
+        f"target={target}: residual {res:.3e} after 200 iterations"
+    )
 
 
 def hyp2f1(mu: float, one_minus_nu: float, mu_plus_one: float, x: float) -> float:

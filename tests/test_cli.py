@@ -58,6 +58,25 @@ def test_child_imports_the_package_under_test(tmp_path):
     assert Path(proc.stdout.strip()).resolve() == Path(fracmech.__file__).resolve()
 
 
+def test_cli_import_leaves_scipy_unloaded(tmp_path):
+    # scipy is only needed by the quadrature cross-check, and loading it at
+    # import time used to triple the start-up cost of every CLI call
+    proc = subprocess.run(
+        [
+            sys.executable, "-c",
+            "import sys, fracmech.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+        ],
+        cwd=tmp_path,
+        env=child_env(),
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_version_flag(tmp_path):
     proc = run_cli("--version", cwd=tmp_path)
     assert proc.returncode == 0
@@ -249,6 +268,57 @@ def test_period_config_file_with_flag_override(tmp_path):
     # explicit flag wins over the config value
     assert doc_b["closed_form"] == pytest.approx(3.6504714985585314, rel=1e-10)
 
+    # an on/off key spelled false must not read as the truthy string 'false'
+    cfg.write_text("alpha = 1.5\nbeta = 1.5\nskip_ode = false\n")
+    out_c = tmp_path / "c.json"
+    proc = run_cli("period", "--config", str(cfg), "--out", str(out_c), cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(out_c.read_text())["ode_measured"] is not None
+    manifest = json.loads((tmp_path / "c.json.manifest.json").read_text())
+    assert manifest["parameters"]["skip_ode"] is False
+
+
+def test_config_bad_value_is_usage_error(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("alpha = x\nbeta = 1.5\n")
+    proc = run_cli("period", "--config", str(cfg), cwd=tmp_path)
+    assert proc.returncode == 2
+    assert "alpha" in proc.stderr
+
+
+def test_config_unknown_key_is_usage_error(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("alpha = 1.5\nbeta = 1.5\nenrgy = 4\n")
+    out = tmp_path / "p.json"
+    proc = run_cli("period", "--config", str(cfg), "--out", str(out), cwd=tmp_path)
+    assert proc.returncode == 2
+    assert "enrgy" in proc.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key", ["func", "command", "config", "samples", "alphas"])
+def test_config_keys_outside_the_subcommand_rejected(tmp_path, capsys, key):
+    # in process: the key is refused before anything runs
+    import fracmech.cli as cli
+
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"alpha = 1.5\nbeta = 1.5\n{key} = 1\n")
+    assert cli.main(["period", "--config", str(cfg), "--out", str(tmp_path / "p.json")]) == 2
+    assert repr(key) in capsys.readouterr().err
+    assert not (tmp_path / "p.json").exists()
+
+
+def test_config_default_stays_with_its_subcommand():
+    import fracmech.cli as cli
+
+    parser, commands = cli._build_parser()
+    commands["period"].set_defaults(out="mine.json", energy="4")
+    assert parser.parse_args(["period"]).out == "mine.json"
+    assert parser.parse_args(["period"]).energy == 4.0
+    assert parser.parse_args(["hj"]).out == "hj_compare.csv"
+    assert parser.parse_args(["hj"]).energy == 1.0
+    assert parser.parse_args(["sweep"]).out == "sweep.csv"
+
 
 # ----------------------------------------------------------------------- hj
 
@@ -327,6 +397,31 @@ def test_sweep_workers_do_not_change_bytes(tmp_path):
     assert run_cli(*argv, "--jobs", "1", "--out", str(a), cwd=tmp_path).returncode == 0
     assert run_cli(*argv, "--jobs", "2", "--out", str(b), cwd=tmp_path).returncode == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_sweep_config_file_equals_flags(tmp_path):
+    flags = tmp_path / "flags.csv"
+    proc = run_cli(
+        "sweep", "--alphas", "2.0,1.5", "--betas", "1.75", "--energies", "2.0",
+        "--d-alpha", "0.5", "--g2", "2", "--jobs", "1", "--out", str(flags),
+        cwd=tmp_path,
+    )
+    assert proc.returncode == 0, proc.stderr
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(
+        "alphas = 2.0,1.5\nbetas = 1.75\nenergies = 2.0\n"
+        "d-alpha = 0.5\ng2 = 2\njobs = 1\n"
+    )
+    config = tmp_path / "config.csv"
+    proc = run_cli("sweep", "--config", str(cfg), "--out", str(config), cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert config.read_bytes() == flags.read_bytes()
+    echo = [
+        json.loads((tmp_path / f"{name}.csv.manifest.json").read_text())["parameters"]
+        for name in ("flags", "config")
+    ]
+    assert echo[0] == echo[1]
+    assert echo[1]["jobs"] == 1 and echo[1]["g2"] == 2.0
 
 
 def test_sweep_worker_count_is_bounded(tmp_path, monkeypatch):

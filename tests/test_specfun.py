@@ -191,6 +191,17 @@ def test_inv_inc_beta_residual_bound():
             assert abs(inc_beta(a, b, x) - target) < 1e-12 * total
 
 
+def test_inv_inc_beta_non_convergence_raises(monkeypatch):
+    # a forward function that never meets the target must not be answered
+    # with the last iterate (it used to return 2.3e-61 here)
+    import fracmech.specfun as specfun
+
+    true_inc_beta = specfun.inc_beta
+    monkeypatch.setattr(specfun, "inc_beta", lambda a, b, x: true_inc_beta(a, b, x) + 1.0)
+    with pytest.raises(DomainError, match=r"a=0\.5, b=0\.7, target=0\.3: residual"):
+        inv_inc_beta(0.5, 0.7, 0.3)
+
+
 def test_inv_inc_beta_rejects_out_of_range():
     with pytest.raises(DomainError):
         inv_inc_beta(0.5, 0.5, -1e-9)
