@@ -91,8 +91,19 @@ def _load_config(path: str) -> dict[str, str]:
     return out
 
 
-def _config_flag(text: str) -> bool:
-    return text.strip().lower() in ("1", "true", "yes", "on")
+def _config_flag(key: str, text: str) -> bool:
+    on, off = ("1", "true", "yes", "on"), ("0", "false", "no", "off")
+    word = text.strip().lower()
+    if word not in on + off:
+        raise DomainError(f"config key {key!r} takes {'/'.join(on)} or {'/'.join(off)}, got {text!r}")
+    return word in on
+
+
+def _tolerance(text: str) -> float:
+    value = float(text)
+    if not (np.isfinite(value) and value >= 0.0):
+        raise argparse.ArgumentTypeError(f"must be finite and non-negative, got {text!r}")
+    return value
 
 
 def _config_defaults(args: argparse.Namespace) -> dict:
@@ -107,7 +118,7 @@ def _config_defaults(args: argparse.Namespace) -> dict:
         if key in ("func", "command", "config") or not hasattr(args, key):
             raise DomainError(f"unknown config key {key!r} for {args.command}")
         current = getattr(args, key)
-        defaults[key] = _config_flag(value) if isinstance(current, bool) else value
+        defaults[key] = _config_flag(key, value) if isinstance(current, bool) else value
     return defaults
 
 
@@ -441,7 +452,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     _add_kinetic(p)
     _add_potential(p, g2=1.0)
     p.add_argument("--energy", type=float, default=1.0, help="oscillator energy, positive")
-    p.add_argument("--check-tol", type=float, default=1e-4, help="max allowed route disagreement")
+    p.add_argument("--check-tol", type=_tolerance, default=1e-4, help="max allowed route disagreement")
     p.add_argument("--skip-ode", action="store_true", help="skip the ODE measurement")
 
     p = _add_command(sub, "hj", cmd_hj, "hj_compare.csv")
@@ -465,7 +476,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     p.add_argument("--q0", type=_float_list, default=[1.0, 0.0], help="planar initial position")
     p.add_argument("--p0", type=_float_list, default=[0.0, 0.8], help="planar initial momentum")
     p.add_argument("--rhos", type=_float_list, default=[1.0, 2.0, 4.0, 8.0], help="length scales")
-    p.add_argument("--check-tol", type=float, default=1e-3, help="max |fitted - predicted| slope")
+    p.add_argument("--check-tol", type=_tolerance, default=1e-3, help="max |fitted - predicted| slope")
     p.add_argument("--summary", help="fit summary JSON path; None writes <OUT stem>_summary.json")
     return parser, sub.choices
 

@@ -32,8 +32,9 @@ from .model import (
     InitialConditions,
     PhaseState,
     PowerLawPotential,
+    _kinetic,
+    _potential,
     abs_power,
-    energy_rows,
     hamiltonian,
     phase_field,
     require_finite,
@@ -375,7 +376,8 @@ def integrate(
             h *= min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
 
     arr = np.asarray(ys)
-    energies = energy_rows(params, pot, arr[:, :d], arr[:, d:])
+    kinetic = _kinetic(params.alpha, params.d_alpha, arr[:, d:])
+    energies = kinetic + _potential(pot.strength, pot.degree, arr[:, :d])
 
     traj = Trajectory(
         times=np.asarray(times),
@@ -432,14 +434,13 @@ def first_event_times(
     run that ends short, for at most ``runs`` runs.  ``events`` passes
     ``q_levels`` / ``radial_direction`` on to :func:`integrate`.
     """
-    for _ in range(runs):
+    for horizon in (horizon * 2.0**run for run in range(runs)):
         _, found = integrate(
             params, pot, ic, (0.0, horizon), cfg, stop_after=(kind, count), **events
         )
         times = [ev.time for ev in found if ev.kind == kind]
         if len(times) >= count:
             return times
-        horizon *= 2.0
     raise MaxStepsExceeded(
         f"fewer than {count} {kind} events found within horizon {horizon}"
     )

@@ -82,6 +82,20 @@ def require_finite(**values) -> None:
             raise DomainError(f"{name} must be finite, got {value}")
 
 
+def _kinetic(alpha: float, d_alpha: float, p: np.ndarray) -> np.ndarray:
+    """T = d_alpha |p|^alpha over the last axis of p; its gradient is _velocity."""
+    return d_alpha * np.sqrt(np.sum(p * p, axis=-1)) ** alpha
+
+
+def _potential(strength: float, degree: float, q: np.ndarray) -> np.ndarray:
+    """V = strength |q|^degree over the last axis of q; its negated gradient
+    is _force.  Singular at q = 0 for degree < 0, which raises."""
+    n = np.sqrt(np.sum(q * q, axis=-1))
+    if degree < 0.0 and np.any(n == 0.0):
+        raise DomainError("potential is singular at q = 0 for negative degree")
+    return strength * n**degree
+
+
 def _velocity(alpha: float, d_alpha: float, p: np.ndarray) -> np.ndarray:
     """qdot = alpha d_alpha |p|^(alpha-1) p/|p|, continuously extended to 0
     at p = 0 (valid because alpha > 1)."""
@@ -145,10 +159,7 @@ class PowerLawPotential:
 
     def energy(self, q) -> float:
         """V(q) = strength * |q|^degree; singular at the origin for degree < 0."""
-        n = _norm(_vec(q, "q"))
-        if n == 0.0 and self.degree < 0.0:
-            raise DomainError("potential is singular at q = 0 for negative degree")
-        return self.strength * abs_power(n, self.degree)
+        return float(_potential(self.strength, self.degree, _vec(q, "q")))
 
     def gradient(self, q) -> np.ndarray:
         """dV/dq = strength * degree * |q|^(degree-1) * q/|q|, the negated
@@ -228,17 +239,7 @@ class InitialConditions:
 
 def hamiltonian(params: FractionalParams, pot: PowerLawPotential, state: PhaseState) -> float:
     """Total energy d_alpha * |p|^alpha + V(q); conserved along trajectories."""
-    kinetic = params.d_alpha * abs_power(_norm(_vec(state.p, "p")), params.alpha)
-    return kinetic + pot.energy(state.q)
-
-
-def energy_rows(
-    params: FractionalParams, pot: PowerLawPotential, q: np.ndarray, p: np.ndarray
-) -> np.ndarray:
-    """The Hamiltonian at each row of the (n, d) arrays q and p, in one
-    vectorised pass; agrees with :func:`hamiltonian` to rounding."""
-    qn, pn = np.sqrt(np.sum(q * q, axis=1)), np.sqrt(np.sum(p * p, axis=1))
-    return params.d_alpha * pn**params.alpha + pot.strength * qn**pot.degree
+    return float(_kinetic(params.alpha, params.d_alpha, _vec(state.p, "p"))) + pot.energy(state.q)
 
 
 def lagrangian(params: FractionalParams, pot: PowerLawPotential, q, qdot) -> float:
@@ -342,23 +343,16 @@ def free_particle_trajectory(
 
 def _with_component(state: PhaseState, which: str, i: int, value: float) -> PhaseState:
     q, p, t = state.q.copy(), state.p.copy(), state.t
-    if which == "q":
-        q[i] = value
-    elif which == "p":
-        p[i] = value
-    else:
+    if which == "t":
         t = value
+    else:
+        (q if which == "q" else p)[i] = value
     return PhaseState(t=t, q=q, p=p)
 
 
 def _partial(f: PhaseField, state: PhaseState, which: str, i: int, step: float) -> float:
     """Central-difference partial derivative of a phase-space field."""
-    if which == "t":
-        x = state.t
-    elif which == "q":
-        x = float(state.q[i])
-    else:
-        x = float(state.p[i])
+    x = state.t if which == "t" else float(getattr(state, which)[i])
     h = step * max(1.0, abs(x))
     hi = f(_with_component(state, which, i, x + h))
     lo = f(_with_component(state, which, i, x - h))

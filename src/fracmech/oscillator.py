@@ -182,8 +182,7 @@ def hj_time_of_flight(spec: OscillatorSpec, q: float) -> float:
     q_turn = spec.q_turn
     if not 0.0 <= q <= q_turn * (1.0 + 1e-12):
         raise DomainError(f"position {q} outside [0, q_turn={q_turn}]")
-    x = spec.pot.strength * abs_power(q, spec.beta) / spec.energy
-    x = min(x, 1.0)
+    x = min(spec.pot.energy(q) / spec.energy, 1.0)
     return spec.time_scale * inc_beta(1.0 / spec.beta, 1.0 / spec.alpha, x)
 
 

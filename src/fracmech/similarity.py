@@ -12,7 +12,6 @@ beta = -1 whose time exponent 2 - 1/alpha generalizes Kepler's third law
 from __future__ import annotations
 
 import dataclasses
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -119,6 +118,10 @@ class ScalingRow:
     measured_ratio: float
     rel_err: float
 
+    @classmethod
+    def of(cls, rho: float, predicted: float, measured: float) -> "ScalingRow":
+        return cls(rho, predicted, measured, abs(measured - predicted) / predicted)
+
 
 def _scaled_ics(
     q0: np.ndarray, p0: np.ndarray, rho: float, alpha: float, beta_degree: float
@@ -191,11 +194,7 @@ def verify_scaling(
         t_rho = landmark_time(
             _scaled_ics(q0, p0, rho, params.alpha, beta_degree), rho, guess * rho**t_exp * 1.5
         )
-        measured = t_rho / base_time
-        predicted = rho**t_exp
-        rows.append(
-            ScalingRow(rho, predicted, measured, abs(measured - predicted) / predicted)
-        )
+        rows.append(ScalingRow.of(rho, rho**t_exp, t_rho / base_time))
     return rows
 
 
@@ -278,11 +277,7 @@ def fractional_kepler_check(
         if not rho > 0.0:
             raise DomainError(f"scale factors must be positive, got {rho}")
         T_rho = radial_period(_scaled_ics(q0, p0, rho, alpha, -1.0), 3.0 * base_T * rho**t_exp)
-        measured = T_rho / base_T
-        predicted = rho**t_exp
-        rows.append(
-            ScalingRow(rho, predicted, measured, abs(measured - predicted) / predicted)
-        )
+        rows.append(ScalingRow.of(rho, rho**t_exp, T_rho / base_T))
     fit = fit_time_exponent(rows)
     slope, resid = fit if fit is not None else (None, None)
     return KeplerReport(

@@ -14,13 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ToleranceWarning
-from .model import (
-    FractionalParams,
-    PhaseState,
-    PowerLawPotential,
-    lagrangian,
-    velocity_from_momentum,
-)
+from .model import FractionalParams, PhaseState, PowerLawPotential, _kinetic, _potential
 
 __all__ = ["DenseSegment", "Trajectory", "action"]
 
@@ -176,6 +170,11 @@ def action(
 ) -> float:
     """Integral of the Lagrangian along the trajectory's dense output.
 
+    Along the solution qdot = dH/dp, so the Legendre identity
+    L = p.qdot - H, with H = T + V and p.qdot = alpha T for
+    T = d_alpha |p|^alpha, gives the on-shell Lagrangian
+    L = (alpha - 1) T(p) - V(q), evaluated at every node in one pass.
+
     Each dense segment is integrated by 8-point Gauss-Legendre; the
     estimate is refined by halving and the difference reported as the
     quadrature error.  Warns when that error exceeds quad_tol, which means
@@ -188,9 +187,9 @@ def action(
     widths = traj.widths
     # states at every node of every step: shape (steps, nodes, 2d)
     ys = y_start[:, None] + widths[:, None, None] * _quartic(traj.coefs[:, None], _NODES)
-    lag = [lagrangian(params, pot, y[:d], velocity_from_momentum(params, y[d:]))
-           for y in ys.reshape(-1, 2 * d)]
-    lag = np.reshape(lag, (len(widths), 3, len(_GL_W))) @ _GL_W
+    lag = (params.alpha - 1.0) * _kinetic(params.alpha, params.d_alpha, ys[..., d:])
+    lag = lag - _potential(pot.strength, pot.degree, ys[..., :d])
+    lag = lag.reshape(len(widths), 3, len(_GL_W)) @ _GL_W
     coarse = widths * lag[:, 0]
     fine = 0.5 * widths * (lag[:, 1] + lag[:, 2])
     total = float(np.sum(fine))

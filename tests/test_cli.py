@@ -233,6 +233,28 @@ def test_period_overflow_names_the_non_finite_state(tmp_path):
     assert "fewer than four turning points" not in proc.stderr
 
 
+def test_simulate_overflow_names_the_non_finite_state(tmp_path):
+    proc = run_cli(
+        "simulate", "--alpha", "1.5", "--d-alpha", "1", "--strength", "1",
+        "--degree", "3", "--q0", "1e120", "--p0", "0", "--t1", "1",
+        "--out", str(tmp_path / "t.csv"), cwd=tmp_path,
+    )
+    assert proc.returncode == 3
+    assert "non-finite energy inf at t = 0.0, y = " in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("command", ["period", "kepler"])
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+def test_check_tolerance_must_be_finite_and_non_negative(tmp_path, command, tol):
+    extra = ["--alpha", "1.5", "--beta", "1.5"] if command == "period" else ["--alpha", "1.75"]
+    out = tmp_path / "out.json"
+    proc = run_cli(command, *extra, "--check-tol", tol, "--out", str(out), cwd=tmp_path)
+    assert proc.returncode == 2
+    assert "--check-tol" in proc.stderr and repr(tol) in proc.stderr
+    assert not out.exists()
+
+
 def test_period_check_tolerance_failure_is_numeric_exit(tmp_path):
     proc = run_cli(
         "period", "--alpha", "1.5", "--beta", "1.5", "--check-tol", "1e-15",
@@ -284,6 +306,16 @@ def test_config_bad_value_is_usage_error(tmp_path):
     proc = run_cli("period", "--config", str(cfg), cwd=tmp_path)
     assert proc.returncode == 2
     assert "alpha" in proc.stderr
+
+
+def test_config_on_off_value_outside_the_vocabulary_is_usage_error(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("alpha = 1.5\nbeta = 1.5\nskip_ode = ture\n")
+    out = tmp_path / "p.json"
+    proc = run_cli("period", "--config", str(cfg), "--out", str(out), cwd=tmp_path)
+    assert proc.returncode == 2
+    assert "'skip_ode'" in proc.stderr and "'ture'" in proc.stderr
+    assert not out.exists()
 
 
 def test_config_unknown_key_is_usage_error(tmp_path):

@@ -25,6 +25,7 @@ from fracmech import (
     measure_period,
     period,
 )
+from fracmech.integrate import first_event_times
 
 M1 = FractionalParams.from_mass(1.0)
 OSC = PowerLawPotential(1.0, 2.0)
@@ -247,6 +248,13 @@ def test_max_steps_guard():
     with pytest.raises(MaxStepsExceeded) as err:
         integrate(M1, OSC, ic, (0.0, 1e6), IntegratorConfig(max_steps=50))
     assert err.value.t is not None  # failure reports where it stopped
+
+
+def test_event_search_reports_the_last_horizon_searched():
+    # a quarter of the harmonic period is about 2.2, beyond 0.1 and 0.2
+    ic = InitialConditions(q0=np.array([1.0]), p0=np.array([0.0]))
+    with pytest.raises(MaxStepsExceeded, match=r"within horizon 0\.2$"):
+        first_event_times(M1, OSC, ic, "turning_point", 4, 0.1, runs=2)
 
 
 def test_tolerance_refinement_reduces_error():

@@ -11,6 +11,7 @@ from fracmech import (
     DomainError,
     FractionalParams,
     InitialConditions,
+    OscillatorSpec,
     PowerLawPotential,
     ToleranceWarning,
     Trajectory,
@@ -19,6 +20,7 @@ from fracmech import (
     hamiltonian,
     integrate,
     lagrangian,
+    period,
     velocity_from_momentum,
 )
 
@@ -150,6 +152,50 @@ def test_action_additive_over_subspans():
     total = action(params, free, whole)
     split = action(params, free, first) + action(params, free, second)
     assert total == pytest.approx(split, rel=1e-10)
+
+
+def _per_node_action(params, pot, traj):
+    """The fine (halved) 8-point Gauss-Legendre sum of ``action``, with the
+    Lagrangian taken in its velocity form, one node at a time."""
+    x, w = np.polynomial.legendre.leggauss(8)
+    x, w = 0.5 * (x + 1.0), 0.5 * w
+    d = traj.dimension
+    total = 0.0
+    for i in range(len(traj.widths)):
+        seg = traj.segment(i)
+        for theta, weight in [(0.5 * xk, wk) for xk, wk in zip(x, w)] + [
+            (0.5 + 0.5 * xk, wk) for xk, wk in zip(x, w)
+        ]:
+            y = seg.at(theta)
+            qdot = velocity_from_momentum(params, y[d:])
+            total += 0.5 * seg.width * weight * lagrangian(params, pot, y[:d], qdot)
+    return total
+
+
+def _one_period_at_alpha_beta_1_5():
+    spec = OscillatorSpec.from_exponents(1.5, 1.5)
+    p_launch = (spec.energy / spec.params.d_alpha) ** (1.0 / 1.5)
+    ic = InitialConditions(q0=np.array([0.0]), p0=np.array([p_launch]))
+    return spec.params, spec.pot, ic, (0.0, period(spec))
+
+
+def _alpha_1_7_to_1_3():
+    ic = InitialConditions(q0=np.array([0.0]), p0=np.array([1.0]))
+    return FractionalParams(1.7, 1.0), PowerLawPotential(1.0, 1.7), ic, (0.0, 1.3)
+
+
+def _planar_orbit():
+    ic = InitialConditions(q0=np.array([1.0, 0.0]), p0=np.array([0.0, 0.7]))
+    return FractionalParams(1.6, 1.0), PowerLawPotential(-1.0, -1.0), ic, (0.0, 6.0)
+
+
+@pytest.mark.parametrize("case", [_one_period_at_alpha_beta_1_5, _alpha_1_7_to_1_3, _planar_orbit])
+def test_action_matches_the_per_node_lagrangian(case):
+    # on-shell (alpha - 1) T - V against L(q, qdot(p)) at the same nodes
+    params, pot, ic, span = case()
+    traj, _ = integrate(params, pot, ic, span)
+    reference = _per_node_action(params, pot, traj)
+    assert action(params, pot, traj) == pytest.approx(reference, rel=1e-12, abs=0.0)
 
 
 def test_stationarity_against_path_perturbation():
