@@ -36,25 +36,10 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from . import __version__
-from .errors import (
-    DomainError,
-    FracmechError,
-    UnsuitablePhysicsError,
-)
-from .integrate import IntegratorConfig, integrate, measure_period
-from .model import (
-    FractionalParams,
-    InitialConditions,
-    PowerLawPotential,
-    abs_power,
-)
-from .oscillator import (
-    OscillatorSpec,
-    hj_trajectory,
-    period,
-    period_quadrature,
-    period_report,
-)
+from .errors import DomainError, FracmechError, UnsuitablePhysicsError
+from .integrate import IntegratorConfig, integrate
+from .model import FractionalParams, InitialConditions, PowerLawPotential, abs_power
+from .oscillator import OscillatorSpec, hj_trajectory, period, period_report
 from .similarity import fractional_kepler_check
 
 __all__ = ["main"]
@@ -167,54 +152,51 @@ def _write_json(path: str, doc: dict) -> None:
     Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
+def _physics(
+    params: FractionalParams,
+    pot: PowerLawPotential | None = None,
+    names: tuple[str, str] = ("strength", "degree"),
+) -> dict:
+    """The resolved kinetic parameters and, under ``names``, the potential."""
+    echo = {"alpha": params.alpha, "d_alpha": params.d_alpha}
+    if pot is not None:
+        echo.update(zip(names, (pot.strength, pot.degree)))
+    return echo
+
+
+def _echo(args, *flags: str) -> dict:
+    """The given flags' values, as the manifest echoes them."""
+    return {flag: getattr(args, flag) for flag in flags}
+
+
+# Each command returns (manifest parameters, output paths, failure), where
+# failure is None or the message of a cross-check beyond its tolerance.
+
+
 def cmd_simulate(args, cfg: IntegratorConfig):
     """Integrate the equations of motion and write a trajectory CSV."""
     params = _kinetic_params(args)
     pot = _potential(args)
     if args.q0 is None:
         raise DomainError("--q0 is required")
-    ic = InitialConditions(
-        q0=np.array(args.q0, dtype=float),
-        p0=None if args.p0 is None else np.array(args.p0, dtype=float),
-        qdot0=None if args.qdot0 is None else np.array(args.qdot0, dtype=float),
-    )
+    ic = InitialConditions(q0=args.q0, p0=args.p0, qdot0=args.qdot0)
     if args.t1 is None:
         raise DomainError("--t1 is required")
 
     traj, _events = integrate(params, pot, ic, (args.t0, args.t1), cfg)
     d = traj.dimension
     e0 = float(traj.energies[0])
-    scale = max(abs(e0), _TINY)
-    header = (
-        ["t"]
-        + [f"q{i + 1}" for i in range(d)]
-        + [f"p{i + 1}" for i in range(d)]
-        + ["energy", "energy_drift_rel"]
-    )
-    rows = [
-        [traj.times[i]]
-        + list(traj.positions[i])
-        + list(traj.momenta[i])
-        + [traj.energies[i], abs(traj.energies[i] - e0) / scale]
-        for i in range(len(traj.times))
-    ]
-    _write_csv(args.out, header, rows)
+    drift = np.abs(traj.energies - e0) / max(abs(e0), _TINY)
+    header = (["t"] + [f"q{i + 1}" for i in range(d)] + [f"p{i + 1}" for i in range(d)]
+              + ["energy", "energy_drift_rel"])
+    table = np.column_stack([traj.times, traj.positions, traj.momenta, traj.energies, drift])
+    _write_csv(args.out, header, table)
     print(
-        f"simulate: {len(rows)} samples, max energy drift "
-        f"{max(r[-1] for r in rows):.3e}, wrote {args.out}"
+        f"simulate: {len(traj.times)} samples, max energy drift "
+        f"{drift.max():.3e}, wrote {args.out}"
     )
-    parameters = {
-        "alpha": params.alpha,
-        "d_alpha": params.d_alpha,
-        "strength": pot.strength,
-        "degree": pot.degree,
-        "q0": args.q0,
-        "p0": args.p0,
-        "qdot0": args.qdot0,
-        "t0": args.t0,
-        "t1": args.t1,
-    }
-    return parameters, [args.out], 0
+    parameters = {**_physics(params, pot), **_echo(args, "q0", "p0", "qdot0", "t0", "t1")}
+    return parameters, [args.out], None
 
 
 def cmd_period(args, cfg: IntegratorConfig):
@@ -224,27 +206,18 @@ def cmd_period(args, cfg: IntegratorConfig):
     spec = OscillatorSpec(params, pot, args.energy)
     report = period_report(spec, cfg, include_ode=not args.skip_ode)
     _write_json(args.out, dataclasses.asdict(report))
-    parameters = {
-        "alpha": params.alpha,
-        "d_alpha": params.d_alpha,
-        "g2": pot.strength,
-        "beta": pot.degree,
-        "energy": args.energy,
-        "check_tol": args.check_tol,
-        "skip_ode": args.skip_ode,
-    }
     print(
         f"period: closed_form={report.closed_form!r} "
         f"max_pairwise_rel_diff={report.max_pairwise_rel_diff:.3e}, wrote {args.out}"
     )
-    code = 0
+    failure = None
     if report.max_pairwise_rel_diff > args.check_tol:
-        code = _fail(
+        failure = (
             f"period routes disagree by {report.max_pairwise_rel_diff:.3e} "
-            f"(check tolerance {args.check_tol:.3e})",
-            3,
+            f"(check tolerance {args.check_tol:.3e})"
         )
-    return parameters, [args.out], code
+    echo = _echo(args, "energy", "check_tol", "skip_ode")
+    return {**_physics(params, pot, ("g2", "beta")), **echo}, [args.out], failure
 
 
 def cmd_hj(args, cfg: IntegratorConfig):
@@ -273,31 +246,19 @@ def cmd_hj(args, cfg: IntegratorConfig):
         f"hj: {len(rows)} samples over one period, max |q_hj - q_ode| = "
         f"{max(r[3] for r in rows):.3e}, wrote {args.out}"
     )
-    parameters = {
-        "alpha": params.alpha,
-        "d_alpha": params.d_alpha,
-        "g2": pot.strength,
-        "beta": pot.degree,
-        "energy": energy,
-        "samples": samples,
-    }
-    return parameters, [args.out], 0
+    parameters = {**_physics(params, pot, ("g2", "beta")), **_echo(args, "energy", "samples")}
+    return parameters, [args.out], None
 
 
 def _sweep_point(task) -> tuple[float, ...]:
     alpha, beta, energy, d_alpha, g2, cfg = task
-    spec = OscillatorSpec.from_exponents(alpha, beta, d_alpha, g2, energy)
-    t_closed = period(spec)
-    t_quad = period_quadrature(spec)
-    t_ode = measure_period(spec.params, spec.pot, energy, cfg)
-    vals = (t_closed, t_quad, t_ode)
-    spread = max(abs(x - y) for x in vals for y in vals) / t_closed
-    return (alpha, beta, energy, t_closed, t_quad, t_ode, spread)
+    r = period_report(OscillatorSpec.from_exponents(alpha, beta, d_alpha, g2, energy), cfg)
+    return (alpha, beta, energy, r.closed_form, r.quadrature, r.ode_measured,
+            r.max_pairwise_rel_diff)
 
 
 def cmd_sweep(args, cfg: IntegratorConfig):
     """Period grid over exponents and energies."""
-    alphas, betas, energies = sorted(args.alphas), sorted(args.betas), sorted(args.energies)
     if args.jobs < 1:
         raise DomainError(f"--jobs must be at least 1, got {args.jobs}")
     for name, values in (("alpha", args.alphas), ("beta", args.betas)):
@@ -307,45 +268,34 @@ def cmd_sweep(args, cfg: IntegratorConfig):
     for e in args.energies:
         if not e > 0.0:
             raise DomainError(f"sweep energy {e} must be positive")
-
-    tasks = [
-        (a, b, e, args.d_alpha, args.g2, cfg) for a in alphas for b in betas for e in energies
-    ]
+    # sorted in place, so the grid and the manifest echo read the same lists
+    args.alphas, args.betas, args.energies = map(sorted, (args.alphas, args.betas, args.energies))
+    tasks = [(a, b, e, args.d_alpha, args.g2, cfg)
+             for a in args.alphas for b in args.betas for e in args.energies]
     if args.jobs > 1:
         workers = min(args.jobs, len(tasks), os.cpu_count() or 1)
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_point, tasks))
     else:
         rows = [_sweep_point(task) for task in tasks]
-    _write_csv(
-        args.out,
-        ["alpha", "beta", "energy", "T_closed", "T_quad", "T_ode", "rel_spread"],
-        rows,
-    )
+    header = ["alpha", "beta", "energy", "T_closed", "T_quad", "T_ode", "rel_spread"]
+    _write_csv(args.out, header, rows)
     print(
         f"sweep: {len(rows)} grid points, max rel_spread "
         f"{max(r[6] for r in rows):.3e}, wrote {args.out}"
     )
-    parameters = {
-        "alphas": alphas,
-        "betas": betas,
-        "energies": energies,
-        "d_alpha": args.d_alpha,
-        "g2": args.g2,
-        "jobs": args.jobs,
-    }
-    return parameters, [args.out], 0
+    parameters = _echo(args, "alphas", "betas", "energies", "d_alpha", "g2", "jobs")
+    return parameters, [args.out], None
 
 
 def cmd_kepler(args, cfg: IntegratorConfig):
     """Orbital-period scaling against the similarity prediction."""
     params = _kinetic_params(args, d_alpha_default=1.0)
     out, check_tol = args.out, args.check_tol
-    summary = args.summary
-    if summary is None:
-        summary = str(Path(out).with_name(Path(out).stem + "_summary.json"))
+    default_summary = str(Path(out).with_name(Path(out).stem + "_summary.json"))
+    summary_path = default_summary if args.summary is None else args.summary
 
-    ic = InitialConditions(q0=np.array(args.q0), p0=np.array(args.p0))
+    ic = InitialConditions(q0=args.q0, p0=args.p0)
     report = fractional_kepler_check(
         params.alpha, ic, args.rhos, cfg, d_alpha=params.d_alpha, strength=args.strength
     )
@@ -354,32 +304,16 @@ def cmd_kepler(args, cfg: IntegratorConfig):
         ["rho", "T_ratio_measured", "T_ratio_predicted", "rel_err"],
         [[r.rho, r.measured_ratio, r.predicted_ratio, r.rel_err] for r in report.rows],
     )
-    passed = (
+    summary = dataclasses.asdict(report)
+    del summary["rows"]
+    summary["check_tol"] = check_tol
+    summary["passed"] = passed = (
         None
         if report.fitted_slope is None
         else abs(report.fitted_slope - report.predicted_slope) <= check_tol
     )
-    _write_json(
-        summary,
-        {
-            "predicted_slope": report.predicted_slope,
-            "fitted_slope": report.fitted_slope,
-            "fit_residual": report.fit_residual,
-            "base_radial_period": report.base_radial_period,
-            "check_tol": check_tol,
-            "passed": passed,
-        },
-    )
-    parameters = {
-        "alpha": params.alpha,
-        "d_alpha": params.d_alpha,
-        "strength": args.strength,
-        "q0": args.q0,
-        "p0": args.p0,
-        "rhos": args.rhos,
-        "check_tol": check_tol,
-    }
-    code = 0
+    _write_json(summary_path, summary)
+    failure = None
     if report.fitted_slope is None:
         print(f"kepler: single scale factor, no fit; wrote {out}")
     else:
@@ -388,12 +322,12 @@ def cmd_kepler(args, cfg: IntegratorConfig):
             f"{report.predicted_slope!r}, wrote {out}"
         )
         if not passed:
-            code = _fail(
+            failure = (
                 f"fitted slope {report.fitted_slope} deviates from predicted "
-                f"{report.predicted_slope} by more than {check_tol}",
-                3,
+                f"{report.predicted_slope} by more than {check_tol}"
             )
-    return parameters, [out, summary], code
+    parameters = {**_physics(params), **_echo(args, "strength", "q0", "p0", "rhos", "check_tol")}
+    return parameters, [out, summary_path], failure
 
 
 # Each subparser gets its own actions (no ``parents=``), so a config default
@@ -490,7 +424,7 @@ def main(argv: list[str] | None = None) -> int:
             args = parser.parse_args(argv)
         cfg = _integrator_config(args)
         started = time.perf_counter()
-        parameters, outputs, code = args.func(args, cfg)
+        parameters, outputs, failure = args.func(args, cfg)
         manifest = args.manifest if args.manifest is not None else args.out + ".manifest.json"
         _write_json(
             manifest,
@@ -504,7 +438,7 @@ def main(argv: list[str] | None = None) -> int:
                 "duration_s": time.perf_counter() - started,
             },
         )
-        return code
+        return 0 if failure is None else _fail(failure, 3)
     except UnsuitablePhysicsError as exc:
         return _fail(str(exc), 4)
     except DomainError as exc:

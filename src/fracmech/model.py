@@ -51,7 +51,7 @@ def abs_power(x: float, k: float) -> float:
     raising a negative float to a non-integer power is a domain error in
     ``math.pow``, so every power in this package goes through the absolute
     value.  At x = 0 the result is 0 for k > 0 and 1 for k = 0; k < 0 is a
-    genuine singularity and raises.
+    genuine singularity and raises, as does a result beyond the float range.
     """
     m = abs(x)
     if m == 0.0:
@@ -60,7 +60,10 @@ def abs_power(x: float, k: float) -> float:
         if k == 0.0:
             return 1.0
         raise DomainError(f"0 raised to negative power {k}")
-    return m ** k
+    try:
+        return m ** k
+    except OverflowError:
+        raise DomainError(f"|{x}| ** {k} overflows the float range") from None
 
 
 def _vec(x, name: str = "vector") -> np.ndarray:

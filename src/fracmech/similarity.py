@@ -24,6 +24,7 @@ from .model import (
     InitialConditions,
     PhaseState,
     PowerLawPotential,
+    abs_power,
     hamiltonian,
     velocity_from_momentum,
 )
@@ -76,7 +77,7 @@ def exponents(alpha: float, beta_degree: float) -> SimilarityExponents:
 def _momentum_factor(rho: float, alpha: float, beta_degree: float) -> float:
     # velocities scale by rho^(beta - beta/alpha); through the momentum map
     # |p| ~ |qdot|^(1/(alpha-1)) this is exactly rho^(beta/alpha)
-    return rho ** (beta_degree / alpha)
+    return abs_power(rho, beta_degree / alpha)
 
 
 def scale_trajectory(
@@ -92,9 +93,9 @@ def scale_trajectory(
     if not rho > 0.0:
         raise DomainError(f"length factor must be positive, got {rho}")
     exps = exponents(alpha, beta_degree)
-    lam_t = rho**exps.time_vs_length
+    lam_t = abs_power(rho, exps.time_vs_length)
     lam_p = _momentum_factor(rho, alpha, beta_degree)
-    lam_e = rho**exps.energy_vs_length
+    lam_e = abs_power(rho, exps.energy_vs_length)
     d = traj.dimension
     stretch = np.concatenate([np.full(d, rho), np.full(d, lam_p)])
     dense = traj.coefs is not None
@@ -131,10 +132,22 @@ def _scaled_ics(
     )
 
 
+def _initial_energy(
+    params: FractionalParams, pot: PowerLawPotential, q0: np.ndarray, p0: np.ndarray
+) -> float:
+    """H(q0, p0), computed under np.errstate as ``integrate`` does, so an
+    overflow is a DomainError instead of a numpy warning."""
+    with np.errstate(all="ignore"):
+        e0 = hamiltonian(params, pot, PhaseState(0.0, q0, p0))
+    if not np.isfinite(e0):
+        raise DomainError(f"non-finite initial energy {e0} at q0 = {q0}, p0 = {p0}")
+    return e0
+
+
 def _base_horizon(
     params: FractionalParams, pot: PowerLawPotential, q0: np.ndarray, p0: np.ndarray
 ) -> float:
-    e0 = hamiltonian(params, pot, PhaseState(0.0, q0, p0))
+    e0 = _initial_energy(params, pot, q0, p0)
     try:
         pot.require_oscillator()
         if e0 > 0.0:
@@ -191,10 +204,11 @@ def verify_scaling(
     for rho in rho_list:
         if not rho > 0.0:
             raise DomainError(f"scale factors must be positive, got {rho}")
+        predicted = abs_power(rho, t_exp)
         t_rho = landmark_time(
-            _scaled_ics(q0, p0, rho, params.alpha, beta_degree), rho, guess * rho**t_exp * 1.5
+            _scaled_ics(q0, p0, rho, params.alpha, beta_degree), rho, guess * predicted * 1.5
         )
-        rows.append(ScalingRow.of(rho, rho**t_exp, t_rho / base_time))
+        rows.append(ScalingRow.of(rho, predicted, t_rho / base_time))
     return rows
 
 
@@ -250,7 +264,7 @@ def fractional_kepler_check(
     q0, p0 = ic.resolve(params)
     if q0.size != 2:
         raise DomainError(f"orbital check runs in the plane, got dimension {q0.size}")
-    e0 = hamiltonian(params, pot, PhaseState(0.0, q0, p0))
+    e0 = _initial_energy(params, pot, q0, p0)
     if e0 >= 0.0:
         raise UnsuitablePhysicsError(
             f"orbit is unbounded (energy {e0} >= 0); choose slower initial conditions"
@@ -276,8 +290,9 @@ def fractional_kepler_check(
     for rho in rho_list:
         if not rho > 0.0:
             raise DomainError(f"scale factors must be positive, got {rho}")
-        T_rho = radial_period(_scaled_ics(q0, p0, rho, alpha, -1.0), 3.0 * base_T * rho**t_exp)
-        rows.append(ScalingRow.of(rho, rho**t_exp, T_rho / base_T))
+        predicted = abs_power(rho, t_exp)
+        T_rho = radial_period(_scaled_ics(q0, p0, rho, alpha, -1.0), 3.0 * base_T * predicted)
+        rows.append(ScalingRow.of(rho, predicted, T_rho / base_T))
     fit = fit_time_exponent(rows)
     slope, resid = fit if fit is not None else (None, None)
     return KeplerReport(

@@ -26,6 +26,7 @@ __all__ = [
 ]
 
 _LN_SQRT_2PI = 0.9189385332046727  # ln(sqrt(2*pi))
+_EULER_GAMMA = 0.5772156649015329
 
 # Lanczos approximation, g = 7, 9 coefficients: ~1e-15 relative on x > 0.
 _LANCZOS_G = 7.0
@@ -61,6 +62,10 @@ def ln_gamma(x: float) -> float:
     """Natural log of Gamma(x) for x > 0 via the Lanczos approximation."""
     if not x > 0.0:
         raise DomainError(f"ln_gamma requires x > 0, got {x}")
+    if x < 1e-8:
+        # lnGamma(x) = -log x - gamma x + O(x^2); the reflection below
+        # overflows pi / sin(pi x) as x reaches the subnormals
+        return -math.log(x) - _EULER_GAMMA * x
     if x < 0.5:
         # reflection keeps full accuracy for small arguments
         return math.log(math.pi / math.sin(math.pi * x)) - ln_gamma(1.0 - x)
@@ -76,7 +81,10 @@ def beta(a: float, b: float) -> float:
     """Complete Beta function B(a, b) = Gamma(a) Gamma(b) / Gamma(a+b)."""
     if not (a > 0.0 and b > 0.0):
         raise DomainError(f"beta requires positive arguments, got a={a}, b={b}")
-    return math.exp(ln_gamma(a) + ln_gamma(b) - ln_gamma(a + b))
+    try:
+        return math.exp(ln_gamma(a) + ln_gamma(b) - ln_gamma(a + b))
+    except OverflowError:
+        raise DomainError(f"beta({a}, {b}) overflows the float range") from None
 
 
 def _beta_cont_frac(a: float, b: float, x: float) -> float:

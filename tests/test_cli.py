@@ -525,3 +525,89 @@ def test_kepler_unbound_orbit_is_physics_exit(tmp_path):
     )
     assert proc.returncode == 4
     assert proc.stderr.strip() != ""
+
+
+# --------------------------------------------------------- manifest echoes
+
+
+ECHOES = {
+    "simulate": (
+        ["--alpha", "1.5", "--d-alpha", "2", "--g2", "1", "--beta", "1.5",
+         "--q0", "0.25", "--qdot0", "1", "--t1", "1"],
+        {"alpha": 1.5, "d_alpha": 2.0, "strength": 1.0, "degree": 1.5,
+         "q0": [0.25], "p0": None, "qdot0": [1.0], "t0": 0.0, "t1": 1.0},
+    ),
+    "period": (
+        ["--mass", "1", "--beta", "2", "--energy", "2", "--skip-ode"],
+        {"alpha": 2.0, "d_alpha": 0.5, "g2": 1.0, "beta": 2.0, "energy": 2.0,
+         "check_tol": 1e-4, "skip_ode": True},
+    ),
+    "hj": (
+        ["--alpha", "1.5", "--strength", "2", "--degree", "1.5", "--samples", "3"],
+        {"alpha": 1.5, "d_alpha": 1.0, "g2": 2.0, "beta": 1.5, "energy": 1.0,
+         "samples": 3},
+    ),
+    "sweep": (
+        ["--alphas", "2,1.5", "--betas", "2", "--energies", "2,1", "--d-alpha", "0.5"],
+        {"alphas": [1.5, 2.0], "betas": [2.0], "energies": [1.0, 2.0],
+         "d_alpha": 0.5, "g2": 1.0, "jobs": 1},
+    ),
+    "kepler": (
+        ["--mass", "1", "--rhos", "2,1"],
+        {"alpha": 2.0, "d_alpha": 0.5, "strength": -1.0, "q0": [1.0, 0.0],
+         "p0": [0.0, 0.8], "rhos": [2.0, 1.0], "check_tol": 1e-3},
+    ),
+}
+
+
+@pytest.mark.parametrize("command", sorted(ECHOES))
+def test_manifest_parameters_echo_the_resolved_invocation(tmp_path, capsys, command):
+    # in process: the exact echo, so a refactor of the command bodies
+    # cannot drop, rename or re-resolve a key
+    import fracmech.cli as cli
+
+    flags, expected = ECHOES[command]
+    out = tmp_path / "out.dat"
+    assert cli.main([command, *flags, "--out", str(out)]) == 0, capsys.readouterr().err
+    doc = json.loads((tmp_path / "out.dat.manifest.json").read_text())
+    assert doc["parameters"] == expected
+
+
+def test_kepler_check_tolerance_failure_still_writes_every_file(tmp_path):
+    out = tmp_path / "kep.csv"
+    proc = run_cli(
+        "kepler", "--alpha", "1.75", "--rhos", "1,2", "--check-tol", "0",
+        "--out", str(out), cwd=tmp_path,
+    )
+    assert proc.returncode == 3
+    assert "deviates" in proc.stderr
+    _, rows = read_csv(out)
+    assert len(rows) == 2
+    summary = json.loads((tmp_path / "kep_summary.json").read_text())
+    assert summary["passed"] is False and summary["check_tol"] == 0.0
+    manifest = json.loads((tmp_path / "kep.csv.manifest.json").read_text())
+    assert manifest["outputs"] == [str(out), str(tmp_path / "kep_summary.json")]
+
+
+# ---------------------------------------------------- overflowing inputs
+
+
+def test_simulate_power_overflow_is_usage_exit(tmp_path):
+    proc = run_cli(
+        "simulate", "--alpha", "1.0000001", "--d-alpha", "1e-3", "--strength", "1",
+        "--degree", "2", "--q0", "0", "--qdot0", "10", "--t1", "1",
+        "--out", str(tmp_path / "t.csv"), cwd=tmp_path,
+    )
+    assert proc.returncode == 2
+    assert "overflows" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_kepler_overflowing_energy_is_usage_exit(tmp_path):
+    proc = run_cli(
+        "kepler", "--alpha", "1.75", "--p0", "0,1e300", "--rhos", "1,2",
+        "--out", str(tmp_path / "k.csv"), cwd=tmp_path,
+    )
+    assert proc.returncode == 2
+    assert "non-finite initial energy inf" in proc.stderr
+    assert "RuntimeWarning" not in proc.stderr

@@ -412,3 +412,15 @@ def test_free_particle_velocity_consistency(alpha, d_alpha, energy):
     slope = q2 - q1
     expected = float(velocity_from_momentum(params, np.array([p1]))[0])
     assert slope == pytest.approx(expected, rel=1e-12)
+
+
+def test_power_beyond_the_float_range_is_domain_error():
+    # alpha - 1 = 1e-7 puts (1/(alpha d_alpha))^(1/(alpha-1)) far past 1e308
+    params = FractionalParams(1.0000001, 1e-3)
+    pot = PowerLawPotential(1.0, 2.0)
+    with pytest.raises(DomainError, match="overflows"):
+        momentum_from_velocity(params, [10.0])
+    with pytest.raises(DomainError, match="overflows"):
+        lagrangian(params, pot, [0.0], [10.0])
+    with pytest.raises(DomainError, match="overflows"):
+        euler_lagrange_residual(params, pot, 0.0, 10.0, 1.0)

@@ -291,3 +291,35 @@ def test_kepler_rejects_bad_setup():
     one_d = InitialConditions(q0=np.array([1.0]), p0=np.array([0.5]))
     with pytest.raises(DomainError):
         fractional_kepler_check(2.0, one_d, [2.0], d_alpha=0.5)
+
+
+def test_scale_factor_beyond_the_float_range_is_domain_error(base_osc_traj):
+    # energies scale by rho^1.5 = 1e450
+    _, _, traj = base_osc_traj
+    with pytest.raises(DomainError, match="overflows"):
+        scale_trajectory(traj, 1e300, 1.5, 1.5)
+
+
+def test_non_finite_initial_energy_is_domain_error_without_warning():
+    import warnings
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="non-finite initial energy inf"):
+            fractional_kepler_check(
+                1.75, InitialConditions(q0=[1.0, 0.0], p0=[0.0, 1e300]), [1.0, 2.0]
+            )
+        with pytest.raises(DomainError, match="non-finite initial energy inf"):
+            verify_scaling(
+                FractionalParams(1.5, 1.0),
+                PowerLawPotential(1.0, 1.5),
+                InitialConditions(q0=[1e300], p0=[0.0]),
+                [2.0],
+            )
+
+
+def test_kepler_scale_factor_beyond_the_float_range_is_domain_error():
+    # the predicted ratio rho^(2 - 1/alpha) is 1e375 at rho = 1e300
+    ic = InitialConditions(q0=[1.0, 0.0], p0=[0.0, 0.8])
+    with pytest.raises(DomainError, match="overflows"):
+        fractional_kepler_check(1.75, ic, [1e300])

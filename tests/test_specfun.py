@@ -264,3 +264,15 @@ def test_hyp2f1_rejects_malformed_signature():
         hyp2f1(0.5, 1.5, 1.5, 0.1)  # implies nu < 0
     with pytest.raises(DomainError):
         hyp2f1(0.5, 0.5, 1.5, 1.5)
+
+
+@pytest.mark.parametrize("x", [1e-320, 1e-310, 1e-9])
+def test_ln_gamma_near_zero_matches_lgamma(x):
+    # the reflection formula overflows pi / sin(pi x) at subnormal x
+    assert ln_gamma(x) == pytest.approx(math.lgamma(x), rel=1e-14)
+
+
+def test_beta_beyond_the_float_range_is_domain_error():
+    # B(1e-320, 1) = 1e320
+    with pytest.raises(DomainError, match=r"beta\(1e-320, 1.0\)"):
+        beta(1e-320, 1.0)
