@@ -434,13 +434,12 @@ def first_event_times(
     run that ends short, for at most ``runs`` runs.  ``events`` passes
     ``q_levels`` / ``radial_direction`` on to :func:`integrate`.
     """
-    for horizon in (horizon * 2.0**run for run in range(runs)):
+    for run in range(runs):
+        span = horizon * 2.0**run
         _, found = integrate(
-            params, pot, ic, (0.0, horizon), cfg, stop_after=(kind, count), **events
+            params, pot, ic, (0.0, span), cfg, stop_after=(kind, count), **events
         )
         times = [ev.time for ev in found if ev.kind == kind]
         if len(times) >= count:
             return times
-    raise MaxStepsExceeded(
-        f"fewer than {count} {kind} events found within horizon {horizon}"
-    )
+    raise MaxStepsExceeded(f"fewer than {count} {kind} events found within horizon {span}")

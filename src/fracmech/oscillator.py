@@ -166,10 +166,7 @@ def period_report(
         measure_period(spec.params, spec.pot, spec.energy, cfg) if include_ode else None
     )
     vals = [closed, quadr] + ([ode] if ode is not None else [])
-    worst = max(
-        abs(x - y) for i, x in enumerate(vals) for y in vals[i + 1 :]
-    ) / closed if len(vals) > 1 else 0.0
-    return PeriodReport(closed, quadr, ode, worst)
+    return PeriodReport(closed, quadr, ode, (max(vals) - min(vals)) / closed)
 
 
 def hj_time_of_flight(spec: OscillatorSpec, q: float) -> float:
@@ -209,19 +206,15 @@ def hj_trajectory(spec: OscillatorSpec, t: float, delta: float = 0.0) -> float:
     conservation; the result is periodic with the closed-form period.
     """
     full = period(spec)
+    require_finite(t=t, delta=delta, phase=t + delta)
     quarter = 0.25 * full
     s = math.fmod(t + delta, full)
     if s < 0.0:
         s += full
     k, r = divmod(s, quarter)
     k = int(k) % 4
-    if k == 0:
-        return hj_position(spec, r)
-    if k == 1:
-        return hj_position(spec, quarter - r)
-    if k == 2:
-        return -hj_position(spec, r)
-    return -hj_position(spec, quarter - r)
+    q = hj_position(spec, quarter - r if k % 2 else r)
+    return -q if k >= 2 else q
 
 
 def quantum_levels(spec: OscillatorSpec, hbar: float, n: int) -> float:
@@ -235,6 +228,7 @@ def quantum_levels(spec: OscillatorSpec, hbar: float, n: int) -> float:
     fractional exponents the levels crowd together as n grows, mirroring
     the energy dependence of the classical period.
     """
+    require_finite(hbar=hbar, n=n)
     if not hbar > 0.0:
         raise DomainError(f"hbar must be positive, got {hbar}")
     if n < 0 or n != int(n):
@@ -260,6 +254,7 @@ def classical_limit_solution(
     The frequency is w = sqrt(2/m) g, matching the alpha = beta = 2
     oscillator with strength g^2; the amplitude equals the turning point.
     """
+    require_finite(energy=energy, mass=mass, g=g, delta=delta, t=t)
     if not (energy > 0.0 and mass > 0.0 and g > 0.0):
         raise DomainError("classical limit needs positive energy, mass and g")
     omega = math.sqrt(2.0 / mass) * g

@@ -12,6 +12,7 @@ beta = -1 whose time exponent 2 - 1/alpha generalizes Kepler's third law
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -26,6 +27,7 @@ from .model import (
     PowerLawPotential,
     abs_power,
     hamiltonian,
+    require_finite,
     velocity_from_momentum,
 )
 from .trajectory import Trajectory
@@ -63,6 +65,7 @@ def exponents(alpha: float, beta_degree: float) -> SimilarityExponents:
     potential degree beta_degree."""
     if not 1.0 < alpha <= 2.0:
         raise DomainError(f"alpha must lie in (1, 2], got {alpha}")
+    require_finite(beta_degree=beta_degree)
     if beta_degree == 0.0:
         raise DomainError("potential degree must be nonzero")
     b = beta_degree
@@ -80,6 +83,13 @@ def _momentum_factor(rho: float, alpha: float, beta_degree: float) -> float:
     return abs_power(rho, beta_degree / alpha)
 
 
+def _require_scale_factors(rho_list: Sequence[float]) -> None:
+    """Raise DomainError on the first scale factor that is not finite and positive."""
+    for rho in rho_list:
+        if not 0.0 < rho < math.inf:
+            raise DomainError(f"scale factors must be finite and positive, got {rho}")
+
+
 def scale_trajectory(
     traj: Trajectory, rho: float, alpha: float, beta_degree: float
 ) -> Trajectory:
@@ -90,8 +100,7 @@ def scale_trajectory(
     by rho^beta.  The dense output is remapped too, so the result
     interpolates exactly like a directly integrated trajectory.
     """
-    if not rho > 0.0:
-        raise DomainError(f"length factor must be positive, got {rho}")
+    _require_scale_factors([rho])
     exps = exponents(alpha, beta_degree)
     lam_t = abs_power(rho, exps.time_vs_length)
     lam_p = _momentum_factor(rho, alpha, beta_degree)
@@ -127,9 +136,10 @@ class ScalingRow:
 def _scaled_ics(
     q0: np.ndarray, p0: np.ndarray, rho: float, alpha: float, beta_degree: float
 ) -> InitialConditions:
-    return InitialConditions(
-        q0=q0 * rho, p0=p0 * _momentum_factor(rho, alpha, beta_degree)
-    )
+    with np.errstate(all="ignore"):
+        q, p = q0 * rho, p0 * _momentum_factor(rho, alpha, beta_degree)
+    require_finite(scaled_q0=q, scaled_p0=p)
+    return InitialConditions(q0=q, p0=p)
 
 
 def _initial_energy(
@@ -198,12 +208,11 @@ def verify_scaling(
             params, pot, ic, kind, 1, horizon, cfg, runs=40, q_levels=scaled
         )[0]
 
+    _require_scale_factors(rho_list)
     guess = _base_horizon(params, pot, q0, p0)
     base_time = landmark_time(InitialConditions(q0=q0, p0=p0), 1.0, guess)
     rows = []
     for rho in rho_list:
-        if not rho > 0.0:
-            raise DomainError(f"scale factors must be positive, got {rho}")
         predicted = abs_power(rho, t_exp)
         t_rho = landmark_time(
             _scaled_ics(q0, p0, rho, params.alpha, beta_degree), rho, guess * predicted * 1.5
@@ -261,6 +270,7 @@ def fractional_kepler_check(
             f"orbital check needs an attractive potential, got strength {strength}"
         )
     pot = PowerLawPotential(strength, -1.0)
+    _require_scale_factors(rho_list)
     q0, p0 = ic.resolve(params)
     if q0.size != 2:
         raise DomainError(f"orbital check runs in the plane, got dimension {q0.size}")
@@ -288,8 +298,6 @@ def fractional_kepler_check(
     base_T = radial_period(InitialConditions(q0=q0, p0=p0), 40.0 * r0 / v0)
     rows = []
     for rho in rho_list:
-        if not rho > 0.0:
-            raise DomainError(f"scale factors must be positive, got {rho}")
         predicted = abs_power(rho, t_exp)
         T_rho = radial_period(_scaled_ics(q0, p0, rho, alpha, -1.0), 3.0 * base_T * predicted)
         rows.append(ScalingRow.of(rho, predicted, T_rho / base_T))

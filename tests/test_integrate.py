@@ -293,3 +293,10 @@ def test_energy_column_tracks_hamiltonian():
         assert traj.energies[i] == pytest.approx(
             hamiltonian(spec.params, spec.pot, s), rel=1e-14
         )
+
+
+def test_event_search_doubles_the_horizon_once_per_run():
+    # runs from 0.1 search 0.1, 0.2 and 0.4, not 0.1, 0.2 and 0.8
+    ic = InitialConditions(q0=np.array([1.0]), p0=np.array([0.0]))
+    with pytest.raises(MaxStepsExceeded, match=r"within horizon 0\.4$"):
+        first_event_times(M1, OSC, ic, "turning_point", 4, 0.1, runs=3)

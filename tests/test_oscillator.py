@@ -19,9 +19,11 @@ from fracmech import (
     OscillatorSpec,
     PowerLawPotential,
     classical_limit_solution,
+    exponents,
     hj_position,
     hj_time_of_flight,
     hj_trajectory,
+    inc_beta,
     integrate,
     period,
     period_quadrature,
@@ -298,3 +300,62 @@ def test_classical_limit_matches_extension():
         assert classical_limit_solution(1.0, 1.0, 1.0, 0.0, float(t)) == pytest.approx(
             hj_trajectory(HARMONIC, float(t)), abs=1e-10
         )
+
+
+@pytest.mark.parametrize(
+    "alpha, beta_exp, expected",
+    [
+        (1.5, 1.5, 3.650471498558537210725743887),
+        (1.25, 1.75, 3.731488344799012876823928657),
+        (2.0, 1.25, 3.678860509516751622040743025),
+        (1.75, 1.75, 3.391781463367943136614651136),
+    ],
+)
+def test_period_frozen_to_the_last_ulps(alpha, beta_exp, expected):
+    # 40-digit references for T = 4 B(1/beta, 1/alpha) / (alpha beta) at
+    # unit scale factors and energy; the exponents are exact binary floats
+    spec = OscillatorSpec.from_exponents(alpha, beta_exp)
+    assert period(spec) == pytest.approx(expected, rel=5e-16, abs=0.0)
+
+
+SPEC = OscillatorSpec.from_exponents(1.5, 1.5)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: hj_trajectory(SPEC, math.inf),
+        lambda: hj_trajectory(SPEC, math.nan),
+        lambda: hj_trajectory(SPEC, 0.3, delta=math.inf),
+        lambda: hj_trajectory(SPEC, 1e308, delta=1e308),
+        lambda: quantum_levels(SPEC, 1.0, math.nan),
+        lambda: quantum_levels(SPEC, 1.0, math.inf),
+        lambda: quantum_levels(SPEC, math.inf, 1),
+        lambda: classical_limit_solution(1.0, 1.0, 1.0, 0.0, math.inf),
+        lambda: classical_limit_solution(1.0, 1.0, 1.0, math.nan, 1.0),
+        lambda: exponents(1.5, math.nan),
+        lambda: exponents(1.5, math.inf),
+        lambda: inc_beta(math.inf, 1.0, 0.5),
+    ],
+    ids=[
+        "hj_t_inf",
+        "hj_t_nan",
+        "hj_delta_inf",
+        "hj_phase_overflow",
+        "levels_n_nan",
+        "levels_n_inf",
+        "levels_hbar_inf",
+        "classical_t_inf",
+        "classical_delta_nan",
+        "exponents_degree_nan",
+        "exponents_degree_inf",
+        "inc_beta_a_inf",
+    ],
+)
+def test_non_finite_scalars_are_domain_errors(call):
+    import warnings
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="finite"):
+            call()

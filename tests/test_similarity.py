@@ -323,3 +323,58 @@ def test_kepler_scale_factor_beyond_the_float_range_is_domain_error():
     ic = InitialConditions(q0=[1.0, 0.0], p0=[0.0, 0.8])
     with pytest.raises(DomainError, match="overflows"):
         fractional_kepler_check(1.75, ic, [1e300])
+
+
+
+def _verify_rhos(rhos, q0=1.0):
+    return verify_scaling(
+        FractionalParams(1.5, 1.0),
+        PowerLawPotential(1.0, 1.5),
+        InitialConditions(q0=[q0], p0=[0.0]),
+        rhos,
+    )
+
+
+def _kepler_rhos(rhos):
+    return fractional_kepler_check(1.75, InitialConditions(q0=[1.0, 0.0], p0=[0.0, 0.8]), rhos)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda traj: scale_trajectory(traj, math.inf, 1.5, 1.5),
+        lambda traj: _verify_rhos([math.inf]),
+        lambda traj: _verify_rhos([math.nan]),
+        lambda traj: _kepler_rhos([math.inf]),
+    ],
+    ids=["scale_trajectory", "verify_scaling", "verify_scaling_nan", "kepler"],
+)
+def test_non_finite_scale_factor_is_domain_error_without_warning(base_osc_traj, call):
+    import warnings
+
+    _, _, traj = base_osc_traj
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="scale factors must be finite and positive"):
+            call(traj)
+
+
+@pytest.mark.parametrize("check", [_verify_rhos, _kepler_rhos])
+def test_scale_factors_are_checked_before_any_integration(monkeypatch, check):
+    import fracmech.similarity as similarity
+
+    def no_runs(*args, **kwargs):
+        raise AssertionError("integrated before the scale factors were checked")
+
+    monkeypatch.setattr(similarity, "first_event_times", no_runs)
+    with pytest.raises(DomainError, match="got -1.0"):
+        check([2.0, -1.0])
+
+
+def test_overflowing_scaled_launch_point_is_domain_error_without_warning():
+    import warnings
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=r"scaled_q0 must be finite, got \[inf\]"):
+            _verify_rhos([1e300], q0=1e10)

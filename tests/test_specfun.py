@@ -276,3 +276,36 @@ def test_beta_beyond_the_float_range_is_domain_error():
     # B(1e-320, 1) = 1e320
     with pytest.raises(DomainError, match=r"beta\(1e-320, 1.0\)"):
         beta(1e-320, 1.0)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: ln_gamma(math.inf),
+        lambda: ln_gamma(1e308),
+        lambda: beta(math.inf, 1.0),
+        lambda: beta(1e308, 1.0),
+    ],
+    ids=["ln_gamma_inf", "ln_gamma_overflow", "beta_inf", "beta_overflow"],
+)
+def test_gamma_beyond_the_float_range_is_domain_error(call):
+    with pytest.raises(DomainError):
+        call()
+
+
+def test_inc_beta_names_the_non_finite_parameter():
+    with pytest.raises(DomainError, match=r"a=inf, b=1\.0"):
+        inc_beta(math.inf, 1.0, 0.5)
+
+
+@pytest.mark.parametrize("alpha", GRID)
+@pytest.mark.parametrize("beta_exp", GRID)
+def test_inc_beta_matches_scipy_at_small_x(alpha, beta_exp):
+    # the continued fraction alone must hold accuracy down to the subnormals
+    from scipy.special import beta as sp_beta
+    from scipy.special import betainc
+
+    a, b = 1.0 / beta_exp, 1.0 / alpha
+    for x in (1e-300, 1e-100, 1e-12, 1e-6, 9.9e-5):
+        expected = float(betainc(a, b, x) * sp_beta(a, b))
+        assert inc_beta(a, b, x) == pytest.approx(expected, rel=1e-12, abs=0.0)
