@@ -15,6 +15,11 @@ position-level crossings, and the optional q.p whose rising zeros mark
 closest approach on orbits.  Each crossing is located by bisection in
 the step's own theta in [0, 1] on its dense-output quartic, so the work
 is bounded however far the span lies from t = 0.
+
+A step runs on plain floats, in lists of 2d values: at d <= 3 a numpy
+temporary costs more than its arithmetic.  Only the error estimate and the
+dense-output coefficients contract the (7, 2d) stage array in numpy, because
+BLAS fixes their summation order and, through the error, the accepted steps.
 """
 
 from __future__ import annotations
@@ -32,7 +37,9 @@ from .model import (
     InitialConditions,
     PhaseState,
     PowerLawPotential,
+    _dot,
     _kinetic,
+    _norm,
     _potential,
     abs_power,
     hamiltonian,
@@ -76,29 +83,21 @@ class EventRecord:
     component: int | None = None
 
 
-# Dormand-Prince 5(4) tableau
-_A = (
-    (),
-    (1.0 / 5.0,),
-    (3.0 / 40.0, 9.0 / 40.0),
-    (44.0 / 45.0, -56.0 / 15.0, 32.0 / 9.0),
-    (19372.0 / 6561.0, -25360.0 / 2187.0, 64448.0 / 6561.0, -212.0 / 729.0),
-    (9017.0 / 3168.0, -355.0 / 33.0, 46732.0 / 5247.0, 49.0 / 176.0, -5103.0 / 18656.0),
-    (35.0 / 384.0, 0.0, 500.0 / 1113.0, 125.0 / 192.0, -2187.0 / 6784.0, 11.0 / 84.0),
+# Dormand-Prince 5(4) tableau: stage i is the field at y + h sum_j A_ij k_j,
+# and the step's 5th-order result is y + h sum_j B_j k_j (B_2 = 0)
+_A21 = 1.0 / 5.0
+_A31, _A32 = 3.0 / 40.0, 9.0 / 40.0
+_A41, _A42, _A43 = 44.0 / 45.0, -56.0 / 15.0, 32.0 / 9.0
+_A51, _A52, _A53, _A54 = 19372.0 / 6561.0, -25360.0 / 2187.0, 64448.0 / 6561.0, -212.0 / 729.0
+_A61, _A62, _A63, _A64, _A65 = (
+    9017.0 / 3168.0, -355.0 / 33.0, 46732.0 / 5247.0, 49.0 / 176.0, -5103.0 / 18656.0
 )
+_B1, _B3, _B4, _B5, _B6 = 35.0 / 384.0, 500.0 / 1113.0, 125.0 / 192.0, -2187.0 / 6784.0, 11.0 / 84.0
 # difference between the 5th- and 4th-order weights; dotted with the stages
 # (including the FSAL stage) it yields the local error estimate
-_ERR = np.array(
-    [
-        71.0 / 57600.0,
-        0.0,
-        -71.0 / 16695.0,
-        71.0 / 1920.0,
-        -17253.0 / 339200.0,
-        22.0 / 525.0,
-        -1.0 / 40.0,
-    ]
-)
+_ERR = np.array([
+    71.0 / 57600.0, 0.0, -71.0 / 16695.0, 71.0 / 1920.0, -17253.0 / 339200.0, 22.0 / 525.0, -1.0 / 40.0
+])
 # dense-output matrix: row i gives stage i's contribution to the four
 # polynomial coefficients of the quartic interpolant
 _DENSE = np.array(
@@ -119,25 +118,22 @@ _MAX_FACTOR = 10.0
 _ORDER_EXP = -1.0 / 5.0
 
 
-def _rms(v: np.ndarray) -> float:
-    return float(np.sqrt(np.mean(v * v)))
+def _rms(v: list[float]) -> float:
+    return math.sqrt(_dot(v, v) / len(v))
 
 
 def _initial_step(
-    rhs: Callable[[np.ndarray], np.ndarray],
-    y0: np.ndarray,
-    f0: np.ndarray,
-    scale: np.ndarray,
-    span: float,
+    rhs: Callable[[list[float]], list[float]], y0: list[float], f0: list[float],
+    atol: list[float], rel_tol: float, span: float,
 ) -> float:
     """Starting step size from the local magnitude and curvature of the RHS."""
-    d0 = _rms(y0 / scale)
-    d1 = _rms(f0 / scale)
+    scale = [tol + rel_tol * abs(a) for tol, a in zip(atol, y0)]
+    d0 = _rms([a / s for a, s in zip(y0, scale)])
+    d1 = _rms([a / s for a, s in zip(f0, scale)])
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, span)
-    y1 = y0 + h0 * f0
-    f1 = rhs(y1)
-    d2 = _rms((f1 - f0) / scale) / h0
+    f1 = rhs([a + h0 * b for a, b in zip(y0, f0)])
+    d2 = _rms([(a - b) / s for a, b, s in zip(f1, f0, scale)]) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
@@ -152,8 +148,8 @@ class _Events:
     kind label, a component (None for q.p) and a direction: +1 counts
     rising zeros only, -1 falling only, 0 both."""
 
-    index: np.ndarray
-    level: np.ndarray
+    index: tuple[int, ...]
+    level: tuple[float, ...]
     radial: bool
     kinds: tuple[str, ...]
     components: tuple[int | None, ...]
@@ -169,8 +165,8 @@ class _Events:
                 raise DomainError(f"level-crossing component {comp} outside dimension {d}")
         radial = [] if radial_direction is None else [int(radial_direction)]
         return cls(
-            index=np.array([*range(d, 2 * d), *range(d), *level_comps], dtype=int),
-            level=np.array([0.0] * (2 * d) + levels),
+            index=(*range(d, 2 * d), *range(d), *level_comps),
+            level=(0.0,) * (2 * d) + tuple(levels),
             radial=bool(radial),
             kinds=("turning_point",) * d + ("origin_crossing",) * d
             + ("custom",) * (len(level_comps) + len(radial)),
@@ -178,11 +174,11 @@ class _Events:
             directions=(0,) * (2 * d + len(level_comps)) + tuple(radial),
         )
 
-    def values(self, y: np.ndarray) -> list[float]:
-        g = (y[self.index] - self.level).tolist()
+    def values(self, y: list[float]) -> list[float]:
+        g = [y[i] - v for i, v in zip(self.index, self.level)]
         if self.radial:
-            d = y.size // 2
-            g.append(float(np.dot(y[:d], y[d:])))
+            d = len(y) // 2
+            g.append(_dot(y[:d], y[d:]))
         return g
 
     def crossed(self, g_old: list[float], g_new: list[float]) -> list[int]:
@@ -208,7 +204,7 @@ def _locate(events: _Events, row: int, seg: DenseSegment, g_lo: float, event_tol
         if (hi - lo) * seg.width <= event_tol:
             break
         mid = 0.5 * (lo + hi)
-        gm = events.values(seg.at(mid))[row]
+        gm = events.values(seg.at(mid).tolist())[row]
         if gm == 0.0:
             return mid
         if (gm < 0.0) == neg:
@@ -239,8 +235,9 @@ def integrate(
     crossings of q[component] through a level as kind "custom";
     ``radial_direction`` adds zeros of q.p (+1 rising only, -1 falling
     only, 0 both).  ``stop_after=(kind, n)`` truncates the run at the
-    n-th event of that kind.  A step whose size, error norm or new state
-    is not finite, or a non-finite energy, raises IntegrationError.
+    n-th event of that kind; a kind the run does not detect, or n < 1, is
+    a DomainError.  A step whose size, error norm or new state is not
+    finite, or a non-finite energy, raises IntegrationError.
     """
     if cfg is None:
         cfg = IntegratorConfig()
@@ -250,14 +247,17 @@ def integrate(
         raise DomainError(f"integration span must have t1 > t0, got {span}")
     q0, p0 = ic.resolve(params)
     d = q0.size
-    y = np.concatenate([q0, p0]).astype(float)
+    y = q0.tolist() + p0.tolist()
     scan = _Events.of(d, q_levels, radial_direction)
     stops = [stop_after is not None and k == stop_after[0] for k in scan.kinds]
+    if stop_after is not None and not (any(stops) and stop_after[1] >= 1):
+        raise DomainError(f"stop_after needs a kind this run detects and a count >= 1, got {stop_after!r}")
     rhs = functools.partial(phase_field, params, pot)
 
     e0 = hamiltonian(params, pot, PhaseState(t0, q0, p0))
     if not math.isfinite(e0):
-        raise IntegrationError(f"non-finite energy {e0} at t = {t0}, y = {y}", t=t0, y=y)
+        y0 = np.array(y)
+        raise IntegrationError(f"non-finite energy {e0} at t = {t0}, y = {y0}", t=t0, y=y0)
 
     # characteristic magnitudes for absolute-tolerance scaling
     try:
@@ -268,9 +268,7 @@ def integrate(
         p_scale = abs_power(abs(e0) / params.d_alpha, 1.0 / params.alpha)
     else:
         p_scale = max(float(np.max(np.abs(p0))), 1.0)
-    atol = np.concatenate(
-        [np.full(d, cfg.abs_tol * q_scale), np.full(d, cfg.abs_tol * p_scale)]
-    )
+    atol = [cfg.abs_tol * q_scale] * d + [cfg.abs_tol * p_scale] * d
     p_small = 1e-6 * p_scale
     cap_small_p = (t1 - t0) / 1000.0
     # For alpha < 2 the velocity map |p|^(alpha-1) has unbounded slope at
@@ -280,7 +278,7 @@ def integrate(
     p_band = 0.1 * p_scale if params.alpha < 2.0 else 0.0
 
     times = [t0]
-    ys = [y.copy()]
+    ys = [y]
     coefs: list[np.ndarray] = []
     widths: list[float] = []
     events: list[EventRecord] = []
@@ -289,52 +287,59 @@ def integrate(
     rejected = 0
 
     f = rhs(y)
-    scale0 = atol + cfg.rel_tol * np.abs(y)
-    h = cfg.initial_step if cfg.initial_step is not None else _initial_step(
-        rhs, y, f, scale0, t1 - t0
-    )
+    try:
+        h = cfg.initial_step or _initial_step(rhs, y, f, atol, cfg.rel_tol, t1 - t0)
+    except ZeroDivisionError:  # a zero error scale or a non-finite field; the first step reports it
+        h = math.nan
     t = t0
     g_old = scan.values(y)
-    K = np.empty((7, 2 * d))
     finished = False
 
     while not finished:
         if accepted + rejected >= cfg.max_steps:
             raise MaxStepsExceeded(
-                f"exceeded {cfg.max_steps} steps at t = {t}", t=t, y=y.copy()
+                f"exceeded {cfg.max_steps} steps at t = {t}", t=t, y=np.array(y)
             )
         h_min = 10.0 * abs(math.ulp(t))
         if h < h_min:
             raise StepSizeUnderflow(
-                f"step size underflow ({h:.3e}) at t = {t}", t=t, y=y.copy()
+                f"step size underflow ({h:.3e}) at t = {t}", t=t, y=np.array(y)
             )
-        p_norm = math.sqrt(float(np.dot(y[d:], y[d:])))
+        p_norm = _norm(y[d:])
         if p_norm < p_small:
             h = min(h, cap_small_p)
         if p_norm < p_band:
-            pdot_norm = math.sqrt(float(np.dot(f[d:], f[d:])))
+            pdot_norm = _norm(f[d:])
             if pdot_norm > 0.0:
                 h = min(h, (0.5 * p_norm + 1e-5 * p_scale) / pdot_norm)
         if t + h >= t1:
             h = t1 - t
             finished = True
 
-        # one embedded attempt
-        K[0] = f
-        for i in range(1, 6):
-            ysum = y + h * sum(a * K[j] for j, a in enumerate(_A[i]) if a != 0.0)
-            K[i] = rhs(ysum)
-        y_new = y + h * sum(a * K[j] for j, a in enumerate(_A[6]) if a != 0.0)
+        # one embedded attempt; each stage sum adds its terms in stage order
+        k1 = f
+        k2 = rhs([x + h * (_A21 * s1) for x, s1 in zip(y, k1)])
+        k3 = rhs([x + h * (_A31 * s1 + _A32 * s2) for x, s1, s2 in zip(y, k1, k2)])
+        k4 = rhs([x + h * (_A41 * s1 + _A42 * s2 + _A43 * s3) for x, s1, s2, s3 in zip(y, k1, k2, k3)])
+        k5 = rhs([x + h * (_A51 * s1 + _A52 * s2 + _A53 * s3 + _A54 * s4)
+                  for x, s1, s2, s3, s4 in zip(y, k1, k2, k3, k4)])
+        k6 = rhs([x + h * (_A61 * s1 + _A62 * s2 + _A63 * s3 + _A64 * s4 + _A65 * s5)
+                  for x, s1, s2, s3, s4, s5 in zip(y, k1, k2, k3, k4, k5)])
+        y_new = [x + h * (_B1 * s1 + _B3 * s3 + _B4 * s4 + _B5 * s5 + _B6 * s6)
+                 for x, s1, s3, s4, s5, s6 in zip(y, k1, k3, k4, k5, k6)]
         t_new = t + h
         f_new = rhs(y_new)
-        K[6] = f_new
-        err_vec = h * (_ERR @ K)
-        scale = atol + cfg.rel_tol * np.maximum(np.abs(y), np.abs(y_new))
-        err_norm = _rms(err_vec / scale)
-        if not (math.isfinite(err_norm) and math.isfinite(h) and np.isfinite(y_new).all()):
+        K = np.array((k1, k2, k3, k4, k5, k6, f_new))
+        err = (_ERR @ K).tolist()
+        try:
+            err_norm = _rms([h * e / (tol + cfg.rel_tol * max(abs(a), abs(b)))
+                             for e, a, b, tol in zip(err, y, y_new, atol)])
+        except ZeroDivisionError:  # a zero error scale
+            err_norm = math.inf
+        if not (math.isfinite(err_norm) and math.isfinite(h) and all(map(math.isfinite, y_new))):
             raise IntegrationError(
                 f"non-finite step at t = {t}: h = {h}, error norm = {err_norm}, "
-                f"y = {y} -> {y_new}", t=t, y=y.copy()
+                f"y = {np.array(y)} -> {np.array(y_new)}", t=t, y=np.array(y)
             )
 
         if err_norm > 1.0:
@@ -350,7 +355,7 @@ def integrate(
         g_new = scan.values(y_new)
         hit_rows = scan.crossed(g_old, g_new)
         if hit_rows:
-            seg = DenseSegment(t, h, y, coef)
+            seg = DenseSegment(t, h, np.array(y), coef)
             hits = sorted(
                 (_locate(scan, r, seg, g_old[r], cfg.event_tol), r) for r in hit_rows
             )
@@ -362,7 +367,7 @@ def integrate(
                     stop_count += 1
                     if stop_count >= stop_after[1]:
                         if t_ev > t:  # the run ends on the event
-                            t_new, y_new, finished = t_ev, y_ev, True
+                            t_new, y_new, finished = t_ev, y_ev.tolist(), True
                         break
 
         coefs.append(coef)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -74,8 +74,20 @@ def _vec(x, name: str = "vector") -> np.ndarray:
     return v
 
 
-def _norm(v: np.ndarray) -> float:
-    return math.sqrt(float(np.dot(v, v)))
+def _dot(u: Sequence[float], v: Sequence[float]) -> float:
+    """Sum of products over plain floats, added in component order."""
+    s = 0.0
+    for a, b in zip(u, v):
+        s += a * b
+    return s
+
+
+def _norm(v: Sequence[float]) -> float:
+    """sqrt(_dot(v, v)) with the loop inlined: the vector field calls it twice."""
+    s = 0.0
+    for x in v:
+        s += x * x
+    return math.sqrt(s)
 
 
 def require_finite(**values) -> None:
@@ -99,24 +111,26 @@ def _potential(strength: float, degree: float, q: np.ndarray) -> np.ndarray:
     return strength * n**degree
 
 
-def _velocity(alpha: float, d_alpha: float, p: np.ndarray) -> np.ndarray:
+def _velocity(alpha: float, d_alpha: float, p: Sequence[float]) -> list[float]:
     """qdot = alpha d_alpha |p|^(alpha-1) p/|p|, continuously extended to 0
     at p = 0 (valid because alpha > 1)."""
     n = _norm(p)
     if n == 0.0:
-        return np.zeros_like(p)
-    return alpha * d_alpha * abs_power(n, alpha - 2.0) * p
+        return [0.0] * len(p)
+    c = alpha * d_alpha * abs_power(n, alpha - 2.0)
+    return [c * x for x in p]
 
 
-def _force(strength: float, degree: float, q: np.ndarray) -> np.ndarray:
+def _force(strength: float, degree: float, q: Sequence[float]) -> list[float]:
     """pdot = -dV/dq = -strength degree |q|^(degree-1) q/|q|; 0 at q = 0
     for degree > 1, where degree <= 1 has no continuous force and raises."""
     n = _norm(q)
     if n == 0.0:
         if degree > 1.0:
-            return np.zeros_like(q)
+            return [0.0] * len(q)
         raise DomainError(f"force is undefined at q = 0 for degree {degree} <= 1")
-    return -strength * degree * abs_power(n, degree - 2.0) * q
+    c = -strength * degree * abs_power(n, degree - 2.0)
+    return [c * x for x in q]
 
 
 @dataclass(frozen=True)
@@ -167,7 +181,7 @@ class PowerLawPotential:
     def gradient(self, q) -> np.ndarray:
         """dV/dq = strength * degree * |q|^(degree-1) * q/|q|, the negated
         force; degree <= 1 has no continuous gradient at q = 0 and raises."""
-        return -_force(self.strength, self.degree, _vec(q, "q"))
+        return -np.array(_force(self.strength, self.degree, _vec(q, "q").tolist()))
 
     def require_oscillator(self) -> None:
         """Check the bounded-oscillator constraints strength > 0, 1 < degree <= 2."""
@@ -252,7 +266,7 @@ def lagrangian(params: FractionalParams, pot: PowerLawPotential, q, qdot) -> flo
         * |qdot|^(alpha/(alpha-1)) - V(q).
     """
     a, d = params.alpha, params.d_alpha
-    n = _norm(_vec(qdot, "qdot"))
+    n = _norm(_vec(qdot, "qdot").tolist())
     coeff = abs_power(1.0 / (a * d), 1.0 / (a - 1.0)) * (a - 1.0) / a
     return coeff * abs_power(n, a / (a - 1.0)) - pot.energy(q)
 
@@ -262,7 +276,7 @@ def momentum_from_velocity(params: FractionalParams, qdot) -> np.ndarray:
     * |qdot|^(1/(alpha-1)), direction preserved; p = 0 at qdot = 0."""
     a, d = params.alpha, params.d_alpha
     v = _vec(qdot, "qdot")
-    n = _norm(v)
+    n = _norm(v.tolist())
     if n == 0.0:
         return np.zeros_like(v)
     coeff = abs_power(1.0 / (a * d), 1.0 / (a - 1.0))
@@ -272,16 +286,14 @@ def momentum_from_velocity(params: FractionalParams, qdot) -> np.ndarray:
 def velocity_from_momentum(params: FractionalParams, p) -> np.ndarray:
     """qdot = alpha d_alpha |p|^(alpha-1) p/|p|, continuously extended to 0
     at p = 0 (valid because alpha > 1)."""
-    return _velocity(params.alpha, params.d_alpha, _vec(p, "p"))
+    return np.array(_velocity(params.alpha, params.d_alpha, _vec(p, "p").tolist()))
 
 
-def phase_field(params: FractionalParams, pot: PowerLawPotential, y: np.ndarray) -> np.ndarray:
+def phase_field(params: FractionalParams, pot: PowerLawPotential, y: list[float]) -> list[float]:
     """(qdot, pdot) at the stacked state y = (q, p), stacked the same way:
-    the canonical equations as the integrator steps them."""
-    d = y.size // 2
-    return np.concatenate(
-        [_velocity(params.alpha, params.d_alpha, y[d:]), _force(pot.strength, pot.degree, y[:d])]
-    )
+    the canonical equations as the integrator steps them, on plain floats."""
+    d = len(y) // 2
+    return _velocity(params.alpha, params.d_alpha, y[d:]) + _force(pot.strength, pot.degree, y[:d])
 
 
 def hamilton_rhs(
@@ -295,7 +307,7 @@ def hamilton_rhs(
     argument.  The force is singular or discontinuous at q = 0 when
     degree <= 1, which is a domain error there.
     """
-    return velocity_from_momentum(params, state.p), _force(pot.strength, pot.degree, state.q)
+    return velocity_from_momentum(params, state.p), -pot.gradient(state.q)
 
 
 def euler_lagrange_residual(

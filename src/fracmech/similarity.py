@@ -108,15 +108,17 @@ def scale_trajectory(
     d = traj.dimension
     stretch = np.concatenate([np.full(d, rho), np.full(d, lam_p)])
     dense = traj.coefs is not None
-    return dataclasses.replace(
-        traj,
-        times=traj.times * lam_t,
-        positions=traj.positions * rho,
-        momenta=traj.momenta * lam_p,
-        energies=traj.energies * lam_e,
-        coefs=traj.coefs * stretch[:, None] / lam_t if dense else None,
-        widths=traj.widths * lam_t if dense else None,
-    )
+    with np.errstate(all="ignore"):
+        scaled = dict(
+            times=traj.times * lam_t,
+            positions=traj.positions * rho,
+            momenta=traj.momenta * lam_p,
+            energies=traj.energies * lam_e,
+            coefs=traj.coefs * stretch[:, None] / lam_t if dense else None,
+            widths=traj.widths * lam_t if dense else None,
+        )
+    require_finite(**scaled)
+    return dataclasses.replace(traj, **scaled)
 
 
 @dataclass(frozen=True)

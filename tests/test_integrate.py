@@ -7,6 +7,7 @@ grid in conftest; everything else is computed inline.
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from fracmech import (
     period,
 )
 from fracmech.integrate import first_event_times
+from fracmech.model import PhaseState, hamilton_rhs, phase_field
 
 M1 = FractionalParams.from_mass(1.0)
 OSC = PowerLawPotential(1.0, 2.0)
@@ -83,6 +85,17 @@ def test_non_finite_step_is_never_accepted():
         integrate(M1, OSC, HARMONIC_IC, (0.0, 1e300), IntegratorConfig(initial_step=1e300))
     assert err.value.t == 0.0
     assert list(err.value.y) == [1.0, 0.0]
+
+
+def test_overflowing_field_at_the_start_is_integration_error():
+    # alpha * d_alpha = 2e308 overflows the velocity while the energy,
+    # d_alpha p^2 = 1e308, is finite; the initial-step estimate divides by
+    # the step it derives from that field, which is then zero
+    params, free = FractionalParams(2.0, 1e308), PowerLawPotential(0.0, 2.0)
+    ic = InitialConditions(q0=np.array([1e-160]), p0=np.array([1.0]))
+    with pytest.raises(IntegrationError, match="non-finite step") as err:
+        integrate(params, free, ic, (0.0, 3.0))
+    assert err.value.t == 0.0
 
 
 def test_non_finite_energy_raises_with_the_state():
@@ -243,6 +256,14 @@ def test_stop_after_truncates_at_event():
     assert traj.t_end < 50.0
 
 
+@pytest.mark.parametrize(
+    "stop_after", [("turning_pont", 2), ("turning_point", 0), ("turning_point", -3)]
+)
+def test_stop_after_is_validated(stop_after):
+    with pytest.raises(DomainError, match=re.escape(repr(stop_after))):
+        integrate(M1, OSC, HARMONIC_IC, (0.0, 20.0), stop_after=stop_after)
+
+
 def test_max_steps_guard():
     ic = InitialConditions(q0=np.array([1.0]), p0=np.array([0.0]))
     with pytest.raises(MaxStepsExceeded) as err:
@@ -300,3 +321,64 @@ def test_event_search_doubles_the_horizon_once_per_run():
     ic = InitialConditions(q0=np.array([1.0]), p0=np.array([0.0]))
     with pytest.raises(MaxStepsExceeded, match=r"within horizon 0\.4$"):
         first_event_times(M1, OSC, ic, "turning_point", 4, 0.1, runs=3)
+
+
+def test_reanchor_run_keeps_its_step_sequence():
+    # the stepper's arithmetic fixes every step; any change to its rounding
+    # moves these counts (the bench cross-check pins the same run)
+    spec = OscillatorSpec.from_exponents(1.5, 1.5, energy=1.0)
+    ic = InitialConditions(q0=np.array([0.0]), p0=np.array([1.0]))
+    traj, events = integrate(spec.params, spec.pot, ic, (0.0, 10.0 * period(spec)))
+    assert (traj.accepted_steps, traj.rejected_steps, len(events)) == (3014, 1262, 40)
+    assert f"{traj.energy_drift():.1e}" == "4.0e-07"
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_phase_field_is_hamilton_rhs_bitwise(d):
+    rng = np.random.default_rng(d)
+    for params, pot in [
+        (FractionalParams(1.5, 1.0), PowerLawPotential(1.0, 1.5)),
+        (FractionalParams(1.83, 0.37), PowerLawPotential(-2.5, -1.0)),
+        (M1, OSC),
+    ]:
+        for _ in range(20):
+            q, p = rng.normal(size=d), rng.normal(size=d)
+            qdot, pdot = hamilton_rhs(params, pot, PhaseState(0.0, q, p))
+            assert phase_field(params, pot, [*q, *p]) == [*qdot, *pdot]
+
+
+# one bounded fractional orbit per dimension: (params, potential, q0, p0, t1)
+ORACLE_ORBITS = [
+    (FractionalParams(1.5, 1.0), PowerLawPotential(1.0, 1.5), [0.3], [1.0], 6.0),
+    (FractionalParams(1.6, 0.5), PowerLawPotential(-1.0, -1.0), [1.0, 0.0], [0.0, 0.8], 8.0),
+    (
+        FractionalParams(1.75, 0.5),
+        PowerLawPotential(1.0, 1.8),
+        [1.0, 0.2, -0.3],
+        [0.1, 0.7, 0.4],
+        5.0,
+    ),
+]
+
+
+@pytest.mark.parametrize("params, pot, q0, p0, t1", ORACLE_ORBITS, ids=["d1", "d2", "d3"])
+def test_final_state_matches_scipy_dop853(params, pot, q0, p0, t1):
+    from scipy.integrate import solve_ivp
+
+    a, k, s, b = params.alpha, params.d_alpha, pot.strength, pot.degree
+    d = len(q0)
+
+    def field(t, y):
+        q, p = y[:d], y[d:]
+        np_, nq = np.linalg.norm(p), np.linalg.norm(q)
+        qdot = a * k * np_ ** (a - 2.0) * p if np_ > 0.0 else 0.0 * p
+        return np.concatenate([qdot, -s * b * nq ** (b - 2.0) * q])
+
+    y0 = np.array(q0 + p0)
+    ref = solve_ivp(field, (0.0, t1), y0, method="DOP853", rtol=1e-12, atol=1e-14).y[:, -1]
+    # at the default tolerance the d = 1 turning points alone cost ~1e-7
+    cfg = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-14)
+    traj, _ = integrate(params, pot, InitialConditions(q0=q0, p0=p0), (0.0, t1), cfg)
+    ours = np.concatenate([traj.positions[-1], traj.momenta[-1]])
+    assert traj.t_end == t1
+    assert np.linalg.norm(ours - ref) <= 1e-7 * np.linalg.norm(ref)

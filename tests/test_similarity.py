@@ -318,6 +318,18 @@ def test_non_finite_initial_energy_is_domain_error_without_warning():
             )
 
 
+def test_overflowing_scaled_trajectory_is_domain_error_without_warning():
+    # rho = 1e308 maps q = 5 to 5e308, past the float range
+    import warnings
+
+    params, pot = FractionalParams(2.0, 0.5), PowerLawPotential(1.0, 1.0)
+    traj, _ = integrate(params, pot, InitialConditions(q0=[5.0], p0=[0.0]), (0.0, 1.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="must be finite"):
+            scale_trajectory(traj, 1e308, 2.0, 1.0)
+
+
 def test_kepler_scale_factor_beyond_the_float_range_is_domain_error():
     # the predicted ratio rho^(2 - 1/alpha) is 1e375 at rho = 1e300
     ic = InitialConditions(q0=[1.0, 0.0], p0=[0.0, 0.8])
