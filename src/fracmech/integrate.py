@@ -24,7 +24,6 @@ BLAS fixes their summation order and, through the error, the accepted steps.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -38,12 +37,11 @@ from .model import (
     PhaseState,
     PowerLawPotential,
     _dot,
+    _field,
     _kinetic,
-    _norm,
     _potential,
     abs_power,
     hamiltonian,
-    phase_field,
     require_finite,
     turning_point,
 )
@@ -237,7 +235,9 @@ def integrate(
     only, 0 both).  ``stop_after=(kind, n)`` truncates the run at the
     n-th event of that kind; a kind the run does not detect, or n < 1, is
     a DomainError.  A step whose size, error norm or new state is not
-    finite, or a non-finite energy, raises IntegrationError.
+    finite, or a non-finite energy, raises IntegrationError.  The vector
+    field is bound once per run by ``model._field``: on the two scalars at
+    d = 1, with math.hypot norms above.
     """
     if cfg is None:
         cfg = IntegratorConfig()
@@ -252,7 +252,7 @@ def integrate(
     stops = [stop_after is not None and k == stop_after[0] for k in scan.kinds]
     if stop_after is not None and not (any(stops) and stop_after[1] >= 1):
         raise DomainError(f"stop_after needs a kind this run detects and a count >= 1, got {stop_after!r}")
-    rhs = functools.partial(phase_field, params, pot)
+    rhs = _field(params, pot, d)
 
     e0 = hamiltonian(params, pot, PhaseState(t0, q0, p0))
     if not math.isfinite(e0):
@@ -277,14 +277,11 @@ def integrate(
     # steps shrink geometrically into a turning point and out again.
     p_band = 0.1 * p_scale if params.alpha < 2.0 else 0.0
 
-    times = [t0]
-    ys = [y]
+    times, ys = [t0], [y]
     coefs: list[np.ndarray] = []
     widths: list[float] = []
     events: list[EventRecord] = []
-    stop_count = 0
-    accepted = 0
-    rejected = 0
+    stop_count = accepted = rejected = 0
 
     f = rhs(y)
     try:
@@ -297,19 +294,15 @@ def integrate(
 
     while not finished:
         if accepted + rejected >= cfg.max_steps:
-            raise MaxStepsExceeded(
-                f"exceeded {cfg.max_steps} steps at t = {t}", t=t, y=np.array(y)
-            )
+            raise MaxStepsExceeded(f"exceeded {cfg.max_steps} steps at t = {t}", t=t, y=np.array(y))
         h_min = 10.0 * abs(math.ulp(t))
         if h < h_min:
-            raise StepSizeUnderflow(
-                f"step size underflow ({h:.3e}) at t = {t}", t=t, y=np.array(y)
-            )
-        p_norm = _norm(y[d:])
+            raise StepSizeUnderflow(f"step size underflow ({h:.3e}) at t = {t}", t=t, y=np.array(y))
+        p_norm = math.hypot(*y[d:])
         if p_norm < p_small:
             h = min(h, cap_small_p)
         if p_norm < p_band:
-            pdot_norm = _norm(f[d:])
+            pdot_norm = math.hypot(*f[d:])
             if pdot_norm > 0.0:
                 h = min(h, (0.5 * p_norm + 1e-5 * p_scale) / pdot_norm)
         if t + h >= t1:

@@ -82,14 +82,6 @@ def _dot(u: Sequence[float], v: Sequence[float]) -> float:
     return s
 
 
-def _norm(v: Sequence[float]) -> float:
-    """sqrt(_dot(v, v)) with the loop inlined: the vector field calls it twice."""
-    s = 0.0
-    for x in v:
-        s += x * x
-    return math.sqrt(s)
-
-
 def require_finite(**values) -> None:
     """Raise DomainError naming the first keyword value with an inf or NaN."""
     for name, value in values.items():
@@ -98,39 +90,53 @@ def require_finite(**values) -> None:
 
 
 def _kinetic(alpha: float, d_alpha: float, p: np.ndarray) -> np.ndarray:
-    """T = d_alpha |p|^alpha over the last axis of p; its gradient is _velocity."""
+    """T = d_alpha |p|^alpha over the last axis of p; _field's qdot is its gradient."""
     return d_alpha * np.sqrt(np.sum(p * p, axis=-1)) ** alpha
 
 
 def _potential(strength: float, degree: float, q: np.ndarray) -> np.ndarray:
-    """V = strength |q|^degree over the last axis of q; its negated gradient
-    is _force.  Singular at q = 0 for degree < 0, which raises."""
+    """V = strength |q|^degree over the last axis of q; _field's pdot is its
+    negated gradient.  Singular at q = 0 for degree < 0, which raises."""
     n = np.sqrt(np.sum(q * q, axis=-1))
     if degree < 0.0 and np.any(n == 0.0):
         raise DomainError("potential is singular at q = 0 for negative degree")
     return strength * n**degree
 
 
-def _velocity(alpha: float, d_alpha: float, p: Sequence[float]) -> list[float]:
-    """qdot = alpha d_alpha |p|^(alpha-1) p/|p|, continuously extended to 0
-    at p = 0 (valid because alpha > 1)."""
-    n = _norm(p)
-    if n == 0.0:
-        return [0.0] * len(p)
-    c = alpha * d_alpha * abs_power(n, alpha - 2.0)
-    return [c * x for x in p]
+def _field(params: FractionalParams, pot: PowerLawPotential, d: int) -> Callable[[list[float]], list[float]]:
+    """The canonical equations in dimension d, bound once: y = (q, p) -> (qdot, pdot).
 
+    qdot = alpha d_alpha |p|^(alpha-2) p, extended to 0 at p = 0 (alpha > 1);
+    pdot = -strength degree |q|^(degree-2) q, 0 at q = 0 for degree > 1; for
+    degree <= 1 it has no value at q = 0, which raises.  At d = 1 the norms are
+    abs of the scalars, equal to sqrt(x * x) wherever x * x is a normal
+    float; above they come from math.hypot, finite wherever the norm is.
+    """
+    cv, ev = params.alpha * params.d_alpha, params.alpha - 2.0
+    cf, ef, degree = -pot.strength * pot.degree, pot.degree - 2.0, pot.degree
+    fabs, hypot, zero = math.fabs, math.hypot, [0.0] * d
 
-def _force(strength: float, degree: float, q: Sequence[float]) -> list[float]:
-    """pdot = -dV/dq = -strength degree |q|^(degree-1) q/|q|; 0 at q = 0
-    for degree > 1, where degree <= 1 has no continuous force and raises."""
-    n = _norm(q)
-    if n == 0.0:
-        if degree > 1.0:
-            return [0.0] * len(q)
-        raise DomainError(f"force is undefined at q = 0 for degree {degree} <= 1")
-    c = -strength * degree * abs_power(n, degree - 2.0)
-    return [c * x for x in q]
+    def field(y: list[float]) -> list[float]:
+        if d == 1:
+            q, p = y
+            m, n = fabs(p), fabs(q)
+        else:
+            q, p = y[:d], y[d:]
+            m, n = hypot(*p), hypot(*q)
+        try:
+            v = cv * m**ev if m else 0.0
+            f = cf * n**ef if n else 0.0
+        except OverflowError:  # abs_power repeats the power that overflowed and names it
+            if m:
+                abs_power(m, ev)
+            abs_power(n, ef)
+        if not n and degree <= 1.0:
+            raise DomainError(f"force is undefined at q = 0 for degree {degree} <= 1")
+        if d == 1:
+            return [v * p if m else 0.0, f * q if n else 0.0]
+        return ([v * x for x in p] if m else zero) + ([f * x for x in q] if n else zero)
+
+    return field
 
 
 @dataclass(frozen=True)
@@ -181,7 +187,8 @@ class PowerLawPotential:
     def gradient(self, q) -> np.ndarray:
         """dV/dq = strength * degree * |q|^(degree-1) * q/|q|, the negated
         force; degree <= 1 has no continuous gradient at q = 0 and raises."""
-        return -np.array(_force(self.strength, self.degree, _vec(q, "q").tolist()))
+        q = _vec(q, "q").tolist()
+        return -np.array(_field(_AT_REST, self, len(q))(q + [0.0] * len(q))[len(q):])
 
     def require_oscillator(self) -> None:
         """Check the bounded-oscillator constraints strength > 0, 1 < degree <= 2."""
@@ -193,6 +200,10 @@ class PowerLawPotential:
             raise DomainError(
                 f"oscillator potential needs degree in (1, 2], got {self.degree}"
             )
+
+
+# at rest or force-free, the field at p = 0 or q = 0 is the force or the velocity alone
+_AT_REST, _FREE = FractionalParams(2.0, 1.0), PowerLawPotential(0.0, 2.0)
 
 
 @dataclass(frozen=True)
@@ -214,6 +225,14 @@ class PhaseState:
         object.__setattr__(self, "t", float(self.t))
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "p", p)
+
+    @classmethod
+    def _of_row(cls, t: float, y: np.ndarray) -> "PhaseState":
+        """The state of a stacked (q, p) float row handed over: frozen, not revalidated."""
+        y.setflags(write=False)
+        state = object.__new__(cls)
+        state.__dict__.update(t=t, q=y[: len(y) // 2], p=y[len(y) // 2 :])
+        return state
 
     @property
     def dimension(self) -> int:
@@ -266,7 +285,7 @@ def lagrangian(params: FractionalParams, pot: PowerLawPotential, q, qdot) -> flo
         * |qdot|^(alpha/(alpha-1)) - V(q).
     """
     a, d = params.alpha, params.d_alpha
-    n = _norm(_vec(qdot, "qdot").tolist())
+    n = math.hypot(*_vec(qdot, "qdot").tolist())
     coeff = abs_power(1.0 / (a * d), 1.0 / (a - 1.0)) * (a - 1.0) / a
     return coeff * abs_power(n, a / (a - 1.0)) - pot.energy(q)
 
@@ -276,7 +295,7 @@ def momentum_from_velocity(params: FractionalParams, qdot) -> np.ndarray:
     * |qdot|^(1/(alpha-1)), direction preserved; p = 0 at qdot = 0."""
     a, d = params.alpha, params.d_alpha
     v = _vec(qdot, "qdot")
-    n = _norm(v.tolist())
+    n = math.hypot(*v.tolist())
     if n == 0.0:
         return np.zeros_like(v)
     coeff = abs_power(1.0 / (a * d), 1.0 / (a - 1.0))
@@ -284,30 +303,26 @@ def momentum_from_velocity(params: FractionalParams, qdot) -> np.ndarray:
 
 
 def velocity_from_momentum(params: FractionalParams, p) -> np.ndarray:
-    """qdot = alpha d_alpha |p|^(alpha-1) p/|p|, continuously extended to 0
-    at p = 0 (valid because alpha > 1)."""
-    return np.array(_velocity(params.alpha, params.d_alpha, _vec(p, "p").tolist()))
+    """qdot = alpha d_alpha |p|^(alpha-1) p/|p|, extended to 0 at p = 0 (alpha > 1)."""
+    p = _vec(p, "p").tolist()
+    return np.array(_field(params, _FREE, len(p))([0.0] * len(p) + p)[: len(p)])
 
 
 def phase_field(params: FractionalParams, pot: PowerLawPotential, y: list[float]) -> list[float]:
     """(qdot, pdot) at the stacked state y = (q, p), stacked the same way:
     the canonical equations as the integrator steps them, on plain floats."""
-    d = len(y) // 2
-    return _velocity(params.alpha, params.d_alpha, y[d:]) + _force(pot.strength, pot.degree, y[:d])
+    return _field(params, pot, len(y) // 2)(y)
 
 
 def hamilton_rhs(
     params: FractionalParams, pot: PowerLawPotential, state: PhaseState
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Right-hand side (qdot, pdot) of the canonical equations of motion.
-
-    qdot = alpha d_alpha |p|^(alpha-1) p/|p|;
-    pdot = -strength * degree * |q|^(degree-1) q/|q|  (-dV/dq),
-    with both unit-vector factors replaced by 0 at the origin of their
-    argument.  The force is singular or discontinuous at q = 0 when
-    degree <= 1, which is a domain error there.
-    """
-    return velocity_from_momentum(params, state.p), -pot.gradient(state.q)
+    """Right-hand side (qdot, pdot) of the canonical equations of motion:
+    qdot = alpha d_alpha |p|^(alpha-1) p/|p| and pdot = -dV/dq, each 0 at the
+    origin of its argument; q = 0 is a domain error for degree <= 1."""
+    d = state.dimension
+    y = phase_field(params, pot, state.q.tolist() + state.p.tolist())
+    return np.array(y[:d]), np.array(y[d:])
 
 
 def euler_lagrange_residual(

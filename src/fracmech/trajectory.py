@@ -24,10 +24,11 @@ _DEGREES = np.arange(1.0, 5.0)
 def _quartic(coef: np.ndarray, theta, derivative: bool = False) -> np.ndarray:
     """coef @ [theta, theta^2, theta^3, theta^4], or with ``derivative`` its
     theta-derivative coef @ [1, 2 theta, 3 theta^2, 4 theta^3]; the leading
-    axes of coef, shape (..., 2d, 4), broadcast against those of theta."""
-    th = np.asarray(theta)[..., None]
+    axes of coef, shape (..., 2d, 4), broadcast against those of theta; a
+    float theta takes the matrix-vector product (the same bits, less overhead)."""
+    th = theta if isinstance(theta, float) else np.asarray(theta)[..., None]
     basis = _DEGREES * th ** (_DEGREES - 1.0) if derivative else th**_DEGREES
-    return (coef @ basis[..., None])[..., 0]
+    return coef.dot(basis) if basis.ndim == 1 else (coef @ basis[..., None])[..., 0]
 
 
 def _theta(t: float, t_start: float, width: float) -> float:
@@ -62,9 +63,6 @@ class DenseSegment:
 
     def eval(self, t: float) -> np.ndarray:
         return self.at(_theta(t, self.t_start, self.width))
-
-    def eval_derivative(self, t: float) -> np.ndarray:
-        return _quartic(self.coef, _theta(t, self.t_start, self.width), derivative=True)
 
 
 @dataclass(frozen=True)
@@ -102,6 +100,8 @@ class Trajectory:
             self.coefs is not None and (len(self.coefs), len(self.widths)) != (n - 1, n - 1)
         ):
             raise DomainError("dense output needs one quartic and one width per step")
+        # the samples as stacked (q, p) rows, the layout of a step's quartic
+        object.__setattr__(self, "_rows", np.hstack([self.positions, self.momenta]))
 
     @property
     def dimension(self) -> int:
@@ -124,28 +124,30 @@ class Trajectory:
 
     def segment(self, i: int) -> DenseSegment:
         """The dense-output interpolant of step i."""
-        y_start = np.concatenate([self.positions[i], self.momenta[i]])
-        return DenseSegment(float(self.times[i]), float(self.widths[i]), y_start, self.coefs[i])
+        return DenseSegment(float(self.times[i]), float(self.widths[i]), self._rows[i].copy(), self.coefs[i])
 
-    def _segment_at(self, t: float) -> DenseSegment:
+    def _step_at(self, t: float) -> tuple[int, float, float]:
+        """The step holding time t, its width and the fraction theta of it elapsed."""
         if self.coefs is None or len(self.coefs) == 0:
             raise DomainError("trajectory has no dense segments to interpolate")
-        lo, hi = self.t0, self.t_end
+        times = self.times
+        lo, hi = float(times[0]), float(times[-1])
         slop = 1e-9 * max(1.0, abs(lo), abs(hi))
         if not lo - slop <= t <= hi + slop:
             raise DomainError(f"time {t} outside trajectory span [{lo}, {hi}]")
-        i = int(self.times.searchsorted(t, side="right")) - 1
-        return self.segment(min(max(i, 0), len(self.coefs) - 1))
+        i = min(max(int(times.searchsorted(t, "right")) - 1, 0), len(times) - 2)
+        w = float(self.widths[i])
+        return i, w, _theta(t, float(times[i]), w)
 
     def eval(self, t: float) -> PhaseState:
-        y = self._segment_at(t).eval(t)
-        d = self.dimension
-        return PhaseState(float(t), y[:d], y[d:])
+        """The state at time t, in DenseSegment.at's arithmetic on the step holding t."""
+        i, w, theta = self._step_at(t)
+        return PhaseState._of_row(float(t), self._rows[i] + w * _quartic(self.coefs[i], theta))
 
     def derivative(self, t: float) -> tuple[np.ndarray, np.ndarray]:
-        dy = self._segment_at(t).eval_derivative(t)
-        d = self.dimension
-        return dy[:d].copy(), dy[d:].copy()
+        i, _, theta = self._step_at(t)
+        dy, d = _quartic(self.coefs[i], theta, derivative=True), self.dimension
+        return dy[:d], dy[d:]
 
     def energy_drift(self) -> float:
         """Largest relative deviation of sampled energy from the initial energy."""
@@ -183,7 +185,7 @@ def action(
     if traj.coefs is None or len(traj.coefs) == 0:
         return 0.0
     d = traj.dimension
-    y_start = np.hstack([traj.positions[:-1], traj.momenta[:-1]])
+    y_start = traj._rows[:-1]
     widths = traj.widths
     # states at every node of every step: shape (steps, nodes, 2d)
     ys = y_start[:, None] + widths[:, None, None] * _quartic(traj.coefs[:, None], _NODES)

@@ -33,6 +33,7 @@ from fracmech import (
     turning_point,
     velocity_from_momentum,
 )
+from fracmech.model import phase_field
 
 ALPHAS = st.floats(min_value=1.05, max_value=2.0)
 SCALES = st.floats(min_value=0.1, max_value=10.0)
@@ -424,3 +425,72 @@ def test_power_beyond_the_float_range_is_domain_error():
         lagrangian(params, pot, [0.0], [10.0])
     with pytest.raises(DomainError, match="overflows"):
         euler_lagrange_residual(params, pot, 0.0, 10.0, 1.0)
+
+
+# ------------------------------------------------------ the bound vector field
+
+
+def test_field_norms_neither_overflow_nor_underflow():
+    # |p|^2 leaves the float range on both sides, |p| does not: the field
+    # used to square and return 0 for both momenta
+    params = FractionalParams(1.5, 1.0)
+    assert velocity_from_momentum(params, [1e160])[0] == pytest.approx(1.5e80, rel=1e-14, abs=0)
+    assert velocity_from_momentum(params, [1e-170])[0] == pytest.approx(1.5e-85, rel=1e-14, abs=0)
+    qdot, pdot = hamilton_rhs(params, PowerLawPotential(1.0, 1.5), state([1.0, 0.0], [1e160, 1e160]))
+    expected = 1.5e80 / 2.0**0.25
+    assert qdot == pytest.approx([expected, expected], rel=1e-14, abs=0)
+    assert pdot.tolist() == [-1.5, -0.0]
+
+
+@pytest.mark.parametrize("q", [[1e-110], [1e-110, 0.0]], ids=["d1", "d2"])
+def test_overflowing_force_is_domain_error_on_every_route(q):
+    # attractive inverse-distance force |q|^-2 = 1e220 is finite, but the
+    # radial factor |q|^-3 = 1e330 is not
+    params, pot = FractionalParams(1.5, 1.0), PowerLawPotential(-1.0, -1.0)
+    p = [0.5] * len(q)
+    with pytest.raises(DomainError, match="overflows"):
+        phase_field(params, pot, q + p)
+    with pytest.raises(DomainError, match="overflows"):
+        hamilton_rhs(params, pot, state(q, p))
+    with pytest.raises(DomainError, match="overflows"):
+        integrate(params, pot, InitialConditions(q0=q, p0=p), (0.0, 1.0))
+
+
+def test_field_at_the_origin_of_its_arguments():
+    params = FractionalParams(1.5, 1.0)
+    with pytest.raises(DomainError, match="undefined at q = 0"):
+        phase_field(params, PowerLawPotential(1.0, 1.0), [0.0, 1.0])
+    with pytest.raises(DomainError, match="undefined at q = 0"):
+        PowerLawPotential(1.0, 1.0).gradient([0.0, -0.0])
+    # a zero momentum moves nothing and a zero force pushes nothing, as +0.0
+    for y in ([1.0, -0.0], [1.0, 2.0, -0.0, -0.0]):
+        d = len(y) // 2
+        out = phase_field(params, PowerLawPotential(1.0, 2.0), y)
+        assert [math.copysign(1.0, v) for v in out[:d]] == [1.0] * d
+    assert math.copysign(1.0, velocity_from_momentum(params, [-0.0])[0]) == 1.0
+    out = phase_field(params, PowerLawPotential(1.0, 2.0), [-0.0, 1.0])
+    assert math.copysign(1.0, out[1]) == 1.0
+
+
+@given(
+    ALPHAS,
+    SCALES,
+    st.floats(min_value=-3.0, max_value=3.0),
+    st.floats(min_value=-2.0, max_value=3.0).filter(lambda b: abs(b) > 1e-3),
+    st.floats(min_value=1e-150, max_value=1e150),
+    st.floats(min_value=1e-150, max_value=1e150),
+    st.sampled_from([-1.0, 1.0]),
+    st.sampled_from([-1.0, 1.0]),
+)
+def test_scalar_field_equals_the_squared_norm_formula_bitwise(a, k, s, b, mq, mp, sq, sp):
+    # at d = 1 the field takes |x| as abs(x); sqrt(x * x) gives the same
+    # bits wherever x * x is a normal float, so every 1-D step is unchanged
+    q, p = sq * mq, sp * mp
+    params, pot = FractionalParams(a, k), PowerLawPotential(s, b)
+    try:
+        force = -s * b * math.sqrt(q * q) ** (b - 2.0) * q
+    except OverflowError:
+        with pytest.raises(DomainError, match="overflows"):
+            phase_field(params, pot, [q, p])
+        return
+    assert phase_field(params, pot, [q, p]) == [a * k * math.sqrt(p * p) ** (a - 2.0) * p, force]

@@ -23,6 +23,7 @@ from fracmech import (
     period,
     velocity_from_momentum,
 )
+from fracmech.trajectory import _quartic, _theta
 
 M1 = FractionalParams.from_mass(1.0)
 OSC = PowerLawPotential(1.0, 2.0)
@@ -91,6 +92,34 @@ def test_derivative_matches_rhs(harmonic):
         qdot, pdot = hamilton_rhs(M1, OSC, harmonic.eval(t))
         assert dq == pytest.approx(qdot, abs=1e-8)
         assert dp == pytest.approx(pdot, abs=1e-8)
+
+
+@pytest.mark.parametrize(
+    "params, pot, q0, p0",
+    [
+        (FractionalParams(1.5, 1.0), PowerLawPotential(1.0, 1.5), [0.3], [1.0]),
+        (FractionalParams(1.6, 0.5), PowerLawPotential(-1.0, -1.0), [1.0, 0.0], [0.0, 0.8]),
+        (FractionalParams(1.75, 0.5), PowerLawPotential(1.0, 1.8), [1.0, 0.2, -0.3], [0.1, 0.7, 0.4]),
+    ],
+    ids=["d1", "d2", "d3"],
+)
+def test_eval_keeps_the_segment_arithmetic_bitwise(params, pot, q0, p0):
+    # eval reads the step's row in place of building a DenseSegment; its
+    # bits must equal the broadcast quartic that every read used before
+    traj, _ = integrate(params, pot, InitialConditions(q0=q0, p0=p0), (0.0, 2.0))
+    for t in np.linspace(0.0, traj.t_end, 101).tolist():
+        i = min(max(int(traj.times.searchsorted(t, "right")) - 1, 0), len(traj.widths) - 1)
+        seg = traj.segment(i)
+        theta = np.array([_theta(t, seg.t_start, seg.width)])
+        y = seg.y_start + seg.width * _quartic(seg.coef, theta)[0]
+        dy = _quartic(seg.coef, theta, derivative=True)[0]
+        s = traj.eval(t)
+        assert s.t == t and np.concatenate([s.q, s.p]).tobytes() == y.tobytes()
+        assert seg.eval(t).tobytes() == y.tobytes()
+        assert np.concatenate(traj.derivative(t)).tobytes() == dy.tobytes()
+        for v in (s.q, s.p):
+            with pytest.raises(ValueError):
+                v[0] = 1.0
 
 
 def test_energy_drift_definition(harmonic):
