@@ -38,8 +38,7 @@ from .model import (
     PowerLawPotential,
     _dot,
     _field,
-    _kinetic,
-    _potential,
+    _power_law,
     abs_power,
     hamiltonian,
     require_finite,
@@ -234,17 +233,19 @@ def integrate(
     ``radial_direction`` adds zeros of q.p (+1 rising only, -1 falling
     only, 0 both).  ``stop_after=(kind, n)`` truncates the run at the
     n-th event of that kind; a kind the run does not detect, or n < 1, is
-    a DomainError.  A step whose size, error norm or new state is not
-    finite, or a non-finite energy, raises IntegrationError.  The vector
-    field is bound once per run by ``model._field``: on the two scalars at
-    d = 1, with math.hypot norms above.
+    a DomainError.  Given ``stop_after``, the span may be open, t1 = inf:
+    the run ends on that event within one ``max_steps`` budget.  A
+    non-finite step or energy raises IntegrationError; a step that fails
+    names the awaited ``stop_after``.  The vector field is bound once per
+    run by ``model._field``: on the two scalars at d = 1, with math.hypot
+    norms above.
     """
     if cfg is None:
         cfg = IntegratorConfig()
     t0, t1 = float(span[0]), float(span[1])
-    require_finite(span=(t0, t1))
-    if not t1 > t0:
-        raise DomainError(f"integration span must have t1 > t0, got {span}")
+    if not -math.inf < t0 < t1 or (t1 == math.inf and stop_after is None):
+        raise DomainError(f"integration span needs finite t0 < t1 (inf t1 only with stop_after), got {span}")
+    awaiting = "" if stop_after is None else f", awaiting stop_after {stop_after!r}"
     q0, p0 = ic.resolve(params)
     d = q0.size
     y = q0.tolist() + p0.tolist()
@@ -294,10 +295,10 @@ def integrate(
 
     while not finished:
         if accepted + rejected >= cfg.max_steps:
-            raise MaxStepsExceeded(f"exceeded {cfg.max_steps} steps at t = {t}", t=t, y=np.array(y))
+            raise MaxStepsExceeded(f"exceeded {cfg.max_steps} steps at t = {t}{awaiting}", t=t, y=np.array(y))
         h_min = 10.0 * abs(math.ulp(t))
         if h < h_min:
-            raise StepSizeUnderflow(f"step size underflow ({h:.3e}) at t = {t}", t=t, y=np.array(y))
+            raise StepSizeUnderflow(f"step size underflow ({h:.3e}) at t = {t}{awaiting}", t=t, y=np.array(y))
         p_norm = math.hypot(*y[d:])
         if p_norm < p_small:
             h = min(h, cap_small_p)
@@ -329,10 +330,10 @@ def integrate(
                              for e, a, b, tol in zip(err, y, y_new, atol)])
         except ZeroDivisionError:  # a zero error scale
             err_norm = math.inf
-        if not (math.isfinite(err_norm) and math.isfinite(h) and all(map(math.isfinite, y_new))):
+        if not (math.isfinite(err_norm) and math.isfinite(t_new) and all(map(math.isfinite, y_new))):
             raise IntegrationError(
                 f"non-finite step at t = {t}: h = {h}, error norm = {err_norm}, "
-                f"y = {np.array(y)} -> {np.array(y_new)}", t=t, y=np.array(y)
+                f"y = {np.array(y)} -> {np.array(y_new)}{awaiting}", t=t, y=np.array(y)
             )
 
         if err_norm > 1.0:
@@ -359,8 +360,9 @@ def integrate(
                 if stops[r]:
                     stop_count += 1
                     if stop_count >= stop_after[1]:
-                        if t_ev > t:  # the run ends on the event
-                            t_new, y_new, finished = t_ev, y_ev.tolist(), True
+                        finished = True
+                        if t_ev > t:  # the run ends on the event, not past it
+                            t_new, y_new = t_ev, y_ev.tolist()
                         break
 
         coefs.append(coef)
@@ -374,8 +376,8 @@ def integrate(
             h *= min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
 
     arr = np.asarray(ys)
-    kinetic = _kinetic(params.alpha, params.d_alpha, arr[:, d:])
-    energies = kinetic + _potential(pot.strength, pot.degree, arr[:, :d])
+    kinetic = _power_law(params.d_alpha, params.alpha, arr[:, d:])
+    energies = kinetic + _power_law(pot.strength, pot.degree, arr[:, :d])
 
     traj = Trajectory(
         times=np.asarray(times),
@@ -398,8 +400,8 @@ def measure_period(
 ) -> float:
     """Oscillation period measured from the integrated motion.
 
-    Launches from the turning point (q = q_turn, p = 0) and integrates
-    until four momentum zero crossings have been located; successive
+    Launches from the turning point (q = q_turn, p = 0) and integrates,
+    over an open span, until the fourth momentum zero crossing; successive
     crossings sit half a period apart, so the gap between the second and
     the fourth is one full cycle, with both endpoints event-located so
     start-up effects cancel.
@@ -408,9 +410,7 @@ def measure_period(
 
     spec = OscillatorSpec(params, pot, energy)  # validates the oscillator
     ic = InitialConditions(q0=np.array([spec.q_turn]), p0=np.array([0.0]))
-    # the Beta factor of the quarter period is bounded by pi on the exponent range
-    horizon = 8.5 * math.pi * spec.time_scale
-    turning = first_event_times(params, pot, ic, "turning_point", 4, horizon, cfg, runs=3)
+    turning = first_event_times(params, pot, ic, "turning_point", 4, cfg)
     return turning[3] - turning[1]
 
 
@@ -420,24 +420,12 @@ def first_event_times(
     ic: InitialConditions,
     kind: str,
     count: int,
-    horizon: float,
     cfg: IntegratorConfig | None = None,
-    *,
-    runs: int,
     **events,
 ) -> list[float]:
-    """Times of the first ``count`` events of ``kind`` from t = 0.
-
-    Each run stops at the count-th such event; the horizon doubles after a
-    run that ends short, for at most ``runs`` runs.  ``events`` passes
-    ``q_levels`` / ``radial_direction`` on to :func:`integrate`.
+    """Times of the first ``count`` events of ``kind`` from t = 0, found by
+    one run over the open span (0, inf) that ends on the count-th of them.
+    ``events`` passes ``q_levels`` / ``radial_direction`` on to :func:`integrate`.
     """
-    for run in range(runs):
-        span = horizon * 2.0**run
-        _, found = integrate(
-            params, pot, ic, (0.0, span), cfg, stop_after=(kind, count), **events
-        )
-        times = [ev.time for ev in found if ev.kind == kind]
-        if len(times) >= count:
-            return times
-    raise MaxStepsExceeded(f"fewer than {count} {kind} events found within horizon {span}")
+    _, found = integrate(params, pot, ic, (0.0, math.inf), cfg, stop_after=(kind, count), **events)
+    return [ev.time for ev in found if ev.kind == kind]

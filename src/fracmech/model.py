@@ -89,18 +89,16 @@ def require_finite(**values) -> None:
             raise DomainError(f"{name} must be finite, got {value}")
 
 
-def _kinetic(alpha: float, d_alpha: float, p: np.ndarray) -> np.ndarray:
-    """T = d_alpha |p|^alpha over the last axis of p; _field's qdot is its gradient."""
-    return d_alpha * np.sqrt(np.sum(p * p, axis=-1)) ** alpha
-
-
-def _potential(strength: float, degree: float, q: np.ndarray) -> np.ndarray:
-    """V = strength |q|^degree over the last axis of q; _field's pdot is its
-    negated gradient.  Singular at q = 0 for degree < 0, which raises."""
-    n = np.sqrt(np.sum(q * q, axis=-1))
-    if degree < 0.0 and np.any(n == 0.0):
+def _power_law(scale: float, k: float, x: np.ndarray) -> np.ndarray:
+    """scale |x|^k over the last axis of x: the kinetic energy d_alpha |p|^alpha
+    and the potential strength |q|^degree, whose gradients _field writes.  The
+    norm is taken as _field takes it, abs at d = 1 and hypot above, so it never
+    squares out of the float range.  Only the potential has k < 0, which raises
+    at q = 0."""
+    n = np.abs(x[..., 0]) if x.shape[-1] == 1 else np.hypot.reduce(x, axis=-1)
+    if k < 0.0 and np.any(n == 0.0):
         raise DomainError("potential is singular at q = 0 for negative degree")
-    return strength * n**degree
+    return scale * n**k
 
 
 def _field(params: FractionalParams, pot: PowerLawPotential, d: int) -> Callable[[list[float]], list[float]]:
@@ -182,7 +180,7 @@ class PowerLawPotential:
 
     def energy(self, q) -> float:
         """V(q) = strength * |q|^degree; singular at the origin for degree < 0."""
-        return float(_potential(self.strength, self.degree, _vec(q, "q")))
+        return float(_power_law(self.strength, self.degree, _vec(q, "q")))
 
     def gradient(self, q) -> np.ndarray:
         """dV/dq = strength * degree * |q|^(degree-1) * q/|q|, the negated
@@ -275,7 +273,7 @@ class InitialConditions:
 
 def hamiltonian(params: FractionalParams, pot: PowerLawPotential, state: PhaseState) -> float:
     """Total energy d_alpha * |p|^alpha + V(q); conserved along trajectories."""
-    return float(_kinetic(params.alpha, params.d_alpha, _vec(state.p, "p"))) + pot.energy(state.q)
+    return float(_power_law(params.d_alpha, params.alpha, _vec(state.p, "p"))) + pot.energy(state.q)
 
 
 def lagrangian(params: FractionalParams, pot: PowerLawPotential, q, qdot) -> float:
@@ -298,8 +296,9 @@ def momentum_from_velocity(params: FractionalParams, qdot) -> np.ndarray:
     n = math.hypot(*v.tolist())
     if n == 0.0:
         return np.zeros_like(v)
-    coeff = abs_power(1.0 / (a * d), 1.0 / (a - 1.0))
-    return coeff * abs_power(n, 1.0 / (a - 1.0) - 1.0) * v
+    m = abs_power(1.0 / (a * d), 1.0 / (a - 1.0)) * abs_power(n, 1.0 / (a - 1.0))
+    require_finite(momentum=m)
+    return m * (v / n)
 
 
 def velocity_from_momentum(params: FractionalParams, p) -> np.ndarray:

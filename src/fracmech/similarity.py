@@ -28,7 +28,6 @@ from .model import (
     abs_power,
     hamiltonian,
     require_finite,
-    velocity_from_momentum,
 )
 from .trajectory import Trajectory
 
@@ -156,25 +155,6 @@ def _initial_energy(
     return e0
 
 
-def _base_horizon(
-    params: FractionalParams, pot: PowerLawPotential, q0: np.ndarray, p0: np.ndarray
-) -> float:
-    e0 = _initial_energy(params, pot, q0, p0)
-    try:
-        pot.require_oscillator()
-        if e0 > 0.0:
-            from .oscillator import OscillatorSpec, period
-
-            return 1.5 * period(OscillatorSpec(params, pot, e0))
-    except DomainError:
-        pass
-    v0 = float(np.linalg.norm(velocity_from_momentum(params, p0)))
-    r0 = float(np.linalg.norm(q0))
-    if v0 > 0.0 and r0 > 0.0:
-        return 10.0 * r0 / v0
-    return 1.0
-
-
 def verify_scaling(
     params: FractionalParams,
     pot: PowerLawPotential,
@@ -185,40 +165,34 @@ def verify_scaling(
     """Measure landmark times across similarity-scaled copies of one motion.
 
     The landmark is the first turning point for confining potentials with
-    degree > 1, the first origin crossing for confining degree <= 1
-    (straight fall to the minimum), and the crossing of half the initial
-    position for attractive potentials (plunge toward the singular
-    origin, which must not be reached).  Each scaled system launches from
-    rho q0 with momentum rho^(beta/alpha) p0; the measured time ratio is
-    compared to rho^(1-beta+beta/alpha).
+    degree > 1, and otherwise the crossing of half the initial position
+    q0[0] (a fall toward the minimum or a plunge toward the singular
+    origin, neither of which must reach the origin, where the force of
+    degree < 1 is singular).  Each scaled system launches from rho q0 with
+    momentum rho^(beta/alpha) p0 and runs until its landmark; the measured
+    time ratio is compared to rho^(1-beta+beta/alpha).
     """
     q0, p0 = ic.resolve(params)
     beta_degree = pot.degree
     t_exp = exponents(params.alpha, beta_degree).time_vs_length
     if pot.strength > 0.0 and pot.degree > 1.0:
         kind, levels = "turning_point", []
-    elif pot.strength > 0.0:
-        kind, levels = "origin_crossing", []
+    elif q0[0] == 0.0:
+        raise DomainError("the half-position landmark needs q0[0] != 0")
     else:
-        if float(np.linalg.norm(q0)) == 0.0:
-            raise DomainError("attractive-potential landmark needs q0 != 0")
         kind, levels = "custom", [(0, 0.5 * float(q0[0]))]
 
-    def landmark_time(ic: InitialConditions, rho: float, horizon: float) -> float:
+    def landmark_time(ic: InitialConditions, rho: float) -> float:
         scaled = [(c, level * rho) for c, level in levels]
-        return first_event_times(
-            params, pot, ic, kind, 1, horizon, cfg, runs=40, q_levels=scaled
-        )[0]
+        return first_event_times(params, pot, ic, kind, 1, cfg, q_levels=scaled)[0]
 
     _require_scale_factors(rho_list)
-    guess = _base_horizon(params, pot, q0, p0)
-    base_time = landmark_time(InitialConditions(q0=q0, p0=p0), 1.0, guess)
+    _initial_energy(params, pot, q0, p0)  # a non-finite energy is a DomainError
+    base_time = landmark_time(InitialConditions(q0=q0, p0=p0), 1.0)
     rows = []
     for rho in rho_list:
         predicted = abs_power(rho, t_exp)
-        t_rho = landmark_time(
-            _scaled_ics(q0, p0, rho, params.alpha, beta_degree), rho, guess * predicted * 1.5
-        )
+        t_rho = landmark_time(_scaled_ics(q0, p0, rho, params.alpha, beta_degree), rho)
         rows.append(ScalingRow.of(rho, predicted, t_rho / base_time))
     return rows
 
@@ -287,21 +261,17 @@ def fractional_kepler_check(
             "zero angular momentum puts the orbit on a collision course"
         )
     t_exp = 2.0 - 1.0 / alpha
-    v0 = float(np.linalg.norm(velocity_from_momentum(params, p0)))
-    r0 = float(np.linalg.norm(q0))
 
-    def radial_period(ic: InitialConditions, horizon: float) -> float:
+    def radial_period(ic: InitialConditions) -> float:
         """Time between two successive closest approaches (rising q.p zeros)."""
-        peri = first_event_times(
-            params, pot, ic, "custom", 2, horizon, cfg, runs=20, radial_direction=+1
-        )
+        peri = first_event_times(params, pot, ic, "custom", 2, cfg, radial_direction=+1)
         return peri[1] - peri[0]
 
-    base_T = radial_period(InitialConditions(q0=q0, p0=p0), 40.0 * r0 / v0)
+    base_T = radial_period(InitialConditions(q0=q0, p0=p0))
     rows = []
     for rho in rho_list:
         predicted = abs_power(rho, t_exp)
-        T_rho = radial_period(_scaled_ics(q0, p0, rho, alpha, -1.0), 3.0 * base_T * predicted)
+        T_rho = radial_period(_scaled_ics(q0, p0, rho, alpha, -1.0))
         rows.append(ScalingRow.of(rho, predicted, T_rho / base_T))
     fit = fit_time_exponent(rows)
     slope, resid = fit if fit is not None else (None, None)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ToleranceWarning
-from .model import FractionalParams, PhaseState, PowerLawPotential, _kinetic, _potential
+from .model import FractionalParams, PhaseState, PowerLawPotential, _power_law
 
 __all__ = ["DenseSegment", "Trajectory", "action"]
 
@@ -189,8 +189,8 @@ def action(
     widths = traj.widths
     # states at every node of every step: shape (steps, nodes, 2d)
     ys = y_start[:, None] + widths[:, None, None] * _quartic(traj.coefs[:, None], _NODES)
-    lag = (params.alpha - 1.0) * _kinetic(params.alpha, params.d_alpha, ys[..., d:])
-    lag = lag - _potential(pot.strength, pot.degree, ys[..., :d])
+    lag = (params.alpha - 1.0) * _power_law(params.d_alpha, params.alpha, ys[..., d:])
+    lag = lag - _power_law(pot.strength, pot.degree, ys[..., :d])
     lag = lag.reshape(len(widths), 3, len(_GL_W)) @ _GL_W
     coarse = widths * lag[:, 0]
     fine = 0.5 * widths * (lag[:, 1] + lag[:, 2])

@@ -222,15 +222,17 @@ def test_period_infinite_energy_rejected_at_once(tmp_path):
     assert "energy must be finite" in proc.stderr
 
 
-def test_period_overflow_names_the_non_finite_state(tmp_path):
+def test_period_beyond_the_squared_norm_range_succeeds(tmp_path):
+    # the turning point 1e200 squares past the float range; the energy
+    # takes |q| itself, so all three routes run and agree
     proc = run_cli(
         "period", "--alpha", "1.5", "--beta", "1.5", "--energy", "1e300",
         "--out", str(tmp_path / "p.json"), cwd=tmp_path,
     )
-    assert proc.returncode == 3
-    assert "non-finite energy" in proc.stderr
+    assert proc.returncode == 0, proc.stderr
     assert "RuntimeWarning" not in proc.stderr
-    assert "fewer than four turning points" not in proc.stderr
+    result = json.loads((tmp_path / "p.json").read_text(encoding="utf-8"))
+    assert result["ode_measured"] == pytest.approx(result["closed_form"], rel=1e-6)
 
 
 def test_simulate_overflow_names_the_non_finite_state(tmp_path):

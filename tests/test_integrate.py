@@ -60,6 +60,8 @@ HARMONIC_IC = InitialConditions(q0=np.array([1.0]), p0=np.array([0.0]))
         lambda: InitialConditions(q0=np.array([1.0, 0.0]), qdot0=np.array([0.0, -math.inf])),
         lambda: integrate(M1, OSC, HARMONIC_IC, (0.0, math.inf)),
         lambda: integrate(M1, OSC, HARMONIC_IC, (math.nan, 1.0)),
+        lambda: integrate(M1, OSC, HARMONIC_IC, (0.0, math.nan), stop_after=("turning_point", 1)),
+        lambda: integrate(M1, OSC, HARMONIC_IC, (-math.inf, 0.0), stop_after=("turning_point", 1)),
         lambda: IntegratorConfig(rel_tol=math.inf),
         lambda: IntegratorConfig(abs_tol=math.nan),
         lambda: IntegratorConfig(event_tol=math.inf),
@@ -69,8 +71,8 @@ HARMONIC_IC = InitialConditions(q0=np.array([1.0]), p0=np.array([0.0]))
     ids=[
         "d_alpha-inf", "alpha-nan", "strength-nan", "degree-inf", "energy-inf",
         "energy-nan", "q0-inf", "p0-nan", "qdot0-inf", "span-end-inf",
-        "span-start-nan", "rel_tol-inf", "abs_tol-nan", "event_tol-inf",
-        "initial_step-inf", "max_steps-inf",
+        "span-start-nan", "span-end-nan", "span-start-neg-inf", "rel_tol-inf",
+        "abs_tol-nan", "event_tol-inf", "initial_step-inf", "max_steps-inf",
     ],
 )
 def test_non_finite_inputs_rejected(build):
@@ -99,7 +101,7 @@ def test_overflowing_field_at_the_start_is_integration_error():
 
 
 def test_non_finite_energy_raises_with_the_state():
-    # |q| = 1e200 overflows |q|^2 inside the norm
+    # |q| = 1e200 overflows |q|^2
     ic = InitialConditions(q0=np.array([1e200]), p0=np.array([0.0]))
     with pytest.raises(IntegrationError, match="non-finite energy") as err:
         integrate(M1, OSC, ic, (0.0, 1.0))
@@ -271,13 +273,6 @@ def test_max_steps_guard():
     assert err.value.t is not None  # failure reports where it stopped
 
 
-def test_event_search_reports_the_last_horizon_searched():
-    # a quarter of the harmonic period is about 2.2, beyond 0.1 and 0.2
-    ic = InitialConditions(q0=np.array([1.0]), p0=np.array([0.0]))
-    with pytest.raises(MaxStepsExceeded, match=r"within horizon 0\.2$"):
-        first_event_times(M1, OSC, ic, "turning_point", 4, 0.1, runs=2)
-
-
 def test_tolerance_refinement_reduces_error():
     params = FractionalParams(1.7, 1.0)
     pot = PowerLawPotential(1.0, 1.7)
@@ -316,11 +311,22 @@ def test_energy_column_tracks_hamiltonian():
         )
 
 
-def test_event_search_doubles_the_horizon_once_per_run():
-    # runs from 0.1 search 0.1, 0.2 and 0.4, not 0.1, 0.2 and 0.8
-    ic = InitialConditions(q0=np.array([1.0]), p0=np.array([0.0]))
-    with pytest.raises(MaxStepsExceeded, match=r"within horizon 0\.4$"):
-        first_event_times(M1, OSC, ic, "turning_point", 4, 0.1, runs=3)
+def test_open_span_ends_on_the_awaited_event():
+    traj, events = integrate(M1, OSC, HARMONIC_IC, (0.0, math.inf), stop_after=("turning_point", 2))
+    assert traj.t_end == events[-1].time
+    assert [ev.time for ev in events if ev.kind == "turning_point"] == pytest.approx(
+        [HARMONIC_T / 2.0, HARMONIC_T], rel=1e-8
+    )
+    assert first_event_times(M1, OSC, HARMONIC_IC, "turning_point", 2) == [
+        ev.time for ev in events if ev.kind == "turning_point"
+    ]
+
+
+def test_measured_period_frozen():
+    # the span bounds no step of this run (the |p| band cap is tighter), so an
+    # open span keeps these bits
+    spec = OscillatorSpec.from_exponents(1.5, 1.5, energy=1.0)
+    assert measure_period(spec.params, spec.pot, 1.0) == 3.650471431728113
 
 
 def test_reanchor_run_keeps_its_step_sequence():

@@ -129,6 +129,27 @@ def test_hamiltonian_singular_at_origin_for_negative_degree():
         hamiltonian(p, grav, state(0.0, 1.0))
 
 
+def test_energy_norms_do_not_square_out_of_range():
+    # |p| = |q| = 1e160 square past the float range; the energy terms, 1e240
+    # each at these exponents, do not
+    params, pot = FractionalParams(1.5, 1.0), PowerLawPotential(1.0, 1.5)
+    assert hamiltonian(params, pot, state(1e160, -1e160)) == pytest.approx(2e240, rel=1e-14, abs=0)
+    got = hamiltonian(params, pot, state([1e160, 0.0], [0.0, 1e160]))
+    assert got == pytest.approx(2e240, rel=1e-14, abs=0)
+
+
+def test_scalar_energy_equals_the_squared_norm_formula_bitwise():
+    # at d = 1 the energy takes |x| as abs(x), the same bits as sqrt(x * x)
+    # wherever x * x is a normal float
+    rng = np.random.default_rng(7)
+    x = rng.choice([-1.0, 1.0], 4000) * 10.0 ** rng.uniform(-150.0, 150.0, 4000)
+    for a, b in [(1.5, 1.5), (1.83, -1.0), (2.0, 2.0)]:
+        params, pot = FractionalParams(a, 0.37), PowerLawPotential(2.5, b)
+        for q, p in zip(x[:2000], x[2000:]):
+            expected = 0.37 * math.sqrt(p * p) ** a + 2.5 * math.sqrt(q * q) ** b
+            assert hamiltonian(params, pot, state(q, p)) == expected
+
+
 # -------------------------------------------------------------- lagrangian
 
 
@@ -425,6 +446,20 @@ def test_power_beyond_the_float_range_is_domain_error():
         lagrangian(params, pot, [0.0], [10.0])
     with pytest.raises(DomainError, match="overflows"):
         euler_lagrange_residual(params, pot, 0.0, 10.0, 1.0)
+
+
+def test_momentum_beyond_the_float_range_is_domain_error_without_warning():
+    # |p| = (|qdot| / 1.5)^2 is about 4.4e319
+    import warnings
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for qdot in ([1e160], [1e160, 0.0]):
+            with pytest.raises(DomainError, match="overflows"):
+                momentum_from_velocity(FractionalParams(1.5, 1.0), qdot)
+        # both factors are finite here, 4.4e5 and 1e304, but not their product
+        with pytest.raises(DomainError, match="momentum must be finite"):
+            momentum_from_velocity(FractionalParams(1.5, 1e-3), [1e152])
 
 
 # ------------------------------------------------------ the bound vector field

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from fracmech import (
     DomainError,
+    FracmechError,
     FractionalParams,
     InitialConditions,
     PowerLawPotential,
@@ -215,6 +217,51 @@ def test_fitted_exponent_recovers_prediction(alpha, beta_degree):
     assert slope == pytest.approx(expected, abs=1e-3)
 
 
+@pytest.mark.parametrize("alpha", [1.3, 2.0])
+@pytest.mark.parametrize("beta_degree", [0.3, 0.5])
+@pytest.mark.parametrize("p0", [0.0, 0.3])
+def test_fall_in_a_cusped_well_scales(alpha, beta_degree, p0):
+    # the force |q|^(beta - 1) is singular at the origin for beta < 1, so the
+    # landmark is the crossing of q0/2, which the fall reaches before the cusp
+    params, pot = FractionalParams(alpha, 1.0), PowerLawPotential(1.0, beta_degree)
+    rows = verify_scaling(params, pot, InitialConditions(q0=[1.0], p0=[p0]), [1.0, 2.0, 4.0, 8.0])
+    slope, _ = fit_time_exponent(rows)
+    assert slope == pytest.approx(exponents(alpha, beta_degree).time_vs_length, abs=1e-7)
+
+
+def test_half_position_landmark_needs_a_nonzero_first_coordinate():
+    # from (0, 1) the level q[0] = 0 is where the motion already is
+    ic = InitialConditions(q0=[0.0, 1.0], p0=[0.0, 0.0])
+    with pytest.raises(DomainError, match=r"q0\[0\] != 0"):
+        verify_scaling(FractionalParams(1.5, 1.0), PowerLawPotential(-1.0, -1.0), ic, [2.0])
+
+
+def test_attractive_plunge_ratio_frozen():
+    rows = verify_scaling(
+        FractionalParams(1.75, 1.0), PowerLawPotential(-1.0, -1.0),
+        InitialConditions(q0=[1.0], p0=[0.0]), [2.0],
+    )
+    assert rows[0].measured_ratio == 2.6918003852645715
+
+
+@pytest.mark.parametrize(
+    "pot, p0", [(PowerLawPotential(-1.0, -1.0), 5.0), (PowerLawPotential(-1.0, 2.0), 1.0)],
+    ids=["coulomb-escape", "inverted-well"],
+)
+def test_landmark_never_reached_names_the_awaited_event(pot, p0):
+    # the motion runs away from q0/2; the open-span run fails within its
+    # step budget, naming the event it waited for
+    import time
+    import warnings
+
+    start = time.process_time()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FracmechError, match=re.escape("awaiting stop_after ('custom', 1)")):
+            verify_scaling(FractionalParams(1.5, 1.0), pot, InitialConditions(q0=[1.0], p0=[p0]), [2.0])
+    assert time.process_time() - start < 1.0
+
+
 def test_fit_needs_two_distinct_scales():
     params = FractionalParams.from_mass(1.0)
     pot = PowerLawPotential(1.0, 2.0)
@@ -263,6 +310,12 @@ def test_kepler_slope_fit():
     assert report.fitted_slope is not None
     assert report.fitted_slope == pytest.approx(2.0 - 1.0 / 1.75, abs=1e-3)
     assert report.predicted_slope == pytest.approx(2.0 - 1.0 / 1.75, rel=1e-15)
+
+
+def test_kepler_radial_periods_frozen():
+    report = fractional_kepler_check(1.6, InitialConditions(q0=[1.0, 0.0], p0=[0.0, 0.7]), [2.0])
+    assert report.base_radial_period == 4.933603243676665
+    assert report.rows[0].measured_ratio == 2.5936791092728435
 
 
 def test_kepler_single_scale_reports_no_fit():
