@@ -37,10 +37,9 @@ from .model import (
     PhaseState,
     PowerLawPotential,
     _dot,
+    _energy,
     _field,
-    _power_law,
     abs_power,
-    hamiltonian,
     require_finite,
     turning_point,
 )
@@ -255,7 +254,7 @@ def integrate(
         raise DomainError(f"stop_after needs a kind this run detects and a count >= 1, got {stop_after!r}")
     rhs = _field(params, pot, d)
 
-    e0 = hamiltonian(params, pot, PhaseState(t0, q0, p0))
+    e0 = float(_energy(params, pot, q0, p0))
     if not math.isfinite(e0):
         y0 = np.array(y)
         raise IntegrationError(f"non-finite energy {e0} at t = {t0}, y = {y0}", t=t0, y=y0)
@@ -295,10 +294,12 @@ def integrate(
 
     while not finished:
         if accepted + rejected >= cfg.max_steps:
-            raise MaxStepsExceeded(f"exceeded {cfg.max_steps} steps at t = {t}{awaiting}", t=t, y=np.array(y))
+            raise MaxStepsExceeded(f"exceeded {cfg.max_steps} steps at t = {t}, y = {np.array(y)}{awaiting}",
+                                   t=t, y=np.array(y))
         h_min = 10.0 * abs(math.ulp(t))
         if h < h_min:
-            raise StepSizeUnderflow(f"step size underflow ({h:.3e}) at t = {t}{awaiting}", t=t, y=np.array(y))
+            raise StepSizeUnderflow(f"step size underflow ({h:.3e}) at t = {t}, y = {np.array(y)}{awaiting}",
+                                    t=t, y=np.array(y))
         p_norm = math.hypot(*y[d:])
         if p_norm < p_small:
             h = min(h, cap_small_p)
@@ -376,8 +377,7 @@ def integrate(
             h *= min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
 
     arr = np.asarray(ys)
-    kinetic = _power_law(params.d_alpha, params.alpha, arr[:, d:])
-    energies = kinetic + _power_law(pot.strength, pot.degree, arr[:, :d])
+    energies = _energy(params, pot, arr[:, :d], arr[:, d:])
 
     traj = Trajectory(
         times=np.asarray(times),

@@ -89,13 +89,15 @@ def require_finite(**values) -> None:
             raise DomainError(f"{name} must be finite, got {value}")
 
 
+@np.errstate(all="ignore")
 def _power_law(scale: float, k: float, x: np.ndarray) -> np.ndarray:
     """scale |x|^k over the last axis of x: the kinetic energy d_alpha |p|^alpha
-    and the potential strength |q|^degree, whose gradients _field writes.  The
-    norm is taken as _field takes it, abs at d = 1 and hypot above, so it never
-    squares out of the float range.  Only the potential has k < 0, which raises
-    at q = 0."""
-    n = np.abs(x[..., 0]) if x.shape[-1] == 1 else np.hypot.reduce(x, axis=-1)
+    and the potential strength |q|^degree, whose gradients _field writes.  |x|
+    folds hypot over the components and never squares out of the float range; a
+    value beyond it is inf or nan, without a numpy warning.  k < 0 raises at x = 0."""
+    n = np.abs(x[..., 0])  # abs, then hypot per further component: a hypot pass costs 7x abs
+    for c in range(1, x.shape[-1]):
+        n = np.hypot(n, x[..., c])
     if k < 0.0 and np.any(n == 0.0):
         raise DomainError("potential is singular at q = 0 for negative degree")
     return scale * n**k
@@ -179,14 +181,17 @@ class PowerLawPotential:
             raise DomainError("potential degree must be nonzero")
 
     def energy(self, q) -> float:
-        """V(q) = strength * |q|^degree; singular at the origin for degree < 0."""
-        return float(_power_law(self.strength, self.degree, _vec(q, "q")))
+        """V(q) = strength * |q|^degree; a DomainError where singular or beyond the float range."""
+        v = float(_power_law(self.strength, self.degree, _vec(q, "q")))
+        if not math.isfinite(v):
+            raise DomainError(f"potential must be finite, got {v}")
+        return v
 
     def gradient(self, q) -> np.ndarray:
         """dV/dq = strength * degree * |q|^(degree-1) * q/|q|, the negated
         force; degree <= 1 has no continuous gradient at q = 0 and raises."""
         q = _vec(q, "q").tolist()
-        return -np.array(_field(_AT_REST, self, len(q))(q + [0.0] * len(q))[len(q):])
+        return -_rates(_AT_REST, self, q + [0.0] * len(q))[1]
 
     def require_oscillator(self) -> None:
         """Check the bounded-oscillator constraints strength > 0, 1 < degree <= 2."""
@@ -271,9 +276,17 @@ class InitialConditions:
         return self.q0.copy(), np.asarray(p0, dtype=float)
 
 
+def _energy(params: FractionalParams, pot: PowerLawPotential, q: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """d_alpha * |p|^alpha + V(q) over the last axis of q and p, inf or nan beyond the float range."""
+    return _power_law(params.d_alpha, params.alpha, p) + _power_law(pot.strength, pot.degree, q)
+
+
 def hamiltonian(params: FractionalParams, pot: PowerLawPotential, state: PhaseState) -> float:
-    """Total energy d_alpha * |p|^alpha + V(q); conserved along trajectories."""
-    return float(_power_law(params.d_alpha, params.alpha, _vec(state.p, "p"))) + pot.energy(state.q)
+    """Total energy d_alpha * |p|^alpha + V(q), conserved along trajectories; finite or a DomainError."""
+    e = float(_energy(params, pot, state.q, state.p))
+    if not math.isfinite(e):
+        raise DomainError(f"energy must be finite, got {e}")
+    return e
 
 
 def lagrangian(params: FractionalParams, pot: PowerLawPotential, q, qdot) -> float:
@@ -301,16 +314,17 @@ def momentum_from_velocity(params: FractionalParams, qdot) -> np.ndarray:
     return m * (v / n)
 
 
+def _rates(params: FractionalParams, pot: PowerLawPotential, y: list[float]) -> tuple[np.ndarray, np.ndarray]:
+    """(qdot, pdot) at the stacked float state y = (q, p), as arrays: _field's lists."""
+    d = len(y) // 2
+    rates = _field(params, pot, d)(y)
+    return np.array(rates[:d]), np.array(rates[d:])
+
+
 def velocity_from_momentum(params: FractionalParams, p) -> np.ndarray:
     """qdot = alpha d_alpha |p|^(alpha-1) p/|p|, extended to 0 at p = 0 (alpha > 1)."""
     p = _vec(p, "p").tolist()
-    return np.array(_field(params, _FREE, len(p))([0.0] * len(p) + p)[: len(p)])
-
-
-def phase_field(params: FractionalParams, pot: PowerLawPotential, y: list[float]) -> list[float]:
-    """(qdot, pdot) at the stacked state y = (q, p), stacked the same way:
-    the canonical equations as the integrator steps them, on plain floats."""
-    return _field(params, pot, len(y) // 2)(y)
+    return _rates(params, _FREE, [0.0] * len(p) + p)[0]
 
 
 def hamilton_rhs(
@@ -319,9 +333,7 @@ def hamilton_rhs(
     """Right-hand side (qdot, pdot) of the canonical equations of motion:
     qdot = alpha d_alpha |p|^(alpha-1) p/|p| and pdot = -dV/dq, each 0 at the
     origin of its argument; q = 0 is a domain error for degree <= 1."""
-    d = state.dimension
-    y = phase_field(params, pot, state.q.tolist() + state.p.tolist())
-    return np.array(y[:d]), np.array(y[d:])
+    return _rates(params, pot, state.q.tolist() + state.p.tolist())
 
 
 def euler_lagrange_residual(
@@ -370,22 +382,17 @@ def free_particle_trajectory(
     return q, p
 
 
-def _with_component(state: PhaseState, which: str, i: int, value: float) -> PhaseState:
-    q, p, t = state.q.copy(), state.p.copy(), state.t
-    if which == "t":
-        t = value
-    else:
-        (q if which == "q" else p)[i] = value
-    return PhaseState(t=t, q=q, p=p)
+def _partial(f: PhaseField, state: PhaseState, k: int, step: float) -> float:
+    """Central-difference partial derivative of a phase-space field in
+    coordinate k of the stacked (t, q, p), with step h = step * max(1, |x|)."""
+    y, d = [state.t, *state.q.tolist(), *state.p.tolist()], state.dimension
+    h = step * max(1.0, abs(y[k]))
 
+    def f_at(x: float) -> float:
+        z = y[:k] + [x] + y[k + 1 :]
+        return f(PhaseState(z[0], z[1 : d + 1], z[d + 1 :]))
 
-def _partial(f: PhaseField, state: PhaseState, which: str, i: int, step: float) -> float:
-    """Central-difference partial derivative of a phase-space field."""
-    x = state.t if which == "t" else float(getattr(state, which)[i])
-    h = step * max(1.0, abs(x))
-    hi = f(_with_component(state, which, i, x + h))
-    lo = f(_with_component(state, which, i, x - h))
-    return (hi - lo) / (2.0 * h)
+    return (f_at(y[k] + h) - f_at(y[k] - h)) / (2.0 * h)
 
 
 def poisson_bracket(
@@ -397,12 +404,9 @@ def poisson_bracket(
     {H, p} = -dH/dq = pdot.  Derivatives are central differences with step
     h = step * max(1, |x|) per component.
     """
-    total = 0.0
-    for i in range(state.dimension):
-        du_dp = _partial(u, state, "p", i, step)
-        dv_dq = _partial(v, state, "q", i, step)
-        du_dq = _partial(u, state, "q", i, step)
-        dv_dp = _partial(v, state, "p", i, step)
+    d, total = state.dimension, 0.0
+    for i in range(1, d + 1):  # q_i is coordinate i of the stacked (t, q, p), p_i is i + d
+        du_dq, du_dp, dv_dq, dv_dp = (_partial(g, state, k, step) for g in (u, v) for k in (i, i + d))
         total += du_dp * dv_dq - du_dq * dv_dp
     return total
 
@@ -414,10 +418,7 @@ def total_time_derivative(
     state: PhaseState,
     step: float = 1e-6,
 ) -> float:
-    """df/dt along the flow: df/dt = df/dt|_explicit + {H, f}."""
-
-    def h_field(s: PhaseState) -> float:
-        return hamiltonian(params, pot, s)
-
-    df_dt = _partial(f, state, "t", 0, step)
-    return df_dt + poisson_bracket(h_field, f, state, step)
+    """df/dt along the flow: df/dt|_explicit + {H, f}, with (qdot, pdot) in
+    {H, f} = sum_i qdot_i df/dq_i + pdot_i df/dp_i exact from the canonical equations."""
+    rates = _field(params, pot, state.dimension)(state.q.tolist() + state.p.tolist())
+    return _partial(f, state, 0, step) + sum(r * _partial(f, state, k, step) for k, r in enumerate(rates, 1))

@@ -14,7 +14,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -23,10 +23,9 @@ from .integrate import IntegratorConfig, first_event_times
 from .model import (
     FractionalParams,
     InitialConditions,
-    PhaseState,
     PowerLawPotential,
+    _energy,
     abs_power,
-    hamiltonian,
     require_finite,
 )
 from .trajectory import Trajectory
@@ -76,12 +75,6 @@ def exponents(alpha: float, beta_degree: float) -> SimilarityExponents:
     )
 
 
-def _momentum_factor(rho: float, alpha: float, beta_degree: float) -> float:
-    # velocities scale by rho^(beta - beta/alpha); through the momentum map
-    # |p| ~ |qdot|^(1/(alpha-1)) this is exactly rho^(beta/alpha)
-    return abs_power(rho, beta_degree / alpha)
-
-
 def _require_scale_factors(rho_list: Sequence[float]) -> None:
     """Raise DomainError on the first scale factor that is not finite and positive."""
     for rho in rho_list:
@@ -102,7 +95,7 @@ def scale_trajectory(
     _require_scale_factors([rho])
     exps = exponents(alpha, beta_degree)
     lam_t = abs_power(rho, exps.time_vs_length)
-    lam_p = _momentum_factor(rho, alpha, beta_degree)
+    lam_p = abs_power(rho, beta_degree / alpha)  # momentum of the velocity times rho^(beta - beta/alpha)
     lam_e = abs_power(rho, exps.energy_vs_length)
     d = traj.dimension
     stretch = np.concatenate([np.full(d, rho), np.full(d, lam_p)])
@@ -134,22 +127,30 @@ class ScalingRow:
         return cls(rho, predicted, measured, abs(measured - predicted) / predicted)
 
 
-def _scaled_ics(
-    q0: np.ndarray, p0: np.ndarray, rho: float, alpha: float, beta_degree: float
-) -> InitialConditions:
-    with np.errstate(all="ignore"):
-        q, p = q0 * rho, p0 * _momentum_factor(rho, alpha, beta_degree)
-    require_finite(scaled_q0=q, scaled_p0=p)
-    return InitialConditions(q0=q, p0=p)
+def _scaling_rows(
+    measure: Callable[[InitialConditions, float], float], q0: np.ndarray, p0: np.ndarray,
+    rho_list: Sequence[float], alpha: float, beta_degree: float,
+) -> tuple[float, list[ScalingRow]]:
+    """measure(ic, rho) of the motion from (q0, p0) and of its copy scaled by each
+    rho, launched from rho q0 with momentum rho^(beta/alpha) p0: the base time,
+    and one row per rho against the predicted ratio rho^time_vs_length."""
+    t_exp = exponents(alpha, beta_degree).time_vs_length
+    base = measure(InitialConditions(q0=q0, p0=p0), 1.0)
+    rows = []
+    for rho in rho_list:
+        predicted = abs_power(rho, t_exp)
+        with np.errstate(all="ignore"):
+            q, p = q0 * rho, p0 * abs_power(rho, beta_degree / alpha)
+        require_finite(scaled_q0=q, scaled_p0=p)
+        rows.append(ScalingRow.of(rho, predicted, measure(InitialConditions(q0=q, p0=p), rho) / base))
+    return base, rows
 
 
 def _initial_energy(
     params: FractionalParams, pot: PowerLawPotential, q0: np.ndarray, p0: np.ndarray
 ) -> float:
-    """H(q0, p0), computed under np.errstate as ``integrate`` does, so an
-    overflow is a DomainError instead of a numpy warning."""
-    with np.errstate(all="ignore"):
-        e0 = hamiltonian(params, pot, PhaseState(0.0, q0, p0))
+    """H(q0, p0), where a non-finite energy is a DomainError."""
+    e0 = float(_energy(params, pot, q0, p0))
     if not np.isfinite(e0):
         raise DomainError(f"non-finite initial energy {e0} at q0 = {q0}, p0 = {p0}")
     return e0
@@ -173,8 +174,6 @@ def verify_scaling(
     time ratio is compared to rho^(1-beta+beta/alpha).
     """
     q0, p0 = ic.resolve(params)
-    beta_degree = pot.degree
-    t_exp = exponents(params.alpha, beta_degree).time_vs_length
     if pot.strength > 0.0 and pot.degree > 1.0:
         kind, levels = "turning_point", []
     elif q0[0] == 0.0:
@@ -188,13 +187,7 @@ def verify_scaling(
 
     _require_scale_factors(rho_list)
     _initial_energy(params, pot, q0, p0)  # a non-finite energy is a DomainError
-    base_time = landmark_time(InitialConditions(q0=q0, p0=p0), 1.0)
-    rows = []
-    for rho in rho_list:
-        predicted = abs_power(rho, t_exp)
-        t_rho = landmark_time(_scaled_ics(q0, p0, rho, params.alpha, beta_degree), rho)
-        rows.append(ScalingRow.of(rho, predicted, t_rho / base_time))
-    return rows
+    return _scaling_rows(landmark_time, q0, p0, rho_list, params.alpha, pot.degree)[1]
 
 
 def fit_time_exponent(rows: Sequence[ScalingRow]) -> tuple[float, float] | None:
@@ -260,25 +253,19 @@ def fractional_kepler_check(
         raise UnsuitablePhysicsError(
             "zero angular momentum puts the orbit on a collision course"
         )
-    t_exp = 2.0 - 1.0 / alpha
 
-    def radial_period(ic: InitialConditions) -> float:
+    def radial_period(ic: InitialConditions, rho: float) -> float:
         """Time between two successive closest approaches (rising q.p zeros)."""
         peri = first_event_times(params, pot, ic, "custom", 2, cfg, radial_direction=+1)
         return peri[1] - peri[0]
 
-    base_T = radial_period(InitialConditions(q0=q0, p0=p0))
-    rows = []
-    for rho in rho_list:
-        predicted = abs_power(rho, t_exp)
-        T_rho = radial_period(_scaled_ics(q0, p0, rho, alpha, -1.0))
-        rows.append(ScalingRow.of(rho, predicted, T_rho / base_T))
+    base_T, rows = _scaling_rows(radial_period, q0, p0, rho_list, alpha, -1.0)
     fit = fit_time_exponent(rows)
     slope, resid = fit if fit is not None else (None, None)
     return KeplerReport(
         rows=tuple(rows),
         base_radial_period=base_T,
-        predicted_slope=t_exp,
+        predicted_slope=exponents(alpha, -1.0).time_vs_length,
         fitted_slope=slope,
         fit_residual=resid,
     )

@@ -246,6 +246,18 @@ def test_simulate_overflow_names_the_non_finite_state(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+def test_simulate_step_budget_names_the_state(tmp_path, capsys):
+    import fracmech.cli as cli
+
+    out = tmp_path / "t.csv"
+    argv = ["simulate", "--alpha", "2", "--mass", "1", "--g2", "1", "--beta", "2",
+            "--q0", "1", "--p0", "0", "--t1", "100", "--max-steps", "5", "--out", str(out)]
+    assert cli.main(argv) == 3
+    err = capsys.readouterr().err
+    assert "exceeded 5 steps at t = " in err and ", y = [" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("command", ["period", "kepler"])
 @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
 def test_check_tolerance_must_be_finite_and_non_negative(tmp_path, command, tol):

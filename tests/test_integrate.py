@@ -21,13 +21,14 @@ from fracmech import (
     MaxStepsExceeded,
     OscillatorSpec,
     PowerLawPotential,
+    StepSizeUnderflow,
     hamiltonian,
     integrate,
     measure_period,
     period,
 )
 from fracmech.integrate import first_event_times
-from fracmech.model import PhaseState, hamilton_rhs, phase_field
+from fracmech.model import PhaseState, _field, hamilton_rhs
 
 M1 = FractionalParams.from_mass(1.0)
 OSC = PowerLawPotential(1.0, 2.0)
@@ -273,6 +274,20 @@ def test_max_steps_guard():
     assert err.value.t is not None  # failure reports where it stopped
 
 
+@pytest.mark.parametrize("t1, awaiting", [(1e7, ""), (math.inf, ", awaiting stop_after ('turning_point', 3)")])
+def test_failed_step_names_the_state(t1, awaiting):
+    # t and y, as in the non-finite-step message, with the awaited event last
+    stop_after = ("turning_point", 3) if awaiting else None
+    with pytest.raises(MaxStepsExceeded) as err:
+        integrate(M1, OSC, HARMONIC_IC, (0.0, t1), IntegratorConfig(max_steps=5), stop_after=stop_after)
+    assert str(err.value) == f"exceeded 5 steps at t = {err.value.t}, y = {err.value.y}{awaiting}"
+    # one ulp of t = 1e6 is 1.2e-10, so a first step of 1e-12 underflows at once
+    far = IntegratorConfig(initial_step=1e-12)
+    with pytest.raises(StepSizeUnderflow) as err:
+        integrate(M1, OSC, HARMONIC_IC, (1e6, t1), far, stop_after=stop_after)
+    assert str(err.value) == f"step size underflow (1.000e-12) at t = 1000000.0, y = [1. 0.]{awaiting}"
+
+
 def test_tolerance_refinement_reduces_error():
     params = FractionalParams(1.7, 1.0)
     pot = PowerLawPotential(1.0, 1.7)
@@ -350,7 +365,7 @@ def test_phase_field_is_hamilton_rhs_bitwise(d):
         for _ in range(20):
             q, p = rng.normal(size=d), rng.normal(size=d)
             qdot, pdot = hamilton_rhs(params, pot, PhaseState(0.0, q, p))
-            assert phase_field(params, pot, [*q, *p]) == [*qdot, *pdot]
+            assert _field(params, pot, d)([*q, *p]) == [*qdot, *pdot]
 
 
 # one bounded fractional orbit per dimension: (params, potential, q0, p0, t1)

@@ -33,7 +33,7 @@ from fracmech import (
     turning_point,
     velocity_from_momentum,
 )
-from fracmech.model import phase_field
+from fracmech.model import _field
 
 ALPHAS = st.floats(min_value=1.05, max_value=2.0)
 SCALES = st.floats(min_value=0.1, max_value=10.0)
@@ -41,6 +41,11 @@ SCALES = st.floats(min_value=0.1, max_value=10.0)
 
 def state(q, p, t=0.0):
     return PhaseState(t=t, q=np.atleast_1d(np.asarray(q, float)), p=np.atleast_1d(np.asarray(p, float)))
+
+
+def phase_field(params, pot, y):
+    """The canonical equations at the stacked float state y = (q, p), as the integrator steps them."""
+    return _field(params, pot, len(y) // 2)(y)
 
 
 # ------------------------------------------------------------- primitives
@@ -127,6 +132,23 @@ def test_hamiltonian_singular_at_origin_for_negative_degree():
     grav = PowerLawPotential(-1.0, -1.0)
     with pytest.raises(DomainError):
         hamiltonian(p, grav, state(0.0, 1.0))
+
+
+def test_energy_beyond_the_float_range_is_domain_error_without_warning():
+    # |q|^2 = 1e320 and |p|^1.5 = 1e375 overflow; the norms themselves do not
+    import warnings
+
+    params, pot = FractionalParams(1.5, 1.0), PowerLawPotential(1.0, 2.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="must be finite, got inf"):
+            hamiltonian(params, pot, state([1e160], [0.0]))
+        with pytest.raises(DomainError, match="must be finite, got inf"):
+            lagrangian(params, pot, [1e160], [0.0])
+        with pytest.raises(DomainError, match="must be finite, got inf"):
+            pot.energy([1e160])
+        with pytest.raises(DomainError, match="must be finite, got inf"):
+            hamiltonian(params, pot, state([0.0], [1e250]))
 
 
 def test_energy_norms_do_not_square_out_of_range():
@@ -331,6 +353,26 @@ def test_poisson_bracket_hamiltonian_gives_velocity():
     q_field = lambda st_: float(st_.q[0])
     # {H, q} = dH/dp = qdot = 1.5 * sqrt(2)
     assert poisson_bracket(h_field, q_field, s) == pytest.approx(2.1213203435596426, rel=1e-9)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_poisson_bracket_canonical_pairs_in_the_plane_and_space(d):
+    # {q_i, p_j} = -delta_ij in this sign convention
+    s = state([0.7, -0.4, 1.3][:d], [-0.2, 0.9, 0.5][:d])
+    for i in range(d):
+        for j in range(d):
+            got = poisson_bracket(lambda x: float(x.q[i]), lambda x: float(x.p[j]), s)
+            assert got == pytest.approx(-1.0 if i == j else 0.0, rel=1e-9, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "q, p", [([0.9, -0.4], [0.3, 0.7]), ([0.9, -0.4, 0.2], [0.3, 0.7, -0.5])], ids=["d2", "d3"]
+)
+def test_total_time_derivative_conserves_angular_momentum(q, p):
+    # a central potential exerts no torque: d(q1 p2 - q2 p1)/dt = 0
+    params, pot = FractionalParams(1.6, 0.8), PowerLawPotential(-1.0, -1.0)
+    planar = lambda x: float(x.q[0] * x.p[1] - x.q[1] * x.p[0])
+    assert total_time_derivative(planar, params, pot, state(q, p)) == pytest.approx(0.0, abs=1e-8)
 
 
 def test_total_time_derivative_conserves_energy():
