@@ -9,115 +9,21 @@ semiclassical levels), and verifies mechanical-similarity scaling laws
 including the orbital generalization of Kepler's third law.
 """
 
-from .errors import (
-    DomainError,
-    FracmechError,
-    IntegrationError,
-    MaxStepsExceeded,
-    StepSizeUnderflow,
-    ToleranceWarning,
-    UnsuitablePhysicsError,
-)
-from .integrate import EventRecord, IntegratorConfig, integrate, measure_period
-from .model import (
-    FractionalParams,
-    InitialConditions,
-    PhaseState,
-    PowerLawPotential,
-    abs_power,
-    euler_lagrange_residual,
-    free_particle_trajectory,
-    hamilton_rhs,
-    hamiltonian,
-    lagrangian,
-    momentum_from_velocity,
-    poisson_bracket,
-    total_time_derivative,
-    turning_point,
-    velocity_from_momentum,
-)
-from .oscillator import (
-    OscillatorSpec,
-    PeriodReport,
-    classical_limit_solution,
-    hj_position,
-    hj_time_of_flight,
-    hj_trajectory,
-    period,
-    period_quadrature,
-    period_report,
-    quantum_levels,
-)
-from .similarity import (
-    KeplerReport,
-    ScalingRow,
-    SimilarityExponents,
-    exponents,
-    fit_time_exponent,
-    fractional_kepler_check,
-    kepler_gamma,
-    scale_trajectory,
-    verify_scaling,
-)
-from .specfun import BetaArgs, beta, hyp2f1, inc_beta, inv_inc_beta, ln_gamma
-from .trajectory import DenseSegment, Trajectory, action
+import sys as _sys
+
+from .errors import *
+from .model import *
+from .trajectory import *
+from .specfun import *
+from .integrate import *
+from .oscillator import *
+from .similarity import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    "FracmechError",
-    "DomainError",
-    "IntegrationError",
-    "StepSizeUnderflow",
-    "MaxStepsExceeded",
-    "UnsuitablePhysicsError",
-    "ToleranceWarning",
-    "FractionalParams",
-    "PowerLawPotential",
-    "PhaseState",
-    "InitialConditions",
-    "abs_power",
-    "hamiltonian",
-    "lagrangian",
-    "momentum_from_velocity",
-    "velocity_from_momentum",
-    "hamilton_rhs",
-    "euler_lagrange_residual",
-    "turning_point",
-    "free_particle_trajectory",
-    "poisson_bracket",
-    "total_time_derivative",
-    "DenseSegment",
-    "Trajectory",
-    "action",
-    "BetaArgs",
-    "ln_gamma",
-    "beta",
-    "inc_beta",
-    "inv_inc_beta",
-    "hyp2f1",
-    "IntegratorConfig",
-    "EventRecord",
-    "integrate",
-    "measure_period",
-    "OscillatorSpec",
-    "PeriodReport",
-    "period",
-    "period_quadrature",
-    "period_report",
-    "hj_time_of_flight",
-    "hj_position",
-    "hj_trajectory",
-    "quantum_levels",
-    "classical_limit_solution",
-    "SimilarityExponents",
-    "ScalingRow",
-    "KeplerReport",
-    "exponents",
-    "scale_trajectory",
-    "verify_scaling",
-    "fractional_kepler_check",
-    "kepler_gamma",
-    "fit_time_exponent",
+# The package surface is the union of the layer lists, in the import order above.
+__all__ = ["__version__"] + [
+    name
+    for layer in ("errors", "model", "trajectory", "specfun", "integrate", "oscillator", "similarity")
+    for name in _sys.modules[f"{__name__}.{layer}"].__all__
 ]

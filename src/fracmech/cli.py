@@ -251,9 +251,9 @@ def cmd_hj(args, cfg: IntegratorConfig):
 
 
 def _sweep_point(task) -> tuple[float, ...]:
-    alpha, beta, energy, d_alpha, g2, cfg = task
-    r = period_report(OscillatorSpec.from_exponents(alpha, beta, d_alpha, g2, energy), cfg)
-    return (alpha, beta, energy, r.closed_form, r.quadrature, r.ode_measured,
+    spec, cfg = task
+    r = period_report(spec, cfg)
+    return (spec.alpha, spec.beta, spec.energy, r.closed_form, r.quadrature, r.ode_measured,
             r.max_pairwise_rel_diff)
 
 
@@ -261,16 +261,10 @@ def cmd_sweep(args, cfg: IntegratorConfig):
     """Period grid over exponents and energies."""
     if args.jobs < 1:
         raise DomainError(f"--jobs must be at least 1, got {args.jobs}")
-    for name, values in (("alpha", args.alphas), ("beta", args.betas)):
-        for v in values:
-            if not 1.0 < v <= 2.0:
-                raise DomainError(f"sweep {name} {v} outside (1, 2]")
-    for e in args.energies:
-        if not e > 0.0:
-            raise DomainError(f"sweep energy {e} must be positive")
     # sorted in place, so the grid and the manifest echo read the same lists
     args.alphas, args.betas, args.energies = map(sorted, (args.alphas, args.betas, args.energies))
-    tasks = [(a, b, e, args.d_alpha, args.g2, cfg)
+    # every grid point is checked here, by its OscillatorSpec, before any point runs
+    tasks = [(OscillatorSpec.from_exponents(a, b, args.d_alpha, args.g2, e), cfg)
              for a in args.alphas for b in args.betas for e in args.energies]
     if args.jobs > 1:
         workers = min(args.jobs, len(tasks), os.cpu_count() or 1)

@@ -1,5 +1,15 @@
 """Exception hierarchy shared across the package."""
 
+__all__ = [
+    "FracmechError",
+    "DomainError",
+    "IntegrationError",
+    "StepSizeUnderflow",
+    "MaxStepsExceeded",
+    "UnsuitablePhysicsError",
+    "ToleranceWarning",
+]
+
 
 class FracmechError(Exception):
     """Base class for all package-specific errors."""

@@ -298,7 +298,9 @@ def lagrangian(params: FractionalParams, pot: PowerLawPotential, q, qdot) -> flo
     a, d = params.alpha, params.d_alpha
     n = math.hypot(*_vec(qdot, "qdot").tolist())
     coeff = abs_power(1.0 / (a * d), 1.0 / (a - 1.0)) * (a - 1.0) / a
-    return coeff * abs_power(n, a / (a - 1.0)) - pot.energy(q)
+    kinetic = coeff * abs_power(n, a / (a - 1.0))
+    require_finite(kinetic=kinetic)
+    return kinetic - pot.energy(q)
 
 
 def momentum_from_velocity(params: FractionalParams, qdot) -> np.ndarray:

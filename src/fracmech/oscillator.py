@@ -76,9 +76,8 @@ class OscillatorSpec:
     def time_scale(self) -> float:
         """Prefactor E^(1/alpha + 1/beta - 1) / (alpha beta d^(1/alpha) g2^(1/beta)).
 
-        The quarter period is this times the complete Beta function
-        B(1/beta, 1/alpha); the time of flight to q is this times the
-        incomplete Beta at x = g2 q^beta / E.
+        The time of flight to q is this times the incomplete Beta function
+        at x = g2 q^beta / E; at the turning point it is the quarter period.
         """
         a, b = self.alpha, self.beta
         return abs_power(self.energy, 1.0 / a + 1.0 / b - 1.0) / (
@@ -88,10 +87,15 @@ class OscillatorSpec:
             * abs_power(self.pot.strength, 1.0 / b)
         )
 
+    @property
+    def quarter_period(self) -> float:
+        """Time from the origin to the turning point: time_scale * B(1/beta, 1/alpha)."""
+        return self.time_scale * beta_fn(1.0 / self.beta, 1.0 / self.alpha)
+
 
 def period(spec: OscillatorSpec) -> float:
-    """Closed-form oscillation period T = 4 * time_scale * B(1/beta, 1/alpha)."""
-    return 4.0 * spec.time_scale * beta_fn(1.0 / spec.beta, 1.0 / spec.alpha)
+    """Closed-form oscillation period T = 4 * spec.quarter_period."""
+    return 4.0 * spec.quarter_period
 
 
 def _beta_integral_quad(a: float, b: float) -> float:
@@ -189,7 +193,7 @@ def hj_position(spec: OscillatorSpec, t: float) -> float:
     Defined for t in [0, T/4]; uses the inverse incomplete Beta, so the
     roundtrip with :func:`hj_time_of_flight` is exact to solver tolerance.
     """
-    quarter = spec.time_scale * beta_fn(1.0 / spec.beta, 1.0 / spec.alpha)
+    quarter = spec.quarter_period
     if not 0.0 <= t <= quarter * (1.0 + 1e-12):
         raise DomainError(f"time {t} outside the quarter period [0, {quarter}]")
     target = min(t, quarter) / spec.time_scale

@@ -9,13 +9,34 @@ import pytest
 
 import fracmech
 
-LAYERS = ("specfun", "model", "integrate", "trajectory", "oscillator", "similarity", "cli")
+# the package re-exports these layers, in this order; cli stands apart
+PACKAGE_LAYERS = ("errors", "model", "trajectory", "specfun", "integrate", "oscillator", "similarity")
+LAYERS = (*PACKAGE_LAYERS, "cli")
+
+
+def _exports(layer):
+    return importlib.import_module(f"fracmech.{layer}").__all__
 
 
 def test_every_package_export_resolves():
     missing = [name for name in fracmech.__all__ if not hasattr(fracmech, name)]
     assert missing == []
     assert len(set(fracmech.__all__)) == len(fracmech.__all__)
+
+
+def test_package_surface_is_the_layer_lists_in_order():
+    assert fracmech.__all__ == ["__version__", *(n for layer in PACKAGE_LAYERS for n in _exports(layer))]
+    assert callable(fracmech.integrate) and fracmech.integrate.__module__ == "fracmech.integrate"
+
+
+def test_no_name_is_exported_by_two_layers():
+    # the package star-imports every layer, so a second exporter would
+    # silently shadow the first
+    owners = {}
+    for layer in LAYERS:
+        for name in _exports(layer):
+            owners.setdefault(name, []).append(layer)
+    assert {name: ls for name, ls in owners.items() if len(ls) > 1} == {}
 
 
 @pytest.mark.parametrize("layer", LAYERS)

@@ -429,12 +429,24 @@ def test_sweep_single_point(tmp_path):
 
 
 def test_sweep_rejects_alpha_at_interval_edge(tmp_path):
-    proc = run_cli(
-        "sweep", "--alphas", "1.0,1.5", "--betas", "1.5", "--energies", "1.0",
-        cwd=tmp_path,
-    )
-    assert proc.returncode == 2
-    assert "alpha" in proc.stderr
+    # and every other point outside the oscillator domain: each grid point is
+    # checked before any runs, so no worker starts and no CSV is written
+    cases = [
+        ("--alphas", "1.0,1.5", "alpha"),
+        ("--betas", "1.5,2.5", "degree"),
+        ("--energies", "1.0,0.0", "energy"),
+        ("--g2", "0", "strength"),
+    ]
+    for flag, value, word in cases:
+        for jobs in ("1", "2"):
+            grid = {"--alphas": "1.5", "--betas": "1.5", "--energies": "1.0", flag: value}
+            argv = [tok for item in grid.items() for tok in item]
+            cwd = tmp_path / f"{flag[2:]}-{jobs}"
+            cwd.mkdir()
+            proc = run_cli("sweep", *argv, "--jobs", jobs, cwd=cwd)
+            assert proc.returncode == 2, (flag, jobs, proc.stderr)
+            assert word in proc.stderr
+            assert list(cwd.iterdir()) == []
 
 
 def test_sweep_workers_do_not_change_bytes(tmp_path):

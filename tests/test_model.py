@@ -504,6 +504,16 @@ def test_momentum_beyond_the_float_range_is_domain_error_without_warning():
             momentum_from_velocity(FractionalParams(1.5, 1e-3), [1e152])
 
 
+def test_lagrangian_kinetic_beyond_the_float_range_is_domain_error_without_warning():
+    # coeff is about 1.5e5 and |qdot|^3 is 2.7e304, both finite, but not their product
+    import warnings
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="kinetic must be finite, got inf"):
+            lagrangian(FractionalParams(1.5, 1e-3), PowerLawPotential(1.0, 2.0), [0.0], [3e101])
+
+
 # ------------------------------------------------------ the bound vector field
 
 
