@@ -8,13 +8,10 @@ p = 0 for alpha < 2; the error estimate shrinks steps through turning
 points on its own, and a hard step cap applies while |p| is tiny so no
 single step can jump far past a turning point.
 
-Events are sign crossings of functions held as data (a component of the
-state minus a level, or the radial flux q.p): momentum components
-(turning points), position components (origin crossings), optional
-position-level crossings, and the optional q.p whose rising zeros mark
-closest approach on orbits.  Each crossing is located by bisection in
-the step's own theta in [0, 1] on its dense-output quartic, so the work
-is bounded however far the span lies from t = 0.
+Events are sign crossings of functions held as data, one row per function
+(see _event_rows).  Each crossing is located by bisection in the step's own
+theta in [0, 1] on its quartic, so the work is bounded however far the span
+lies from t = 0.
 
 A step runs on plain floats, in lists of 2d values: at d <= 3 a numpy
 temporary costs more than its arithmetic.  Only the error estimate and the
@@ -45,7 +42,7 @@ from .model import (
 )
 from .trajectory import DenseSegment, Trajectory
 
-__all__ = ["IntegratorConfig", "EventRecord", "integrate", "measure_period"]
+__all__ = ["IntegratorConfig", "EventRecord", "integrate"]
 
 
 @dataclass(frozen=True)
@@ -137,60 +134,45 @@ def _initial_step(
     return min(100.0 * h0, h1, span)
 
 
-@dataclass(frozen=True)
-class _Events:
-    """The event functions of one run as data: row r is y[index[r]] - level[r],
-    and with ``radial`` a last row is the radial flux q.p.  Each row has a
-    kind label, a component (None for q.p) and a direction: +1 counts
-    rising zeros only, -1 falling only, 0 both."""
+def _event_rows(d: int, q_levels: Sequence[tuple[int, float]], radial_direction: int | None) -> list[tuple]:
+    """The event functions of a run, one row (kind, component, index, level,
+    direction) each: turning points (p_j = 0), origin crossings (q_j = 0),
+    the level crossings q[c] = level, and optionally the zeros of q.p.  A
+    row's value is y[index] - level, or q.p where index is None; direction
+    +1 counts rising zeros only, -1 falling only, 0 both."""
+    rows = [("turning_point", j, d + j, 0.0, 0) for j in range(d)]
+    rows += [("origin_crossing", j, j, 0.0, 0) for j in range(d)]
+    for comp, level in q_levels:
+        if not 0 <= int(comp) < d:
+            raise DomainError(f"level-crossing component {comp} outside dimension {d}")
+        rows.append(("custom", int(comp), int(comp), float(level), 0))
+    if radial_direction is not None:
+        rows.append(("custom", None, None, 0.0, int(radial_direction)))
+    return rows
 
-    index: tuple[int, ...]
-    level: tuple[float, ...]
-    radial: bool
-    kinds: tuple[str, ...]
-    components: tuple[int | None, ...]
-    directions: tuple[int, ...]
 
-    @classmethod
-    def of(cls, d: int, q_levels: Sequence[tuple[int, float]], radial_direction: int | None):
-        """Turning points (p_j = 0), origin crossings (q_j = 0), the level
-        crossings q[c] = level, and optionally the zeros of q.p."""
-        level_comps, levels = [int(c) for c, _ in q_levels], [float(v) for _, v in q_levels]
-        for comp in level_comps:
-            if not 0 <= comp < d:
-                raise DomainError(f"level-crossing component {comp} outside dimension {d}")
-        radial = [] if radial_direction is None else [int(radial_direction)]
-        return cls(
-            index=(*range(d, 2 * d), *range(d), *level_comps),
-            level=(0.0,) * (2 * d) + tuple(levels),
-            radial=bool(radial),
-            kinds=("turning_point",) * d + ("origin_crossing",) * d
-            + ("custom",) * (len(level_comps) + len(radial)),
-            components=(*range(d), *range(d), *level_comps, *[None] * len(radial)),
-            directions=(0,) * (2 * d + len(level_comps)) + tuple(radial),
-        )
+def _value(row: tuple, y: list[float]) -> float:
+    _, _, index, level, _ = row
+    if index is None:
+        d = len(y) // 2
+        return _dot(y[:d], y[d:])
+    return y[index] - level
 
-    def values(self, y: list[float]) -> list[float]:
-        g = [y[i] - v for i, v in zip(self.index, self.level)]
-        if self.radial:
-            d = len(y) // 2
-            g.append(_dot(y[:d], y[d:]))
-        return g
 
-    def crossed(self, g_old: list[float], g_new: list[float]) -> list[int]:
-        """Rows whose sign change over a step is a counted zero; a row that
-        starts exactly at zero is departing an event, not crossing one."""
-        return [
-            r
-            for r, (a, b, way) in enumerate(zip(g_old, g_new, self.directions))
-            if (a < 0.0 <= b and way >= 0) or (a > 0.0 >= b and way <= 0)
-        ]
+def _crossed(rows: list[tuple], g_old: list[float], g_new: list[float]) -> list[int]:
+    """Rows whose sign change over a step is a counted zero; a row that
+    starts exactly at zero is departing an event, not crossing one."""
+    return [
+        r
+        for r, (a, b, (_, _, _, _, way)) in enumerate(zip(g_old, g_new, rows))
+        if (a < 0.0 <= b and way >= 0) or (a > 0.0 >= b and way <= 0)
+    ]
 
 
 _MAX_HALVINGS = 60  # exhausts a double's 53-bit mantissa with room to spare
 
 
-def _locate(events: _Events, row: int, seg: DenseSegment, g_lo: float, event_tol: float) -> float:
+def _locate(row: tuple, seg: DenseSegment, g_lo: float, event_tol: float) -> float:
     """Bisection in theta on the step's quartic for the zero of one event
     row; stops once the bracket spans at most event_tol in time, or after
     _MAX_HALVINGS halvings.  Returns theta in [0, 1]."""
@@ -200,7 +182,7 @@ def _locate(events: _Events, row: int, seg: DenseSegment, g_lo: float, event_tol
         if (hi - lo) * seg.width <= event_tol:
             break
         mid = 0.5 * (lo + hi)
-        gm = events.values(seg.at(mid).tolist())[row]
+        gm = _value(row, seg.at(mid).tolist())
         if gm == 0.0:
             return mid
         if (gm < 0.0) == neg:
@@ -227,10 +209,9 @@ def integrate(
     """Integrate the canonical equations over span = (t0, t1), t1 > t0.
 
     Returns the trajectory (a sample per accepted step with dense output)
-    and the chronological list of located events.  ``q_levels`` adds
-    crossings of q[component] through a level as kind "custom";
-    ``radial_direction`` adds zeros of q.p (+1 rising only, -1 falling
-    only, 0 both).  ``stop_after=(kind, n)`` truncates the run at the
+    and the chronological list of located events.  ``q_levels`` (component,
+    level) pairs and ``radial_direction`` add "custom" rows (see
+    _event_rows).  ``stop_after=(kind, n)`` truncates the run at the
     n-th event of that kind; a kind the run does not detect, or n < 1, is
     a DomainError.  Given ``stop_after``, the span may be open, t1 = inf:
     the run ends on that event within one ``max_steps`` budget.  A
@@ -248,9 +229,9 @@ def integrate(
     q0, p0 = ic.resolve(params)
     d = q0.size
     y = q0.tolist() + p0.tolist()
-    scan = _Events.of(d, q_levels, radial_direction)
-    stops = [stop_after is not None and k == stop_after[0] for k in scan.kinds]
-    if stop_after is not None and not (any(stops) and stop_after[1] >= 1):
+    rows = _event_rows(d, q_levels, radial_direction)
+    stop_kind, stop_n = stop_after or (None, 0)
+    if stop_after is not None and not (stop_n >= 1 and any(row[0] == stop_kind for row in rows)):
         raise DomainError(f"stop_after needs a kind this run detects and a count >= 1, got {stop_after!r}")
     rhs = _field(params, pot, d)
 
@@ -289,7 +270,7 @@ def integrate(
     except ZeroDivisionError:  # a zero error scale or a non-finite field; the first step reports it
         h = math.nan
     t = t0
-    g_old = scan.values(y)
+    g_old = [_value(row, y) for row in rows]
     finished = False
 
     while not finished:
@@ -347,20 +328,20 @@ def integrate(
         coef = K.T @ _DENSE
 
         # locate the sign crossings of the event functions on this step
-        g_new = scan.values(y_new)
-        hit_rows = scan.crossed(g_old, g_new)
+        g_new = [_value(row, y_new) for row in rows]
+        hit_rows = _crossed(rows, g_old, g_new)
         if hit_rows:
             seg = DenseSegment(t, h, np.array(y), coef)
             hits = sorted(
-                (_locate(scan, r, seg, g_old[r], cfg.event_tol), r) for r in hit_rows
+                (_locate(rows[r], seg, g_old[r], cfg.event_tol), r) for r in hit_rows
             )
             for theta, r in hits:
                 t_ev, y_ev = t + theta * h, seg.at(theta)
-                state = PhaseState(t_ev, y_ev[:d], y_ev[d:])
-                events.append(EventRecord(scan.kinds[r], t_ev, state, scan.components[r]))
-                if stops[r]:
+                kind, comp = rows[r][:2]
+                events.append(EventRecord(kind, t_ev, PhaseState._of_row(t_ev, y_ev), comp))
+                if kind == stop_kind:
                     stop_count += 1
-                    if stop_count >= stop_after[1]:
+                    if stop_count >= stop_n:
                         finished = True
                         if t_ev > t:  # the run ends on the event, not past it
                             t_new, y_new = t_ev, y_ev.tolist()
@@ -390,28 +371,6 @@ def integrate(
         rejected_steps=rejected,
     )
     return traj, events
-
-
-def measure_period(
-    params: FractionalParams,
-    pot: PowerLawPotential,
-    energy: float,
-    cfg: IntegratorConfig | None = None,
-) -> float:
-    """Oscillation period measured from the integrated motion.
-
-    Launches from the turning point (q = q_turn, p = 0) and integrates,
-    over an open span, until the fourth momentum zero crossing; successive
-    crossings sit half a period apart, so the gap between the second and
-    the fourth is one full cycle, with both endpoints event-located so
-    start-up effects cancel.
-    """
-    from .oscillator import OscillatorSpec  # oscillator imports this module
-
-    spec = OscillatorSpec(params, pot, energy)  # validates the oscillator
-    ic = InitialConditions(q0=np.array([spec.q_turn]), p0=np.array([0.0]))
-    turning = first_event_times(params, pot, ic, "turning_point", 4, cfg)
-    return turning[3] - turning[1]
 
 
 def first_event_times(

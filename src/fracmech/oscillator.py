@@ -16,8 +16,9 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError, IntegrationError
-from .integrate import IntegratorConfig, measure_period
-from .model import FractionalParams, PowerLawPotential, abs_power, require_finite, turning_point
+from .integrate import IntegratorConfig, first_event_times
+from .model import FractionalParams, InitialConditions, PowerLawPotential, abs_power, require_finite
+from .model import turning_point
 from .specfun import inc_beta, inv_inc_beta
 from .specfun import beta as beta_fn
 
@@ -26,6 +27,7 @@ __all__ = [
     "PeriodReport",
     "period",
     "period_quadrature",
+    "measure_period",
     "period_report",
     "hj_time_of_flight",
     "hj_position",
@@ -139,6 +141,22 @@ def period_quadrature(spec: OscillatorSpec) -> float:
     oracles.
     """
     return 4.0 * spec.time_scale * _beta_integral_quad(1.0 / spec.beta, 1.0 / spec.alpha)
+
+
+def measure_period(
+    params: FractionalParams,
+    pot: PowerLawPotential,
+    energy: float,
+    cfg: IntegratorConfig | None = None,
+) -> float:
+    """Period measured from the integrated motion: one open-span run from the
+    turning point (q_turn, p = 0) to the fourth momentum zero.  The second
+    and fourth zeros sit one cycle apart, both event-located, so start-up
+    effects cancel."""
+    spec = OscillatorSpec(params, pot, energy)  # validates the oscillator
+    ic = InitialConditions(q0=[spec.q_turn], p0=[0.0])
+    turning = first_event_times(params, pot, ic, "turning_point", 4, cfg)
+    return turning[3] - turning[1]
 
 
 @dataclass(frozen=True)

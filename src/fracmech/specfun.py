@@ -130,8 +130,9 @@ def inv_inc_beta(a: float, b: float, target: float) -> float:
     Bracketed bisection refined by safeguarded Newton steps with
     derivative x^(a-1) (1-x)^(b-1); bisection guarantees convergence even
     though the derivative is unbounded at the endpoints when a < 1 or
-    b < 1.  The result satisfies |B_x - target| < 1e-12 * B(a, b); when
-    200 iterations do not get there, DomainError names the residual.
+    b < 1.  A target above B/2 is solved as B_(1-x)(b, a) = B - target, where
+    doubles resolve the root; |residual| <= 1e-13 * B on the side solved, or
+    after 200 iterations DomainError names the residual.
     """
     total = beta(a, b)
     if not 0.0 <= target <= total * (1.0 + 1e-12):
@@ -142,6 +143,8 @@ def inv_inc_beta(a: float, b: float, target: float) -> float:
         return 0.0
     if target >= total:
         return 1.0
+    if target > 0.5 * total:
+        return 1.0 - inv_inc_beta(b, a, total - target)
 
     lo, hi = 0.0, 1.0
     x = min(max(target / total, 1e-12), 1.0 - 1e-12)

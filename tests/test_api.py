@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import importlib
 import inspect
 
@@ -12,6 +13,9 @@ import fracmech
 # the package re-exports these layers, in this order; cli stands apart
 PACKAGE_LAYERS = ("errors", "model", "trajectory", "specfun", "integrate", "oscillator", "similarity")
 LAYERS = (*PACKAGE_LAYERS, "cli")
+# the rank of what a relative import names; the package itself
+# (``from . import __version__``) stands after every package layer
+RANK = {**{layer: i for i, layer in enumerate(LAYERS)}, "": len(PACKAGE_LAYERS) - 1}
 
 
 def _exports(layer):
@@ -48,3 +52,20 @@ def test_layer_exports_are_defined_in_their_layer(layer):
         obj = getattr(mod, name)
         if inspect.isfunction(obj):
             assert obj.__module__ == mod.__name__, name
+
+
+def _relative_imports(layer):
+    """(line, name) of each relative import in a layer module, at any depth;
+    ``from . import x`` names x when x is a layer, else the package ("")."""
+    tree = ast.parse(inspect.getsource(importlib.import_module(f"fracmech.{layer}")))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            for name in [node.module] if node.module else [a.name for a in node.names]:
+                yield node.lineno, name if name in RANK else ""
+
+
+@pytest.mark.parametrize("layer", LAYERS)
+def test_layers_import_only_earlier_layers(layer):
+    # an import of this layer or a later one, even inside a function, is a cycle
+    late = [(line, name) for line, name in _relative_imports(layer) if RANK[name] >= RANK[layer]]
+    assert late == []

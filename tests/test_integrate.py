@@ -248,6 +248,33 @@ def test_radial_flux_rising_zeros_mark_closest_approach():
             assert float(np.linalg.norm(s.q)) >= r_here - 1e-9
 
 
+@pytest.mark.parametrize("v", [0.8, 1.1])
+def test_radial_direction_zero_counts_both_ways(v):
+    # the zeros of q.p with direction 0 are the rising (+1) and the falling
+    # (-1) ones merged in time order; every other event is the same in all three
+    grav = PowerLawPotential(-1.0, -1.0)
+    params = FractionalParams(1.7, 0.5)
+    ic = InitialConditions(q0=np.array([1.0, 0.0]), p0=np.array([0.0, v]))
+    runs = {way: integrate(params, grav, ic, (0.0, 16.0), radial_direction=way)[1] for way in (-1, 0, 1)}
+
+    def custom(events):
+        return [(ev.time, ev.state.q.tobytes()) for ev in events if ev.kind == "custom"]
+
+    rising, falling = custom(runs[1]), custom(runs[-1])
+    assert rising and falling
+    assert custom(runs[0]) == sorted(rising + falling)
+    assert all(ev.component is None for ev in runs[0] if ev.kind == "custom")
+    others = [[(ev.kind, ev.time) for ev in evs if ev.kind != "custom"] for evs in runs.values()]
+    assert others[0] == others[1] == others[2]
+
+
+@pytest.mark.parametrize("comp", [-1, 2])
+def test_level_component_outside_the_dimension_is_domain_error(comp):
+    ic = InitialConditions(q0=np.array([1.0, 0.0]), p0=np.array([0.0, 0.5]))
+    with pytest.raises(DomainError, match=f"component {comp} outside dimension 2"):
+        integrate(M1, OSC, ic, (0.0, 1.0), q_levels=[(comp, 0.5)])
+
+
 def test_stop_after_truncates_at_event():
     ic = InitialConditions(q0=np.array([1.0]), p0=np.array([0.0]))
     traj, events = integrate(

@@ -182,6 +182,17 @@ def test_position_domain():
         hj_position(HARMONIC, period(HARMONIC) / 4.0 + 1e-3)
 
 
+def test_position_just_short_of_the_turning_point():
+    # 1/alpha < 1 puts the Beta root near x = 1, where these times used to
+    # raise a non-convergence DomainError or a raw ValueError
+    spec = OscillatorSpec.from_exponents(1.897431663748042, 1.3081781927697052, energy=2.6491260314565186)
+    for t in (1.2097343113637042, spec.quarter_period * (1.0 - 1e-9)):
+        q = hj_position(spec, t)
+        assert 0.0 < q <= spec.q_turn
+        assert q == pytest.approx(spec.q_turn, rel=1e-9)
+    assert hj_trajectory(spec, 4.687791094944384, 6.2) == pytest.approx(spec.q_turn, rel=1e-9)
+
+
 @pytest.mark.parametrize("exps", [(2.0, 2.0), (1.5, 2.0), (1.75, 1.5), (1.2, 1.2)])
 def test_position_time_roundtrip(exps):
     spec = OscillatorSpec.from_exponents(*exps, energy=1.7)

@@ -191,6 +191,25 @@ def test_inv_inc_beta_residual_bound():
             assert abs(inc_beta(a, b, x) - target) < 1e-12 * total
 
 
+def test_inv_inc_beta_solves_targets_near_the_total_on_the_other_side():
+    # with b < 1 the root of a target near B(a, b) sits where doubles near
+    # x = 1 are too sparse to meet the residual bound, and a midpoint that
+    # rounded to 1 raised a raw ValueError from log1p(-x); such a target is
+    # solved as B_(1-x)(b, a) = B(a, b) - target, with the bound on that side
+    a, b = 0.5, 0.6
+    total = beta(a, b)
+    xs = []
+    for k in range(1, 320):
+        target = total * (1.0 - 2.0 ** (-k / 6.0))
+        x = inv_inc_beta(a, b, target)
+        if target > 0.5 * total:
+            low = inv_inc_beta(b, a, total - target)
+            assert x == 1.0 - low
+            assert abs(inc_beta(b, a, low) - (total - target)) <= 1e-13 * total
+        xs.append(x)
+    assert xs == sorted(xs) and 0.0 < xs[0] and xs[-1] <= 1.0
+
+
 def test_inv_inc_beta_non_convergence_raises(monkeypatch):
     # a forward function that never meets the target must not be answered
     # with the last iterate (it used to return 2.3e-61 here)
