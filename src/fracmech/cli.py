@@ -44,8 +44,6 @@ from .similarity import fractional_kepler_check
 
 __all__ = ["main"]
 
-_TINY = 1e-300
-
 
 def _fail(message: str, code: int) -> int:
     print(f"fracmech: error: {message}", file=sys.stderr)
@@ -185,8 +183,7 @@ def cmd_simulate(args, cfg: IntegratorConfig):
 
     traj, _events = integrate(params, pot, ic, (args.t0, args.t1), cfg)
     d = traj.dimension
-    e0 = float(traj.energies[0])
-    drift = np.abs(traj.energies - e0) / max(abs(e0), _TINY)
+    drift = traj._drifts()
     header = (["t"] + [f"q{i + 1}" for i in range(d)] + [f"p{i + 1}" for i in range(d)]
               + ["energy", "energy_drift_rel"])
     table = np.column_stack([traj.times, traj.positions, traj.momenta, traj.energies, drift])
@@ -351,12 +348,12 @@ def _add_kinetic(p: argparse.ArgumentParser) -> None:
 
 
 def _add_potential(p: argparse.ArgumentParser, g2: float | None = None) -> None:
-    p.add_argument(
-        "--g2", type=float, default=g2, help="oscillator strength g^2 (alias of --strength)"
-    )
-    p.add_argument("--beta", type=float, help="oscillator degree (alias of --degree)")
-    p.add_argument("--strength", type=float, help="potential prefactor, signed")
-    p.add_argument("--degree", type=float, help="potential exponent, nonzero")
+    """The potential flags; each alias excludes its long form, so argparse refuses both at once."""
+    strength, degree = p.add_mutually_exclusive_group(), p.add_mutually_exclusive_group()
+    strength.add_argument("--g2", type=float, default=g2, help="oscillator strength g^2 (alias of --strength)")
+    degree.add_argument("--beta", type=float, help="oscillator degree (alias of --degree)")
+    strength.add_argument("--strength", type=float, help="potential prefactor, signed")
+    degree.add_argument("--degree", type=float, help="potential exponent, nonzero")
 
 
 def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:

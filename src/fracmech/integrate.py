@@ -134,21 +134,28 @@ def _initial_step(
     return min(100.0 * h0, h1, span)
 
 
-def _event_rows(d: int, q_levels: Sequence[tuple[int, float]], radial_direction: int | None) -> list[tuple]:
-    """The event functions of a run, one row (kind, component, index, level,
-    direction) each: turning points (p_j = 0), origin crossings (q_j = 0),
-    the level crossings q[c] = level, and optionally the zeros of q.p.  A
-    row's value is y[index] - level, or q.p where index is None; direction
-    +1 counts rising zeros only, -1 falling only, 0 both."""
+def _event_rows(d: int, q_levels: Sequence, radial_direction: int | None, stop_after) -> tuple[list, str | None, int]:
+    """The event rows of a run and its stop rule (kind, n), (None, 0) without
+    stop_after.  One row (kind, component, index, level, direction) per event
+    function: turning points (p_j = 0), origin crossings (q_j = 0), the level
+    crossings q[c] = level, and optionally the zeros of q.p.  A row's value is
+    y[index] - level, or q.p where index is None; direction +1 counts rising
+    zeros only, -1 falling only, 0 both.  Malformed options are DomainErrors."""
     rows = [("turning_point", j, d + j, 0.0, 0) for j in range(d)]
     rows += [("origin_crossing", j, j, 0.0, 0) for j in range(d)]
     for comp, level in q_levels:
-        if not 0 <= int(comp) < d:
+        if not (isinstance(comp, (int, np.integer)) and 0 <= comp < d):
             raise DomainError(f"level-crossing component {comp} outside dimension {d}")
+        require_finite(level=level)
         rows.append(("custom", int(comp), int(comp), float(level), 0))
     if radial_direction is not None:
+        if radial_direction not in (-1, 0, 1):
+            raise DomainError(f"radial_direction must be -1, 0 or +1, got {radial_direction!r}")
         rows.append(("custom", None, None, 0.0, int(radial_direction)))
-    return rows
+    kind, n = stop_after if isinstance(stop_after, (tuple, list)) and len(stop_after) == 2 else (None, 0)
+    if stop_after is not None and not (isinstance(n, (int, np.integer)) and n >= 1 and kind in {r[0] for r in rows}):
+        raise DomainError(f"stop_after needs a kind this run detects and a count >= 1, got {stop_after!r}")
+    return rows, kind, n
 
 
 def _value(row: tuple, y: list[float]) -> float:
@@ -213,12 +220,13 @@ def integrate(
     level) pairs and ``radial_direction`` add "custom" rows (see
     _event_rows).  ``stop_after=(kind, n)`` truncates the run at the
     n-th event of that kind; a kind the run does not detect, or n < 1, is
-    a DomainError.  Given ``stop_after``, the span may be open, t1 = inf:
-    the run ends on that event within one ``max_steps`` budget.  A
-    non-finite step or energy raises IntegrationError; a step that fails
-    names the awaited ``stop_after``.  The vector field is bound once per
-    run by ``model._field``: on the two scalars at d = 1, with math.hypot
-    norms above.
+    a DomainError, as are malformed event options.  Given ``stop_after``,
+    the span may be open, t1 = inf: the run ends on that event within one
+    ``max_steps`` budget.  A non-finite energy or step, the step budget and
+    a step-size underflow raise IntegrationError, each reading "<what> at
+    t = ..., y = ..." plus the awaited ``stop_after``.  The vector field is
+    bound once per run by ``model._field``: on the two scalars at d = 1,
+    with math.hypot norms above.
     """
     if cfg is None:
         cfg = IntegratorConfig()
@@ -226,19 +234,20 @@ def integrate(
     if not -math.inf < t0 < t1 or (t1 == math.inf and stop_after is None):
         raise DomainError(f"integration span needs finite t0 < t1 (inf t1 only with stop_after), got {span}")
     awaiting = "" if stop_after is None else f", awaiting stop_after {stop_after!r}"
+
+    def failure(error: type, what: str, t: float, y: list[float]) -> IntegrationError:
+        """``error`` reading "<what> at t = ..., y = ..." plus the awaited stop_after, with .t and .y set."""
+        return error(f"{what} at t = {t}, y = {np.array(y)}{awaiting}", t=t, y=np.array(y))
+
     q0, p0 = ic.resolve(params)
     d = q0.size
     y = q0.tolist() + p0.tolist()
-    rows = _event_rows(d, q_levels, radial_direction)
-    stop_kind, stop_n = stop_after or (None, 0)
-    if stop_after is not None and not (stop_n >= 1 and any(row[0] == stop_kind for row in rows)):
-        raise DomainError(f"stop_after needs a kind this run detects and a count >= 1, got {stop_after!r}")
+    rows, stop_kind, stop_n = _event_rows(d, q_levels, radial_direction, stop_after)
     rhs = _field(params, pot, d)
 
     e0 = float(_energy(params, pot, q0, p0))
     if not math.isfinite(e0):
-        y0 = np.array(y)
-        raise IntegrationError(f"non-finite energy {e0} at t = {t0}, y = {y0}", t=t0, y=y0)
+        raise failure(IntegrationError, f"non-finite energy {e0}", t0, y)
 
     # characteristic magnitudes for absolute-tolerance scaling
     try:
@@ -271,16 +280,12 @@ def integrate(
         h = math.nan
     t = t0
     g_old = [_value(row, y) for row in rows]
-    finished = False
 
-    while not finished:
+    while True:
         if accepted + rejected >= cfg.max_steps:
-            raise MaxStepsExceeded(f"exceeded {cfg.max_steps} steps at t = {t}, y = {np.array(y)}{awaiting}",
-                                   t=t, y=np.array(y))
-        h_min = 10.0 * abs(math.ulp(t))
-        if h < h_min:
-            raise StepSizeUnderflow(f"step size underflow ({h:.3e}) at t = {t}, y = {np.array(y)}{awaiting}",
-                                    t=t, y=np.array(y))
+            raise failure(MaxStepsExceeded, f"exceeded {cfg.max_steps} steps", t, y)
+        if h < 10.0 * abs(math.ulp(t)):
+            raise failure(StepSizeUnderflow, f"step size underflow ({h:.3e})", t, y)
         p_norm = math.hypot(*y[d:])
         if p_norm < p_small:
             h = min(h, cap_small_p)
@@ -288,9 +293,9 @@ def integrate(
             pdot_norm = math.hypot(*f[d:])
             if pdot_norm > 0.0:
                 h = min(h, (0.5 * p_norm + 1e-5 * p_scale) / pdot_norm)
-        if t + h >= t1:
+        finished = t + h >= t1  # the span's last step; a stop event may end the run sooner
+        if finished:
             h = t1 - t
-            finished = True
 
         # one embedded attempt; each stage sum adds its terms in stage order
         k1 = f
@@ -313,15 +318,12 @@ def integrate(
         except ZeroDivisionError:  # a zero error scale
             err_norm = math.inf
         if not (math.isfinite(err_norm) and math.isfinite(t_new) and all(map(math.isfinite, y_new))):
-            raise IntegrationError(
-                f"non-finite step at t = {t}: h = {h}, error norm = {err_norm}, "
-                f"y = {np.array(y)} -> {np.array(y_new)}{awaiting}", t=t, y=np.array(y)
-            )
-
+            raise failure(IntegrationError, f"non-finite step (h = {h}, error norm = {err_norm}, "
+                          f"y -> {np.array(y_new)})", t, y)
+        factor = _MAX_FACTOR if err_norm == 0.0 else min(_MAX_FACTOR, max(_MIN_FACTOR, _SAFETY * err_norm**_ORDER_EXP))
         if err_norm > 1.0:
             rejected += 1
-            finished = False
-            h *= max(_MIN_FACTOR, _SAFETY * err_norm**_ORDER_EXP)
+            h *= factor
             continue
 
         accepted += 1
@@ -351,11 +353,10 @@ def integrate(
         widths.append(h)
         times.append(t_new)
         ys.append(y_new)
-
+        if finished:
+            break
         t, y, f, g_old = t_new, y_new, f_new, g_new
-        if not finished:
-            factor = _MAX_FACTOR if err_norm == 0.0 else _SAFETY * err_norm**_ORDER_EXP
-            h *= min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
+        h *= factor
 
     arr = np.asarray(ys)
     energies = _energy(params, pot, arr[:, :d], arr[:, d:])

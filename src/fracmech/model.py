@@ -264,6 +264,8 @@ class InitialConditions:
         if self.qdot0 is not None:
             object.__setattr__(self, "qdot0", _vec(self.qdot0, "qdot0"))
         require_finite(q0=self.q0, p0=self.p0, qdot0=self.qdot0)
+        if (self.qdot0 if self.p0 is None else self.p0).shape != self.q0.shape:
+            raise DomainError("initial momentum/velocity dimension must match q0")
 
     def resolve(self, params: FractionalParams) -> tuple[np.ndarray, np.ndarray]:
         """Return (q0, p0), converting a supplied velocity if needed."""
@@ -271,8 +273,6 @@ class InitialConditions:
             p0 = self.p0
         else:
             p0 = momentum_from_velocity(params, self.qdot0)
-        if p0.shape != self.q0.shape:
-            raise DomainError("initial momentum/velocity dimension must match q0")
         return self.q0.copy(), np.asarray(p0, dtype=float)
 
 

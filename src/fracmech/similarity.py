@@ -99,15 +99,14 @@ def scale_trajectory(
     lam_e = abs_power(rho, exps.energy_vs_length)
     d = traj.dimension
     stretch = np.concatenate([np.full(d, rho), np.full(d, lam_p)])
-    dense = traj.coefs is not None
     with np.errstate(all="ignore"):
         scaled = dict(
             times=traj.times * lam_t,
             positions=traj.positions * rho,
             momenta=traj.momenta * lam_p,
             energies=traj.energies * lam_e,
-            coefs=traj.coefs * stretch[:, None] / lam_t if dense else None,
-            widths=traj.widths * lam_t if dense else None,
+            coefs=traj.coefs * stretch[:, None] / lam_t,
+            widths=traj.widths * lam_t,
         )
     require_finite(**scaled)
     return dataclasses.replace(traj, **scaled)

@@ -76,7 +76,8 @@ class Trajectory:
     widths: shape (n - 1,), each step's length; step i starts at sample i
         and covers [times[i], times[i] + widths[i]], which for the last
         step of a run stopped at an event reaches past times[-1]
-    coefs and widths are None for a trajectory without dense output.
+    coefs and widths may be omitted only for a single sample, which spans
+    no step: they are then empty, shapes (0, 2d, 4) and (0,).
     """
 
     times: np.ndarray
@@ -96,9 +97,10 @@ class Trajectory:
             raise DomainError("trajectory arrays have inconsistent shapes")
         if n > 1 and not np.all(np.diff(self.times) > 0.0):
             raise DomainError("trajectory times must be strictly increasing")
-        if (self.coefs is None) != (self.widths is None) or (
-            self.coefs is not None and (len(self.coefs), len(self.widths)) != (n - 1, n - 1)
-        ):
+        if n == 1 and self.coefs is None and self.widths is None:
+            object.__setattr__(self, "coefs", np.empty((0, 2 * self.dimension, 4)))
+            object.__setattr__(self, "widths", np.empty(0))
+        if np.shape(self.coefs)[:1] != (n - 1,) or np.shape(self.widths) != (n - 1,):
             raise DomainError("dense output needs one quartic and one width per step")
         # the samples as stacked (q, p) rows, the layout of a step's quartic
         object.__setattr__(self, "_rows", np.hstack([self.positions, self.momenta]))
@@ -127,17 +129,16 @@ class Trajectory:
         return DenseSegment(float(self.times[i]), float(self.widths[i]), self._rows[i].copy(), self.coefs[i])
 
     def _step_at(self, t: float) -> tuple[int, float, float]:
-        """The step holding time t, its width and the fraction theta of it elapsed."""
-        if self.coefs is None or len(self.coefs) == 0:
-            raise DomainError("trajectory has no dense segments to interpolate")
+        """The step holding time t, its width and the fraction theta of it
+        elapsed.  t may stray from its step by 1e-9 of the step's width; the
+        last step of a stopped run holds times up to the event, not past it."""
         times = self.times
-        lo, hi = float(times[0]), float(times[-1])
-        slop = 1e-9 * max(1.0, abs(lo), abs(hi))
-        if not lo - slop <= t <= hi + slop:
-            raise DomainError(f"time {t} outside trajectory span [{lo}, {hi}]")
         i = min(max(int(times.searchsorted(t, "right")) - 1, 0), len(times) - 2)
-        w = float(self.widths[i])
-        return i, w, _theta(t, float(times[i]), w)
+        w = float(self.widths[i]) if i >= 0 else np.nan  # a lone sample holds no step
+        theta, theta_end = (t - float(times[i])) / w, (float(times[i + 1]) - float(times[i])) / w
+        if not -1e-9 <= theta <= theta_end + 1e-9:
+            raise DomainError(f"time {t} outside trajectory span [{self.t0}, {self.t_end}]")
+        return i, w, min(max(theta, 0.0), 1.0)
 
     def eval(self, t: float) -> PhaseState:
         """The state at time t, in DenseSegment.at's arithmetic on the step holding t."""
@@ -149,11 +150,14 @@ class Trajectory:
         dy, d = _quartic(self.coefs[i], theta, derivative=True), self.dimension
         return dy[:d], dy[d:]
 
+    def _drifts(self) -> np.ndarray:
+        """Relative deviation of each sample's energy from the initial energy."""
+        e0 = float(self.energies[0])
+        return np.abs(self.energies - e0) / max(abs(e0), 1e-300)
+
     def energy_drift(self) -> float:
         """Largest relative deviation of sampled energy from the initial energy."""
-        e0 = float(self.energies[0])
-        scale = max(abs(e0), 1e-300)
-        return float(np.max(np.abs(self.energies - e0)) / scale)
+        return float(np.max(self._drifts()))
 
 
 # 8-point Gauss-Legendre on [0, 1]
@@ -182,8 +186,6 @@ def action(
     quadrature error.  Warns when that error exceeds quad_tol, which means
     the stored step data is too coarse for the requested accuracy.
     """
-    if traj.coefs is None or len(traj.coefs) == 0:
-        return 0.0
     d = traj.dimension
     y_start = traj._rows[:-1]
     widths = traj.widths

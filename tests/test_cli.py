@@ -258,6 +258,22 @@ def test_simulate_step_budget_names_the_state(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "given", [["--beta", "1.5", "--g2", "3", "--strength", "2"], ["--beta", "1.5", "--degree", "2"]]
+)
+def test_both_flags_of_a_potential_alias_are_a_usage_error(tmp_path, capsys, given):
+    # an alias and its long form once overrode each other silently
+    import fracmech.cli as cli
+
+    out = tmp_path / "p.json"
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(["period", "--alpha", "1.5", *given, "--skip-ode", "--out", str(out)])
+    assert exit_.value.code == 2
+    err = capsys.readouterr().err
+    assert given[-4] in err and given[-2] in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["period", "kepler"])
 @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
 def test_check_tolerance_must_be_finite_and_non_negative(tmp_path, command, tol):

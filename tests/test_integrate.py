@@ -294,6 +294,36 @@ def test_stop_after_is_validated(stop_after):
         integrate(M1, OSC, HARMONIC_IC, (0.0, 20.0), stop_after=stop_after)
 
 
+@pytest.mark.parametrize(
+    "options",
+    [
+        {"q_levels": [(0.7, 0.5)]},
+        {"q_levels": [(0, math.nan)]},
+        {"q_levels": [(0, math.inf)]},
+        {"radial_direction": 0.5},
+        {"radial_direction": 2},
+        {"stop_after": ("turning_point",)},
+        {"stop_after": "turning_point"},
+        {"stop_after": ("turning_point", 1.5)},
+    ],
+    ids=["fractional-component", "nan-level", "inf-level", "half-direction", "direction-2",
+         "stop-after-no-count", "stop-after-string", "stop-after-fractional-count"],
+)
+def test_malformed_event_options_are_domain_errors(options):
+    # none of these may run as some nearby valid option, or fail as a raw Python error
+    with pytest.raises(DomainError):
+        integrate(M1, OSC, HARMONIC_IC, (0.0, 1.0), **options)
+
+
+def test_non_finite_energy_names_the_awaited_event():
+    ic = InitialConditions(q0=np.array([1e200]), p0=np.array([0.0]))
+    with pytest.raises(IntegrationError) as err:
+        integrate(M1, OSC, ic, (0.0, math.inf), stop_after=("turning_point", 2))
+    assert str(err.value) == (
+        f"non-finite energy inf at t = 0.0, y = {err.value.y}, awaiting stop_after ('turning_point', 2)"
+    )
+
+
 def test_max_steps_guard():
     ic = InitialConditions(q0=np.array([1.0]), p0=np.array([0.0]))
     with pytest.raises(MaxStepsExceeded) as err:

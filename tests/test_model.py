@@ -102,6 +102,13 @@ def test_initial_conditions_exactly_one_velocity_form():
     assert p0 == pytest.approx(np.array([1.0]), rel=1e-14)
 
 
+def test_initial_conditions_dimension_mismatch_is_refused_at_construction():
+    with pytest.raises(DomainError, match="must match q0"):
+        InitialConditions(q0=[1.0, 0.0], p0=[0.5])
+    with pytest.raises(DomainError, match="must match q0"):
+        InitialConditions(q0=[1.0], qdot0=[0.5, 0.0])
+
+
 # ------------------------------------------------------------- hamiltonian
 
 

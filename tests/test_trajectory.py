@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -44,6 +45,27 @@ def test_times_must_increase():
             momenta=np.zeros((3, 1)),
             energies=np.zeros(3),
         )
+
+
+def test_samples_without_dense_output_are_refused():
+    # only a single sample, which spans no step, may omit its quartics
+    with pytest.raises(DomainError, match="one quartic and one width per step"):
+        Trajectory(
+            times=np.array([0.0, 1.0, 2.0]),
+            positions=np.zeros((3, 1)),
+            momenta=np.zeros((3, 1)),
+            energies=np.zeros(3),
+        )
+
+
+def test_eval_just_outside_the_span_names_the_span(harmonic):
+    # one rule: t may stray from its step by 1e-9 of the step's width
+    first, last = float(harmonic.widths[0]), float(harmonic.widths[-1])
+    assert harmonic.eval(-0.5e-9 * first).q.tobytes() == harmonic.positions[0].tobytes()
+    span = f"outside trajectory span [0.0, {harmonic.t_end}]"
+    for t in (-2e-9 * first, harmonic.t_end + 2e-9 * last):
+        with pytest.raises(DomainError, match=re.escape(f"time {t} {span}")):
+            harmonic.eval(t)
 
 
 def test_sample_access(harmonic):
