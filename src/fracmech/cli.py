@@ -236,7 +236,7 @@ def cmd_hj(args, cfg: IntegratorConfig):
     rows = []
     for t in times:
         q_hj = hj_trajectory(spec, t)
-        q_ode = float(traj.eval(t).q[0]) if t > 0.0 else 0.0
+        q_ode = float(traj.eval(t).q[0])
         rows.append([t, q_hj, q_ode, abs(q_hj - q_ode)])
     _write_csv(args.out, ["t", "q_hj", "q_ode", "abs_diff"], rows)
     print(

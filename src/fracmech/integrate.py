@@ -22,6 +22,7 @@ BLAS fixes their summation order and, through the error, the accepted steps.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -143,7 +144,10 @@ def _event_rows(d: int, q_levels: Sequence, radial_direction: int | None, stop_a
     zeros only, -1 falling only, 0 both.  Malformed options are DomainErrors."""
     rows = [("turning_point", j, d + j, 0.0, 0) for j in range(d)]
     rows += [("origin_crossing", j, j, 0.0, 0) for j in range(d)]
-    for comp, level in q_levels:
+    for entry in q_levels:
+        if not (isinstance(entry, (tuple, list)) and len(entry) == 2 and isinstance(entry[1], numbers.Real)):
+            raise DomainError(f"level crossing {entry!r} is not a (component, real level) pair")
+        comp, level = entry
         if not (isinstance(comp, (int, np.integer)) and 0 <= comp < d):
             raise DomainError(f"level-crossing component {comp} outside dimension {d}")
         require_finite(level=level)
@@ -218,8 +222,8 @@ def integrate(
     Returns the trajectory (a sample per accepted step with dense output)
     and the chronological list of located events.  ``q_levels`` (component,
     level) pairs and ``radial_direction`` add "custom" rows (see
-    _event_rows).  ``stop_after=(kind, n)`` truncates the run at the
-    n-th event of that kind; a kind the run does not detect, or n < 1, is
+    _event_rows).  ``stop_after=(kind, n)`` ends the run on the n-th event of that
+    kind, cutting its last step there; a kind the run does not detect, or n < 1, is
     a DomainError, as are malformed event options.  Given ``stop_after``,
     the span may be open, t1 = inf: the run ends on that event within one
     ``max_steps`` budget.  A non-finite energy or step, the step budget and
@@ -345,8 +349,11 @@ def integrate(
                     stop_count += 1
                     if stop_count >= stop_n:
                         finished = True
-                        if t_ev > t:  # the run ends on the event, not past it
+                        if t_ev > t:  # the run ends on the event: cut the step there
                             t_new, y_new = t_ev, y_ev.tolist()
+                            # the same quartic over the cut width w: column k scales by (w / h)^k
+                            w = t_ev - t
+                            coef, h = coef * (w / h) ** np.arange(4.0), w
                         break
 
         coefs.append(coef)

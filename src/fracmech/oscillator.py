@@ -101,35 +101,17 @@ def period(spec: OscillatorSpec) -> float:
 
 
 def _beta_integral_quad(a: float, b: float) -> float:
-    """B(a, b) by adaptive quadrature, independent of the Gamma-based route.
-
-    Splitting at z = 1/2 and substituting u = z^a (resp. u = (1-z)^b)
-    turns each endpoint-singular half into a bounded smooth integrand:
-    int_0^(1/2) z^(a-1)(1-z)^(b-1) dz = (1/a) int_0^((1/2)^a) (1 - u^(1/a))^(b-1) du.
-    """
+    """B(a, b) = int_0^1 z^(a-1) (1-z)^(b-1) dz by QUADPACK's QAWS rule, whose
+    weight moments come from recurrences, so no Gamma function is called."""
     # imported here so that importing the package (and every CLI start)
     # does not pay for scipy; only this independent cross-check needs it
     from scipy.integrate import quad
 
-    def half(aa: float, bb: float) -> tuple[float, float]:
-        upper = 0.5**aa
-        val, err = quad(
-            lambda u: (1.0 - u ** (1.0 / aa)) ** (bb - 1.0),
-            0.0,
-            upper,
-            epsabs=1e-14,
-            epsrel=1e-13,
-            limit=200,
-        )
-        return val / aa, err / aa
-
-    v1, e1 = half(a, b)
-    v2, e2 = half(b, a)
-    total = v1 + v2
-    if e1 + e2 > 1e-11 * abs(total):
-        raise IntegrationError(
-            f"Beta-integral quadrature error {e1 + e2:.3e} too large for a={a}, b={b}"
-        )
+    total, err = quad(
+        lambda z: 1.0, 0.0, 1.0, weight="alg", wvar=(a - 1.0, b - 1.0), epsabs=1e-14, epsrel=1e-13
+    )
+    if err > 1e-11 * abs(total):
+        raise IntegrationError(f"Beta-integral quadrature error {err:.3e} too large for a={a}, b={b}")
     return total
 
 

@@ -73,9 +73,9 @@ class Trajectory:
     positions, momenta: shape (n, d)
     energies: shape (n,), the Hamiltonian at each sample
     coefs: shape (n - 1, 2d, 4), the dense-output quartic of each step
-    widths: shape (n - 1,), each step's length; step i starts at sample i
-        and covers [times[i], times[i] + widths[i]], which for the last
-        step of a run stopped at an event reaches past times[-1]
+    widths: shape (n - 1,), each step's length; step i covers
+        [times[i], times[i] + widths[i]] and ends at sample i + 1, also
+        on a run stopped at an event, which cuts its last step there
     coefs and widths may be omitted only for a single sample, which spans
     no step: they are then empty, shapes (0, 2d, 4) and (0,).
     """
@@ -100,7 +100,7 @@ class Trajectory:
         if n == 1 and self.coefs is None and self.widths is None:
             object.__setattr__(self, "coefs", np.empty((0, 2 * self.dimension, 4)))
             object.__setattr__(self, "widths", np.empty(0))
-        if np.shape(self.coefs)[:1] != (n - 1,) or np.shape(self.widths) != (n - 1,):
+        if np.shape(self.coefs) != (n - 1, 2 * self.dimension, 4) or np.shape(self.widths) != (n - 1,):
             raise DomainError("dense output needs one quartic and one width per step")
         # the samples as stacked (q, p) rows, the layout of a step's quartic
         object.__setattr__(self, "_rows", np.hstack([self.positions, self.momenta]))
@@ -130,8 +130,8 @@ class Trajectory:
 
     def _step_at(self, t: float) -> tuple[int, float, float]:
         """The step holding time t, its width and the fraction theta of it
-        elapsed.  t may stray from its step by 1e-9 of the step's width; the
-        last step of a stopped run holds times up to the event, not past it."""
+        elapsed.  t may stray from its step by 1e-9 of its width; the step ends
+        at times[i + 1], which rescaling may round off times[i] + widths[i]."""
         times = self.times
         i = min(max(int(times.searchsorted(t, "right")) - 1, 0), len(times) - 2)
         w = float(self.widths[i]) if i >= 0 else np.nan  # a lone sample holds no step

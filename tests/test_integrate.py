@@ -22,6 +22,7 @@ from fracmech import (
     OscillatorSpec,
     PowerLawPotential,
     StepSizeUnderflow,
+    action,
     hamiltonian,
     integrate,
     measure_period,
@@ -286,6 +287,16 @@ def test_stop_after_truncates_at_event():
     assert traj.t_end < 50.0
 
 
+@pytest.mark.parametrize("kind", ["turning_point", "origin_crossing"])
+def test_stopped_run_ends_its_last_step_on_the_event(kind):
+    # the step holding the stop event is cut there, so action stops there too
+    ic = InitialConditions(q0=np.array([0.0]), p0=np.array([2.0]))  # E = 2
+    traj, _ = integrate(M1, OSC, ic, (0.0, math.inf), stop_after=(kind, 2))
+    assert np.array_equal(traj.times[:-1] + traj.widths, traj.times[1:])
+    closed, _ = integrate(M1, OSC, ic, (0.0, traj.t_end), IntegratorConfig(rel_tol=1e-13, abs_tol=1e-15))
+    assert action(M1, OSC, traj) == pytest.approx(action(M1, OSC, closed), abs=1e-9)
+
+
 @pytest.mark.parametrize(
     "stop_after", [("turning_pont", 2), ("turning_point", 0), ("turning_point", -3)]
 )
@@ -305,9 +316,13 @@ def test_stop_after_is_validated(stop_after):
         {"stop_after": ("turning_point",)},
         {"stop_after": "turning_point"},
         {"stop_after": ("turning_point", 1.5)},
+        {"q_levels": [(0, 0.5, 1)]},
+        {"q_levels": [0.5]},
+        {"q_levels": [(0, "a")]},
     ],
     ids=["fractional-component", "nan-level", "inf-level", "half-direction", "direction-2",
-         "stop-after-no-count", "stop-after-string", "stop-after-fractional-count"],
+         "stop-after-no-count", "stop-after-string", "stop-after-fractional-count",
+         "level-triple", "level-bare-float", "level-string"],
 )
 def test_malformed_event_options_are_domain_errors(options):
     # none of these may run as some nearby valid option, or fail as a raw Python error

@@ -58,6 +58,19 @@ def test_samples_without_dense_output_are_refused():
         )
 
 
+def test_quartics_of_the_wrong_shape_are_refused():
+    # each step's quartic is (2d, 4); a wrong shape fails at construction, not in eval
+    with pytest.raises(DomainError, match="one quartic and one width per step"):
+        Trajectory(
+            times=np.array([0.0, 1.0]),
+            positions=np.zeros((2, 1)),
+            momenta=np.zeros((2, 1)),
+            energies=np.zeros(2),
+            coefs=np.zeros((1, 1, 1)),
+            widths=np.array([1.0]),
+        )
+
+
 def test_eval_just_outside_the_span_names_the_span(harmonic):
     # one rule: t may stray from its step by 1e-9 of the step's width
     first, last = float(harmonic.widths[0]), float(harmonic.widths[-1])
