@@ -135,6 +135,11 @@ def _initial_step(
     return min(100.0 * h0, h1, span)
 
 
+def _is_number(x, kinds) -> bool:
+    """isinstance(x, kinds) for a number that is not a bool (an int subclass)."""
+    return isinstance(x, kinds) and not isinstance(x, bool)
+
+
 def _event_rows(d: int, q_levels: Sequence, radial_direction: int | None, stop_after) -> tuple[list, str | None, int]:
     """The event rows of a run and its stop rule (kind, n), (None, 0) without
     stop_after.  One row (kind, component, index, level, direction) per event
@@ -145,19 +150,19 @@ def _event_rows(d: int, q_levels: Sequence, radial_direction: int | None, stop_a
     rows = [("turning_point", j, d + j, 0.0, 0) for j in range(d)]
     rows += [("origin_crossing", j, j, 0.0, 0) for j in range(d)]
     for entry in q_levels:
-        if not (isinstance(entry, (tuple, list)) and len(entry) == 2 and isinstance(entry[1], numbers.Real)):
+        if not (isinstance(entry, (tuple, list)) and len(entry) == 2 and _is_number(entry[1], numbers.Real)):
             raise DomainError(f"level crossing {entry!r} is not a (component, real level) pair")
         comp, level = entry
-        if not (isinstance(comp, (int, np.integer)) and 0 <= comp < d):
+        if not (_is_number(comp, (int, np.integer)) and 0 <= comp < d):
             raise DomainError(f"level-crossing component {comp} outside dimension {d}")
         require_finite(level=level)
         rows.append(("custom", int(comp), int(comp), float(level), 0))
     if radial_direction is not None:
-        if radial_direction not in (-1, 0, 1):
+        if radial_direction not in (-1, 0, 1) or isinstance(radial_direction, bool):
             raise DomainError(f"radial_direction must be -1, 0 or +1, got {radial_direction!r}")
         rows.append(("custom", None, None, 0.0, int(radial_direction)))
     kind, n = stop_after if isinstance(stop_after, (tuple, list)) and len(stop_after) == 2 else (None, 0)
-    if stop_after is not None and not (isinstance(n, (int, np.integer)) and n >= 1 and kind in {r[0] for r in rows}):
+    if stop_after is not None and not (_is_number(n, (int, np.integer)) and n >= 1 and kind in {r[0] for r in rows}):
         raise DomainError(f"stop_after needs a kind this run detects and a count >= 1, got {stop_after!r}")
     return rows, kind, n
 

@@ -85,7 +85,9 @@ def _dot(u: Sequence[float], v: Sequence[float]) -> float:
 def require_finite(**values) -> None:
     """Raise DomainError naming the first keyword value with an inf or NaN."""
     for name, value in values.items():
-        if value is not None and not np.all(np.isfinite(value)):
+        # a plain float (not np.float64, a subclass) is checked without a numpy round trip
+        finite = math.isfinite(value) if type(value) is float else value is None or np.all(np.isfinite(value))
+        if not finite:
             raise DomainError(f"{name} must be finite, got {value}")
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import DomainError, IntegrationError
 from .integrate import IntegratorConfig, first_event_times
@@ -70,11 +71,13 @@ class OscillatorSpec:
     def beta(self) -> float:
         return self.pot.degree
 
-    @property
+    # the derived values below are computed on first read and kept in the
+    # instance dict (no __slots__); the fields are frozen, so they never go stale
+    @cached_property
     def q_turn(self) -> float:
         return turning_point(self.pot, self.energy)
 
-    @property
+    @cached_property
     def time_scale(self) -> float:
         """Prefactor E^(1/alpha + 1/beta - 1) / (alpha beta d^(1/alpha) g2^(1/beta)).
 
@@ -89,7 +92,7 @@ class OscillatorSpec:
             * abs_power(self.pot.strength, 1.0 / b)
         )
 
-    @property
+    @cached_property
     def quarter_period(self) -> float:
         """Time from the origin to the turning point: time_scale * B(1/beta, 1/alpha)."""
         return self.time_scale * beta_fn(1.0 / self.beta, 1.0 / self.alpha)

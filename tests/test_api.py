@@ -69,3 +69,30 @@ def test_layers_import_only_earlier_layers(layer):
     # an import of this layer or a later one, even inside a function, is a cycle
     late = [(line, name) for line, name in _relative_imports(layer) if RANK[name] >= RANK[layer]]
     assert late == []
+
+
+def test_hj_trajectory_reaches_period_then_the_beta_inversion(monkeypatch):
+    # the benchmark's tracer times hj_trajectory through these module-level
+    # names: period first, then inv_inc_beta, which calls the public inc_beta
+    import fracmech.oscillator as oscillator
+    import fracmech.specfun as specfun
+
+    calls = []
+
+    def counting(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counting(oscillator, "period")
+    counting(oscillator, "inv_inc_beta")
+    counting(specfun, "inc_beta")
+    spec = oscillator.OscillatorSpec.from_exponents(1.5, 1.7, energy=2.0)
+    oscillator.hj_trajectory(spec, 0.3)
+    assert calls[0] == "period" and calls.count("period") == 1
+    assert calls.count("inv_inc_beta") >= 1 and calls.count("inc_beta") >= 1
+    assert calls.index("inv_inc_beta") < calls.index("inc_beta")

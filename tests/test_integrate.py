@@ -330,6 +330,30 @@ def test_malformed_event_options_are_domain_errors(options):
         integrate(M1, OSC, HARMONIC_IC, (0.0, 1.0), **options)
 
 
+@pytest.mark.parametrize(
+    "options",
+    [
+        {"q_levels": [(False, 0.5)]},
+        {"q_levels": [(0, True)]},
+        {"stop_after": ("turning_point", True)},
+        {"radial_direction": True},
+    ],
+    ids=["bool-component", "bool-level", "bool-count", "bool-direction"],
+)
+def test_bool_event_options_are_domain_errors(options):
+    # bool is an int subclass: each of these once ran as component 0, level
+    # 1.0, count 1 or direction +1 instead of being refused
+    with pytest.raises(DomainError):
+        integrate(M1, OSC, HARMONIC_IC, (0.0, 10.0), **options)
+
+
+def test_integer_event_options_still_accept_numpy_integers():
+    options = {"q_levels": [(np.int64(0), np.float64(0.5))], "stop_after": ("turning_point", np.int64(1))}
+    _, events = integrate(M1, OSC, HARMONIC_IC, (0.0, 10.0), **options)
+    kinds = [e.kind for e in events]
+    assert "custom" in kinds and kinds[-1] == "turning_point"
+
+
 def test_non_finite_energy_names_the_awaited_event():
     ic = InitialConditions(q0=np.array([1e200]), p0=np.array([0.0]))
     with pytest.raises(IntegrationError) as err:

@@ -33,7 +33,7 @@ from fracmech import (
     turning_point,
     velocity_from_momentum,
 )
-from fracmech.model import _field
+from fracmech.model import _field, require_finite
 
 ALPHAS = st.floats(min_value=1.05, max_value=2.0)
 SCALES = st.floats(min_value=0.1, max_value=10.0)
@@ -49,6 +49,47 @@ def phase_field(params, pot, y):
 
 
 # ------------------------------------------------------------- primitives
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
+def test_require_finite_refuses_non_finite_floats_by_first_keyword(bad):
+    with pytest.raises(DomainError) as err:
+        require_finite(good=1.5, first=bad, second=math.nan)
+    assert str(err.value) == f"first must be finite, got {bad}"
+
+
+def test_require_finite_checks_plain_floats_without_numpy(monkeypatch):
+    def refuse(_):
+        raise AssertionError("a plain float went through numpy")
+
+    monkeypatch.setattr(np, "isfinite", refuse)
+    require_finite(a=0.0, b=-1e308, c=5e-324)
+    with pytest.raises(DomainError, match="^b must be finite, got nan$"):
+        require_finite(a=2.0, b=math.nan)
+
+
+# values other than a plain float keep the numpy rule: None passes, anything
+# else passes exactly when all(isfinite(value))
+ACCEPTED = [
+    None, 0, -7, 2**62, True, False, np.float64(1.5), np.int64(3),
+    np.array(2.0), np.array([1.0, 2.0]), np.array([]),
+]
+REFUSED = [
+    np.float64(math.inf), np.float64(-math.inf), np.float64(math.nan), np.float32(math.inf),
+    np.array(math.nan), np.array(-math.inf), np.array([1.0, math.inf]), np.array([math.nan, 0.0]),
+]
+
+
+@pytest.mark.parametrize("value", ACCEPTED, ids=[repr(v) for v in ACCEPTED])
+def test_require_finite_accepts_finite_non_floats(value):
+    require_finite(x=value)
+
+
+@pytest.mark.parametrize("value", REFUSED, ids=[repr(v) for v in REFUSED])
+def test_require_finite_refuses_non_finite_numpy_values(value):
+    with pytest.raises(DomainError) as err:
+        require_finite(x=value)
+    assert str(err.value) == f"x must be finite, got {value}"
 
 
 def test_abs_power_edges():

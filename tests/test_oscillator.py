@@ -6,7 +6,9 @@ grid-wide comparisons consume the session period grid from conftest.
 
 from __future__ import annotations
 
+import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -18,6 +20,8 @@ from fracmech import (
     IntegratorConfig,
     OscillatorSpec,
     PowerLawPotential,
+    abs_power,
+    beta,
     classical_limit_solution,
     exponents,
     hj_position,
@@ -29,6 +33,7 @@ from fracmech import (
     period_quadrature,
     period_report,
     quantum_levels,
+    turning_point,
     velocity_from_momentum,
 )
 
@@ -253,6 +258,28 @@ def test_trajectory_matches_integration(exps):
     assert worst < 1e-6 * spec.q_turn
 
 
+# recorded to the bit before the spec cached its derived values; a point in
+# each quarter, one just short of the turning point, a phase offset and a
+# negative time
+TRAJECTORY_BITS = [
+    (0.4, 0.0, "0x1.73d28b24acf63p-1"),
+    (1.9, 0.0, "0x1.a98bb98d5ed91p-2"),
+    (3.1, 0.0, "-0x1.7768925dd9c8dp+0"),
+    (3.9, 0.0, "-0x1.44baa7c66f577p-1"),
+    (1.0615468201596465, 0.0, "0x1.80df422ae67bap+0"),
+    (0.3, 0.8, "0x1.7df87ef15df90p+0"),
+    (-2.5, 0.0, "0x1.5fc49fe06936ap-1"),
+]
+
+
+def test_trajectory_frozen_to_the_bit():
+    spec = OscillatorSpec.from_exponents(1.5, 1.7, energy=2.0)
+    assert period(spec).hex() == "0x1.0fc18850515a5p+2"
+    assert [hj_trajectory(spec, t, delta).hex() for t, delta, _ in TRAJECTORY_BITS] == [
+        bits for _, _, bits in TRAJECTORY_BITS
+    ]
+
+
 # ----------------------------------------------------------- quantum levels
 
 
@@ -370,3 +397,76 @@ def test_non_finite_scalars_are_domain_errors(call):
         warnings.simplefilter("error")
         with pytest.raises(DomainError, match="finite"):
             call()
+
+
+# ------------------------------------------------- derived values on the spec
+
+
+def _derived_by_formula(spec):
+    """q_turn, time_scale and quarter_period evaluated from the fields alone."""
+    a, b = spec.alpha, spec.beta
+    scale = abs_power(spec.energy, 1.0 / a + 1.0 / b - 1.0) / (
+        a * b * abs_power(spec.params.d_alpha, 1.0 / a) * abs_power(spec.pot.strength, 1.0 / b)
+    )
+    return {
+        "q_turn": turning_point(spec.pot, spec.energy),
+        "time_scale": scale,
+        "quarter_period": scale * beta(1.0 / b, 1.0 / a),
+    }
+
+
+DERIVED = ("q_turn", "time_scale", "quarter_period")
+
+
+def _read(spec):
+    return [getattr(spec, name) for name in DERIVED]
+
+
+@pytest.mark.parametrize("alpha", [1.1, 1.5, 2.0])
+@pytest.mark.parametrize("beta_exp", [1.25, 1.75, 2.0])
+@pytest.mark.parametrize("energy", [0.5, 3.0, 1e4])
+def test_derived_values_are_their_formulas_bitwise(alpha, beta_exp, energy):
+    spec = OscillatorSpec(FractionalParams(alpha, 0.7), PowerLawPotential(1.3, beta_exp), energy)
+    expected = {name: value.hex() for name, value in _derived_by_formula(spec).items()}
+    # the first read computes, the second returns what was kept; read in reverse
+    # order, quarter_period derives time_scale before it is read directly
+    for name in reversed(DERIVED):
+        assert getattr(spec, name).hex() == expected[name]
+    for name in DERIVED:
+        assert getattr(spec, name).hex() == expected[name]
+
+
+def test_replaced_spec_derives_its_own_values():
+    spec = OscillatorSpec.from_exponents(1.5, 1.7, energy=2.0)
+    before = _read(spec)
+    moved = dataclasses.replace(spec, energy=5.0)
+    fresh = OscillatorSpec.from_exponents(1.5, 1.7, energy=5.0)
+    assert _read(moved) == _read(fresh) and _read(moved) != before
+    assert period(moved) == period(fresh)
+
+
+def test_equality_and_hash_ignore_what_has_been_read():
+    read, unread = (OscillatorSpec.from_exponents(1.3, 1.9, energy=0.8) for _ in range(2))
+    hash_before = hash(read)
+    _read(read)
+    assert set(DERIVED) <= set(vars(read)) and not set(DERIVED) & set(vars(unread))
+    assert read == unread and hash(read) == hash(unread) == hash_before
+    assert len({read, unread}) == 1
+
+
+def test_pickled_spec_round_trips():
+    spec = OscillatorSpec.from_exponents(1.25, 1.6, d_alpha=0.4, g2=2.5, energy=3.0)
+    cold = pickle.loads(pickle.dumps(spec))
+    period(spec)
+    warm = pickle.loads(pickle.dumps(spec))
+    assert cold == spec == warm and hash(cold) == hash(warm)
+    assert _read(warm) == _read(cold)
+    assert period(cold) == period(warm) == period(spec)
+
+
+@pytest.mark.parametrize("name", ["energy", "params", *DERIVED])
+def test_spec_fields_and_derived_values_cannot_be_assigned(name):
+    spec = OscillatorSpec.from_exponents(1.5, 1.5)
+    period(spec)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(spec, name, 2.0)
