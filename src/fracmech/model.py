@@ -83,8 +83,14 @@ def _dot(u: Sequence[float], v: Sequence[float]) -> float:
 
 
 def require_finite(**values) -> None:
-    """Raise DomainError naming the first keyword value with an inf or NaN."""
+    """Raise DomainError naming the first keyword value with an inf or NaN, or
+    with an int beyond the float range."""
     for name, value in values.items():
+        if type(value) is int:  # unbounded, so finite exactly when it converts to a float
+            try:
+                value = float(value)
+            except OverflowError:
+                raise DomainError(f"{name} must be finite, got an int of {value.bit_length()} bits") from None
         # a plain float (not np.float64, a subclass) is checked without a numpy round trip
         finite = math.isfinite(value) if type(value) is float else value is None or np.all(np.isfinite(value))
         if not finite:

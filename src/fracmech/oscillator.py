@@ -134,14 +134,13 @@ def measure_period(
     energy: float,
     cfg: IntegratorConfig | None = None,
 ) -> float:
-    """Period measured from the integrated motion: one open-span run from the
-    turning point (q_turn, p = 0) to the fourth momentum zero.  The second
-    and fourth zeros sit one cycle apart, both event-located, so start-up
-    effects cancel."""
+    """Period measured from the integrated motion as the time of the first
+    return to the launch state.  One open-span run starts at rest at the
+    turning point (q_turn, p = 0) at t = 0 and ends on its second momentum
+    zero, which is event-located; that zero's time is one full cycle."""
     spec = OscillatorSpec(params, pot, energy)  # validates the oscillator
     ic = InitialConditions(q0=[spec.q_turn], p0=[0.0])
-    turning = first_event_times(params, pot, ic, "turning_point", 4, cfg)
-    return turning[3] - turning[1]
+    return first_event_times(params, pot, ic, "turning_point", 2, cfg)[1]
 
 
 @dataclass(frozen=True)
@@ -213,7 +212,8 @@ def hj_trajectory(spec: OscillatorSpec, t: float, delta: float = 0.0) -> float:
     conservation; the result is periodic with the closed-form period.
     """
     full = period(spec)
-    require_finite(t=t, delta=delta, phase=t + delta)
+    require_finite(t=t, delta=delta)  # before the sum, which a huge int overflows
+    require_finite(phase=t + delta)
     quarter = 0.25 * full
     s = math.fmod(t + delta, full)
     if s < 0.0:

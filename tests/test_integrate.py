@@ -6,6 +6,7 @@ grid in conftest; everything else is computed inline.
 
 from __future__ import annotations
 
+import importlib
 import math
 import re
 
@@ -437,7 +438,31 @@ def test_measured_period_frozen():
     # the span bounds no step of this run (the |p| band cap is tighter), so an
     # open span keeps these bits
     spec = OscillatorSpec.from_exponents(1.5, 1.5, energy=1.0)
-    assert measure_period(spec.params, spec.pot, 1.0) == 3.650471431728113
+    assert measure_period(spec.params, spec.pot, 1.0) == 3.6504714727089245
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [OscillatorSpec.from_exponents(1.5, 1.5, energy=1.0), OscillatorSpec(M1, OSC, 1.0)],
+    ids=["alpha=beta=1.5", "harmonic"],
+)
+def test_measured_period_integrates_one_cycle(monkeypatch, spec):
+    # the run from rest at the turning point ends on its first return there:
+    # one cycle of integration, and the period is that event's time
+    module = importlib.import_module("fracmech.integrate")
+    original, runs = module.integrate, []
+
+    def recording(*args, **kwargs):
+        runs.append(original(*args, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr(module, "integrate", recording)
+    measured = measure_period(spec.params, spec.pot, spec.energy)
+    assert len(runs) == 1
+    traj, events = runs[0]
+    assert (traj.t0, traj.t_end) == (0.0, measured)
+    assert [ev.kind for ev in events].count("turning_point") == 2
+    assert events[-1].kind == "turning_point" and events[-1].time == measured
 
 
 def test_reanchor_run_keeps_its_step_sequence():

@@ -7,6 +7,7 @@ the Legendre-transform properties are exercised over random parameters.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -83,6 +84,14 @@ REFUSED = [
 @pytest.mark.parametrize("value", ACCEPTED, ids=[repr(v) for v in ACCEPTED])
 def test_require_finite_accepts_finite_non_floats(value):
     require_finite(x=value)
+
+
+def test_require_finite_takes_an_int_exactly_when_it_converts_to_a_float():
+    largest = int(sys.float_info.max)
+    require_finite(a=2**70, b=-largest, c=largest + 2**970 - 1)  # rounds down to the largest float
+    for bad in (largest + 2**970, -(2**1024), 10**400):  # round past it
+        with pytest.raises(DomainError, match=f"^x must be finite, got an int of {bad.bit_length()} bits$"):
+            require_finite(x=bad)
 
 
 @pytest.mark.parametrize("value", REFUSED, ids=[repr(v) for v in REFUSED])

@@ -88,6 +88,14 @@ def test_period_closed_vs_ode_on_grid(period_grid):
         assert abs(row.closed - row.ode) / row.closed < 1e-5, row
 
 
+def test_measured_period_accuracy_on_grid(period_grid):
+    # the run times its first cycle, measured at 1.167e-7 worst; its second
+    # cycle, the time between the second and fourth momentum zeros, is 1.721e-7
+    worst = max(abs(row.ode - row.closed) / row.closed for row in period_grid.rows)
+    print(f"worst |T_ode - T_closed|/T_closed {worst:.3e}")
+    assert worst < 1.5e-7
+
+
 def test_period_energy_scaling_closed_form():
     for a, b in [(1.1, 1.9), (1.5, 1.5), (1.75, 1.25)]:
         lo = OscillatorSpec.from_exponents(a, b, energy=1.0)
@@ -397,6 +405,29 @@ def test_non_finite_scalars_are_domain_errors(call):
         warnings.simplefilter("error")
         with pytest.raises(DomainError, match="finite"):
             call()
+
+
+# an int is exact and unbounded: finite exactly when it converts to a float
+def test_spec_refuses_an_energy_beyond_the_float_range():
+    with pytest.raises(DomainError, match="^energy must be finite, got an int of 1329 bits$"):
+        OscillatorSpec.from_exponents(1.5, 1.5, energy=10**400)
+
+
+def test_hj_trajectory_refuses_a_time_beyond_the_float_range():
+    spec = OscillatorSpec.from_exponents(1.5, 1.5)
+    with pytest.raises(DomainError, match="^t must be finite"):
+        hj_trajectory(spec, 10**400)
+    with pytest.raises(DomainError, match="^delta must be finite"):
+        hj_trajectory(spec, 0.0, -(10**400))
+    assert hj_trajectory(spec, 2**70) == hj_trajectory(spec, float(2**70))
+
+
+def test_quantum_levels_take_a_level_index_beyond_64_bits():
+    spec = OscillatorSpec.from_exponents(1.5, 1.5)
+    level = quantum_levels(spec, 1.0, 2**70)
+    assert math.isfinite(level) and level == quantum_levels(spec, 1.0, float(2**70))
+    with pytest.raises(DomainError, match="^n must be finite"):
+        quantum_levels(spec, 1.0, 10**400)
 
 
 # ------------------------------------------------- derived values on the spec
