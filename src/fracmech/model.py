@@ -219,8 +219,8 @@ _AT_REST, _FREE = FractionalParams(2.0, 1.0), PowerLawPotential(0.0, 2.0)
 
 @dataclass(frozen=True)
 class PhaseState:
-    """A point (t, q, p) in extended phase space; q and p share one
-    dimension d in {1, 2, 3}."""
+    """A point (t, q, p) in extended phase space; q and p are finite and share
+    one dimension d in {1, 2, 3}."""
 
     t: float
     q: np.ndarray
@@ -229,6 +229,7 @@ class PhaseState:
     def __post_init__(self) -> None:
         q = _vec(self.q, "q")
         p = _vec(self.p, "p")
+        require_finite(t=self.t, q=q, p=p)
         if q.shape != p.shape:
             raise DomainError(f"q and p dimensions differ: {q.shape} vs {p.shape}")
         q.flags.writeable = False
@@ -359,21 +360,26 @@ def euler_lagrange_residual(
     m qddot + dV/dq.
     """
     a, d = params.alpha, params.d_alpha
+    require_finite(q=q, qdot=qdot, qddot=qddot)
     if qdot == 0.0 and a < 2.0:
         raise DomainError("kinematic factor singular at qdot = 0 for alpha < 2")
     coeff = abs_power(1.0 / (a * d), 1.0 / (a - 1.0)) / (a - 1.0)
     kinematic = coeff * qddot * abs_power(qdot, (2.0 - a) / (a - 1.0))
-    grad = float(pot.gradient(np.array([q]))[0])
-    return kinematic + grad
+    residual = kinematic + float(pot.gradient(np.array([q]))[0])
+    require_finite(residual=residual)
+    return residual
 
 
 def turning_point(pot: PowerLawPotential, energy: float) -> float:
     """Distance |q| where V(q) = E for a confining power law: (E/strength)^(1/degree)."""
+    require_finite(energy=energy)
     if not (energy > 0.0 and pot.strength > 0.0 and pot.degree > 0.0):
         raise DomainError(
             "turning point needs energy > 0, strength > 0 and degree > 0"
         )
-    return abs_power(energy / pot.strength, 1.0 / pot.degree)
+    q_turn = abs_power(energy / pot.strength, 1.0 / pot.degree)
+    require_finite(turning_point=q_turn)
+    return q_turn
 
 
 def free_particle_trajectory(
@@ -384,17 +390,21 @@ def free_particle_trajectory(
     q(t) = alpha d_alpha (E/d_alpha)^(1-1/alpha) (t + delta),
     p    = (E/d_alpha)^(1/alpha), constant.
     """
+    require_finite(energy=energy, delta=delta, t=t)
     if not energy > 0.0:
         raise DomainError(f"free-particle trajectory needs energy > 0, got {energy}")
     a, d = params.alpha, params.d_alpha
     p = abs_power(energy / d, 1.0 / a)
     q = a * d * abs_power(energy / d, 1.0 - 1.0 / a) * (t + delta)
+    require_finite(q=q, p=p)
     return q, p
 
 
 def _partial(f: PhaseField, state: PhaseState, k: int, step: float) -> float:
     """Central-difference partial derivative of a phase-space field in
     coordinate k of the stacked (t, q, p), with step h = step * max(1, |x|)."""
+    if not 0.0 < step < math.inf:
+        raise DomainError(f"finite-difference step must be finite and positive, got {step}")
     y, d = [state.t, *state.q.tolist(), *state.p.tolist()], state.dimension
     h = step * max(1.0, abs(y[k]))
 

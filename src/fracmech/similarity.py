@@ -99,8 +99,9 @@ def scale_trajectory(
     lam_e = abs_power(rho, exps.energy_vs_length)
     d = traj.dimension
     stretch = np.concatenate([np.full(d, rho), np.full(d, lam_p)])
-    with np.errstate(all="ignore"):
-        scaled = dict(
+    with np.errstate(all="ignore"):  # the constructor refuses what overflows
+        return dataclasses.replace(
+            traj,
             times=traj.times * lam_t,
             positions=traj.positions * rho,
             momenta=traj.momenta * lam_p,
@@ -108,8 +109,6 @@ def scale_trajectory(
             coefs=traj.coefs * stretch[:, None] / lam_t,
             widths=traj.widths * lam_t,
         )
-    require_finite(**scaled)
-    return dataclasses.replace(traj, **scaled)
 
 
 @dataclass(frozen=True)
@@ -251,6 +250,17 @@ def fractional_kepler_check(
     if angular == 0.0:
         raise UnsuitablePhysicsError(
             "zero angular momentum puts the orbit on a collision course"
+        )
+    # The circle of angular momentum L has radius r_g, k r_g^(alpha-1) = alpha D |L|^alpha, and the
+    # least energy at this L, E_c = D (|L|/r_g)^alpha - k/r_g = -(1 - 1/alpha) k/r_g.  Near it q.p is
+    # noise: the slope error grew as ~1e-11/sqrt(gap) at alpha 1.3-2 (6.1e-2 at gap 0): 1e-5 at the bound.
+    k = -strength
+    r_g = abs_power(alpha * d_alpha * abs_power(angular, alpha) / k, 1.0 / (alpha - 1.0))
+    gap = 1.0 + e0 * r_g / ((1.0 - 1.0 / alpha) * k)  # (E - E_c)/|E_c|, 1 where r_g underflows
+    if gap < 1e-12:
+        raise UnsuitablePhysicsError(
+            f"orbit is circular: its energy lies {gap:.2e} (relative) above the circular minimum for its "
+            "angular momentum, under the bound 1e-12, so q.p is rounding noise with no radial period to time"
         )
 
     def radial_period(ic: InitialConditions, rho: float) -> float:

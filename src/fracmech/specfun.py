@@ -14,36 +14,16 @@ good to 1e-12 relative on a, b in (0, 1] and the whole of x in [0, 1].
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import DomainError
 
 __all__ = [
-    "BetaArgs",
     "ln_gamma",
     "beta",
     "inc_beta",
     "inv_inc_beta",
     "hyp2f1",
 ]
-
-
-@dataclass(frozen=True)
-class BetaArgs:
-    """Arguments of the incomplete Beta function: finite a > 0 and b > 0,
-    x in [0, 1]."""
-
-    a: float
-    b: float
-    x: float
-
-    def __post_init__(self) -> None:
-        if not (0.0 < self.a < math.inf and 0.0 < self.b < math.inf):
-            raise DomainError(
-                f"Beta parameters must be positive and finite, got a={self.a}, b={self.b}"
-            )
-        if not 0.0 <= self.x <= 1.0:
-            raise DomainError(f"incomplete Beta argument x must be in [0, 1], got {self.x}")
 
 
 def ln_gamma(x: float) -> float:
@@ -105,15 +85,17 @@ def _beta_cont_frac(a: float, b: float, x: float) -> float:
     )
 
 
-def inc_beta(args: BetaArgs | float, b: float | None = None, x: float | None = None) -> float:
-    """Incomplete Beta function B_x(a, b) = integral_0^x y^(a-1) (1-y)^(b-1) dy.
+def inc_beta(a: float, b: float, x: float) -> float:
+    """Incomplete Beta function B_x(a, b) = integral_0^x y^(a-1) (1-y)^(b-1) dy,
+    for finite a > 0 and b > 0 and x in [0, 1].
 
-    Accepts either a :class:`BetaArgs` or the three scalars (a, b, x).
     Monotone nondecreasing in x, with B_0 = 0 and B_1 = beta(a, b).
     """
-    if not isinstance(args, BetaArgs):
-        args = BetaArgs(float(args), float(b), float(x))
-    a, b, x = args.a, args.b, args.x
+    a, b, x = float(a), float(b), float(x)
+    if not (0.0 < a < math.inf and 0.0 < b < math.inf):
+        raise DomainError(f"Beta parameters must be positive and finite, got a={a}, b={b}")
+    if not 0.0 <= x <= 1.0:
+        raise DomainError(f"incomplete Beta argument x must be in [0, 1], got {x}")
     if x == 0.0:
         return 0.0
     if x == 1.0:

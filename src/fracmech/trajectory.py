@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ToleranceWarning
-from .model import FractionalParams, PhaseState, PowerLawPotential, _power_law
+from .model import FractionalParams, PhaseState, PowerLawPotential, _power_law, require_finite
 
 __all__ = ["DenseSegment", "Trajectory", "action"]
 
@@ -76,8 +76,7 @@ class Trajectory:
     widths: shape (n - 1,), each step's length; step i covers
         [times[i], times[i] + widths[i]] and ends at sample i + 1, also
         on a run stopped at an event, which cuts its last step there
-    coefs and widths may be omitted only for a single sample, which spans
-    no step: they are then empty, shapes (0, 2d, 4) and (0,).
+    A single sample spans no step and passes them empty.  Every array is finite.
     """
 
     times: np.ndarray
@@ -95,11 +94,9 @@ class Trajectory:
             raise DomainError("trajectory needs at least one sample")
         if self.positions.shape != self.momenta.shape or self.positions.shape[0] != n:
             raise DomainError("trajectory arrays have inconsistent shapes")
+        require_finite(**vars(self))  # the arrays in field order, before times are differenced
         if n > 1 and not np.all(np.diff(self.times) > 0.0):
             raise DomainError("trajectory times must be strictly increasing")
-        if n == 1 and self.coefs is None and self.widths is None:
-            object.__setattr__(self, "coefs", np.empty((0, 2 * self.dimension, 4)))
-            object.__setattr__(self, "widths", np.empty(0))
         if np.shape(self.coefs) != (n - 1, 2 * self.dimension, 4) or np.shape(self.widths) != (n - 1,):
             raise DomainError("dense output needs one quartic and one width per step")
         # the samples as stacked (q, p) rows, the layout of a step's quartic

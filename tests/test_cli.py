@@ -569,6 +569,19 @@ def test_kepler_unbound_orbit_is_physics_exit(tmp_path):
     assert proc.stderr.strip() != ""
 
 
+def test_kepler_circular_orbit_is_physics_exit(tmp_path, capsys):
+    # on a circle q.p is rounding noise: this used to exit 0 with the ratio
+    # 2.8427 against the predicted 2.8284
+    import fracmech.cli as cli
+
+    out = tmp_path / "k.csv"
+    argv = ["kepler", "--alpha", "2", "--d-alpha", "0.5", "--p0", "0,1", "--rhos", "2", "--out", str(out)]
+    assert cli.main(argv) == 4
+    err = capsys.readouterr().err
+    assert "circular minimum for its angular momentum" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 # --------------------------------------------------------- manifest echoes
 
 

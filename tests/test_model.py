@@ -141,6 +141,16 @@ def test_phase_state_dimension_mismatch():
         PhaseState(0.0, np.zeros(4), np.zeros(4))
 
 
+def test_phase_state_refuses_non_finite_values():
+    # hamilton_rhs returned nan on PhaseState(0.0, [nan], [1.0])
+    with pytest.raises(DomainError, match=r"^q must be finite, got \[nan\]$"):
+        PhaseState(0.0, [math.nan], [1.0])
+    with pytest.raises(DomainError, match="^p must be finite"):
+        PhaseState(0.0, [1.0, 0.0], [0.5, -math.inf])
+    with pytest.raises(DomainError, match="^t must be finite, got inf$"):
+        PhaseState(math.inf, [1.0], [0.5])
+
+
 def test_initial_conditions_exactly_one_velocity_form():
     with pytest.raises(DomainError):
         InitialConditions(q0=np.array([1.0]))
@@ -391,6 +401,17 @@ def test_euler_lagrange_along_integrated_trajectory():
     assert abs(res) < 1e-6
 
 
+def test_euler_lagrange_refuses_a_non_finite_input():
+    with pytest.raises(DomainError, match="^qddot must be finite, got inf$"):
+        euler_lagrange_residual(FractionalParams(1.5, 1.0), PowerLawPotential(1.0, 2.0), 1.0, 1.0, math.inf)
+
+
+def test_euler_lagrange_refuses_a_residual_beyond_the_float_range():
+    # the kinematic coefficient (1/1.5e-3)^2/0.5 = 8.9e5 times qddot = 1e308
+    with pytest.raises(DomainError, match="^residual must be finite, got inf$"):
+        euler_lagrange_residual(FractionalParams(1.5, 1e-3), PowerLawPotential(1.0, 2.0), 1.0, 1.0, 1e308)
+
+
 # --------------------------------------------------------- Poisson bracket
 
 
@@ -462,6 +483,19 @@ def test_total_time_derivative_matches_trajectory_difference():
     assert got == pytest.approx(expected, abs=1e-6)
 
 
+@pytest.mark.parametrize("step", [0.0, -1e-6, math.nan, math.inf])
+def test_finite_difference_step_must_be_finite_and_positive(step):
+    # step = 0 raised a raw ZeroDivisionError and step = nan returned nan
+    params, pot = FractionalParams(1.5, 1.0), PowerLawPotential(1.0, 2.0)
+    s = state(0.3, 2.0)
+    h_field = lambda st_: hamiltonian(params, pot, st_)
+    q_field = lambda st_: float(st_.q[0])
+    with pytest.raises(DomainError, match="step must be"):
+        total_time_derivative(q_field, params, pot, s, step=step)
+    with pytest.raises(DomainError, match="step must be"):
+        poisson_bracket(h_field, q_field, s, step=step)
+
+
 # ----------------------------------------------------------- turning point
 
 
@@ -485,6 +519,17 @@ def test_turning_point_rejects_bad_inputs():
         turning_point(PowerLawPotential(1.0, 2.0), 0.0)
     with pytest.raises(DomainError):
         turning_point(PowerLawPotential(-1.0, -1.0), 1.0)
+
+
+def test_turning_point_refuses_a_non_finite_energy():
+    with pytest.raises(DomainError, match="^energy must be finite, got inf$"):
+        turning_point(PowerLawPotential(1.0, 1.5), math.inf)
+
+
+def test_turning_point_beyond_the_float_range_is_domain_error():
+    # E/strength = 1e600 overflows before the root is taken
+    with pytest.raises(DomainError, match="^turning_point must be finite, got inf$"):
+        turning_point(PowerLawPotential(1e-300, 1.1), 1e300)
 
 
 # ------------------------------------------------------------ free particle
@@ -521,6 +566,23 @@ def test_free_particle_rejects_nonpositive_energy():
         free_particle_trajectory(p15, 0.0, 0.0, 1.0)
     with pytest.raises(DomainError):
         free_particle_trajectory(p15, -1.0, 0.0, 1.0)
+
+
+@pytest.mark.parametrize(
+    "energy, delta, t, name",
+    [(math.inf, 0.0, 1.0, "energy"), (1.0, math.nan, 1.0, "delta"), (1.0, 0.0, -math.inf, "t")],
+)
+def test_free_particle_refuses_non_finite_inputs(energy, delta, t, name):
+    with pytest.raises(DomainError, match=f"^{name} must be finite"):
+        free_particle_trajectory(FractionalParams(1.5, 1.0), energy, delta, t)
+
+
+def test_free_particle_position_beyond_the_float_range_is_domain_error():
+    # q = 1.5 (t + delta) at E = D = 1: 1.5e308 is finite, 2.55e308 is not
+    p15 = FractionalParams(1.5, 1.0)
+    assert free_particle_trajectory(p15, 1.0, 0.0, 1e308) == (1.5e308, 1.0)
+    with pytest.raises(DomainError, match="^q must be finite, got inf$"):
+        free_particle_trajectory(p15, 1.0, 0.0, 1.7e308)
 
 
 @given(ALPHAS, SCALES, SCALES)

@@ -337,6 +337,32 @@ def test_kepler_rejects_radial_collision_course():
         fractional_kepler_check(2.0, no_spin, [2.0], d_alpha=0.5)
 
 
+@pytest.mark.parametrize("alpha", [1.3, 1.6, 2.0])
+def test_kepler_refuses_a_circular_orbit(alpha):
+    # at the circular speed alpha^(-1/alpha) q.p is rounding noise, and its
+    # rising zeros gave slope errors of 6.1e-2, 7.7e-4 and 6.8e-3
+    circle = InitialConditions(q0=[1.0, 0.0], p0=[0.0, alpha ** (-1.0 / alpha)])
+    with pytest.raises(UnsuitablePhysicsError, match="circular minimum for its angular momentum"):
+        fractional_kepler_check(alpha, circle, [2.0])
+
+
+def test_kepler_refuses_the_circular_cli_orbit():
+    # fracmech kepler --alpha 2 --d-alpha 0.5 --p0 0,1 --rhos 2 reported the
+    # ratio 2.8427 against the predicted 2.8284
+    circle = InitialConditions(q0=[1.0, 0.0], p0=[0.0, 1.0])
+    with pytest.raises(UnsuitablePhysicsError, match="circular"):
+        fractional_kepler_check(2.0, circle, [2.0], d_alpha=0.5)
+
+
+@pytest.mark.parametrize("alpha", [1.3, 1.6, 2.0])
+def test_kepler_times_an_orbit_just_off_circular(alpha):
+    # 1e-5 above the circular speed the energy gap is 4.0e-10 to 1.2e-9, far
+    # above the 1e-12 bound; the slope errors measured 1.7e-7, 2.8e-7, 1.9e-8
+    ic = InitialConditions(q0=[1.0, 0.0], p0=[0.0, (1.0 + 1e-5) * alpha ** (-1.0 / alpha)])
+    row = fractional_kepler_check(alpha, ic, [2.0]).rows[0]
+    assert abs(math.log(row.measured_ratio / row.predicted_ratio)) / math.log(2.0) < 1e-6
+
+
 def test_kepler_rejects_bad_setup():
     # repulsive center is a physics refusal, wrong dimension a contract one
     with pytest.raises(UnsuitablePhysicsError):

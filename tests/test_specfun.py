@@ -18,7 +18,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.integrate import IntegrationWarning, quad
 
-from fracmech import BetaArgs, DomainError, beta, hyp2f1, inc_beta, inv_inc_beta, ln_gamma
+from fracmech import DomainError, beta, hyp2f1, inc_beta, inv_inc_beta, ln_gamma
 
 GRID = (1.1, 1.25, 1.5, 1.75, 2.0)
 
@@ -127,9 +127,18 @@ def test_inc_beta_symmetric_midpoint():
     assert inc_beta(0.5, 0.5, 0.5) == pytest.approx(math.pi / 2.0, rel=1e-13)
 
 
-def test_inc_beta_accepts_args_struct():
-    args = BetaArgs(a=0.5, b=0.5, x=0.5)
-    assert inc_beta(args) == inc_beta(0.5, 0.5, 0.5)
+def test_inc_beta_takes_three_scalars():
+    # (a, b, x) is the one input format; a bad one is named in the message
+    import inspect
+
+    import fracmech
+
+    assert list(inspect.signature(inc_beta).parameters) == ["a", "b", "x"]
+    assert "BetaArgs" not in fracmech.__all__ and not hasattr(fracmech.specfun, "BetaArgs")
+    with pytest.raises(DomainError, match=r"^Beta parameters must be positive and finite, got a=0.5, b=inf$"):
+        inc_beta(0.5, math.inf, 0.5)
+    with pytest.raises(DomainError, match=r"^incomplete Beta argument x must be in \[0, 1\], got nan$"):
+        inc_beta(0.5, 0.5, math.nan)
 
 
 def test_inc_beta_rejects_bad_args():

@@ -48,7 +48,7 @@ def test_times_must_increase():
 
 
 def test_samples_without_dense_output_are_refused():
-    # only a single sample, which spans no step, may omit its quartics
+    # every trajectory passes its quartics; see the lone-sample test below
     with pytest.raises(DomainError, match="one quartic and one width per step"):
         Trajectory(
             times=np.array([0.0, 1.0, 2.0]),
@@ -56,6 +56,47 @@ def test_samples_without_dense_output_are_refused():
             momenta=np.zeros((3, 1)),
             energies=np.zeros(3),
         )
+
+
+def test_lone_sample_without_quartics_is_refused():
+    # a single sample spans no step and passes empty quartics, as in test_action_zero_length
+    with pytest.raises(DomainError, match="one quartic and one width per step"):
+        Trajectory(
+            times=np.array([0.0]),
+            positions=np.zeros((1, 1)),
+            momenta=np.zeros((1, 1)),
+            energies=np.zeros(1),
+        )
+
+
+def _three_samples() -> dict:
+    """The fields of a valid 3-sample, 1D trajectory."""
+    return dict(
+        times=np.array([0.0, 1.0, 2.0]),
+        positions=np.zeros((3, 1)),
+        momenta=np.zeros((3, 1)),
+        energies=np.zeros(3),
+        coefs=np.zeros((2, 2, 4)),
+        widths=np.ones(2),
+    )
+
+
+@pytest.mark.parametrize("name", ["times", "positions", "momenta", "energies", "coefs", "widths"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_arrays_are_refused(name, bad):
+    # each array is checked, in field order, before the times are differenced:
+    # inf - inf would warn
+    import warnings
+
+    fields = _three_samples()
+    fields[name].flat[-1] = bad
+    if name == "times":
+        fields[name][1] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=f"^{name} must be finite"):
+            Trajectory(**fields)
+    assert Trajectory(**_three_samples()).t_end == 2.0
 
 
 def test_quartics_of_the_wrong_shape_are_refused():
@@ -179,6 +220,8 @@ def test_action_zero_length():
         positions=np.array([[1.0]]),
         momenta=np.array([[0.0]]),
         energies=np.array([1.0]),
+        coefs=np.empty((0, 2, 4)),
+        widths=np.empty(0),
     )
     assert action(M1, OSC, traj) == 0.0
 
