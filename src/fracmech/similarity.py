@@ -24,6 +24,7 @@ from .model import (
     FractionalParams,
     InitialConditions,
     PowerLawPotential,
+    _dot,
     _energy,
     abs_power,
     require_finite,
@@ -131,12 +132,16 @@ def _scaling_rows(
 ) -> tuple[float, list[ScalingRow]]:
     """measure(ic, rho) of the motion from (q0, p0) and of its copy scaled by each
     rho, launched from rho q0 with momentum rho^(beta/alpha) p0: the base time,
-    and one row per rho against the predicted ratio rho^time_vs_length."""
+    and one row per rho against the predicted ratio rho^time_vs_length.  At
+    rho = 1 the copy is the base motion itself, so its row reuses the base."""
     t_exp = exponents(alpha, beta_degree).time_vs_length
     base = measure(InitialConditions(q0=q0, p0=p0), 1.0)
     rows = []
     for rho in rho_list:
         predicted = abs_power(rho, t_exp)
+        if rho == 1.0:
+            rows.append(ScalingRow.of(rho, predicted, 1.0))
+            continue
         with np.errstate(all="ignore"):
             q, p = q0 * rho, p0 * abs_power(rho, beta_degree / alpha)
         require_finite(scaled_q0=q, scaled_p0=p)
@@ -264,9 +269,13 @@ def fractional_kepler_check(
         )
 
     def radial_period(ic: InitialConditions, rho: float) -> float:
-        """Time between two successive closest approaches (rising q.p zeros)."""
-        peri = first_event_times(params, pot, ic, "custom", 2, cfg, radial_direction=+1)
-        return peri[1] - peri[0]
+        """One radial period, timed over zeros of q.p of either direction: from an
+        apsis (q.p = 0, a zero the run does not count) to its 2nd zero, the first
+        return to that apsis; otherwise from its 1st zero to its 3rd."""
+        q, p = ic.resolve(params)
+        at_apsis = _dot(q.tolist(), p.tolist()) == 0.0  # the run's own q.p at t = 0
+        zeros = first_event_times(params, pot, ic, "custom", 3 - at_apsis, cfg, radial_direction=0)
+        return zeros[-1] - (0.0 if at_apsis else zeros[0])
 
     base_T, rows = _scaling_rows(radial_period, q0, p0, rho_list, alpha, -1.0)
     fit = fit_time_exponent(rows)

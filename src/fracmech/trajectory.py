@@ -130,15 +130,20 @@ class Trajectory:
         elapsed.  t may stray from its step by 1e-9 of its width; the step ends
         at times[i + 1], which rescaling may round off times[i] + widths[i]."""
         times = self.times
+        if len(times) == 1 and t == times[0]:
+            raise DomainError(f"a lone sample holds no step, not even at its own time {t}")
         i = min(max(int(times.searchsorted(t, "right")) - 1, 0), len(times) - 2)
-        w = float(self.widths[i]) if i >= 0 else np.nan  # a lone sample holds no step
+        w = float(self.widths[i]) if i >= 0 else np.nan  # a lone sample's span is its time alone
         theta, theta_end = (t - float(times[i])) / w, (float(times[i + 1]) - float(times[i])) / w
         if not -1e-9 <= theta <= theta_end + 1e-9:
             raise DomainError(f"time {t} outside trajectory span [{self.t0}, {self.t_end}]")
         return i, w, min(max(theta, 0.0), 1.0)
 
     def eval(self, t: float) -> PhaseState:
-        """The state at time t, in DenseSegment.at's arithmetic on the step holding t."""
+        """The state at time t, in DenseSegment.at's arithmetic on the step holding t;
+        a lone sample, at its own time, is its own state."""
+        if len(self.times) == 1 and t == self.t0:
+            return self.state(0)
         i, w, theta = self._step_at(t)
         return PhaseState._of_row(float(t), self._rows[i] + w * _quartic(self.coefs[i], theta))
 

@@ -29,6 +29,7 @@ from fracmech import (
     verify_scaling,
 )
 from fracmech.model import PhaseState
+from conftest import TIGHT_CFG
 
 ALPHAS = st.floats(min_value=1.05, max_value=2.0)
 DEGREES = st.floats(min_value=-3.0, max_value=3.0).filter(lambda b: abs(b) > 0.2)
@@ -314,8 +315,67 @@ def test_kepler_slope_fit():
 
 def test_kepler_radial_periods_frozen():
     report = fractional_kepler_check(1.6, InitialConditions(q0=[1.0, 0.0], p0=[0.0, 0.7]), [2.0])
-    assert report.base_radial_period == 4.933603243676665
-    assert report.rows[0].measured_ratio == 2.5936791092728435
+    assert report.base_radial_period == 4.933603242989538
+    assert report.rows[0].measured_ratio == 2.593679109344413
+
+
+def _recording_first_event_times(monkeypatch) -> list:
+    """Patch similarity.first_event_times to log (count, options, times) per run."""
+    import fracmech.similarity as similarity
+
+    runs, real = [], similarity.first_event_times
+
+    def recording(params, pot, ic, kind, count, cfg=None, **events):
+        times = real(params, pot, ic, kind, count, cfg, **events)
+        runs.append((count, events, times))
+        return times
+
+    monkeypatch.setattr(similarity, "first_event_times", recording)
+    return runs
+
+
+def test_kepler_times_one_radial_period_from_an_apsis(monkeypatch):
+    # from the apsis (1, 0) with momentum (0, v) each orbit runs to its 2nd q.p
+    # zero, the first return to the launch apsis, and that zero is the period
+    runs = _recording_first_event_times(monkeypatch)
+    report = fractional_kepler_check(1.6, InitialConditions(q0=[1.0, 0.0], p0=[0.0, 0.7]), [2.0, 4.0])
+    assert [(count, events) for count, events, _ in runs] == [(2, {"radial_direction": 0})] * 3
+    assert report.base_radial_period == runs[0][2][-1]
+    assert [row.measured_ratio for row in report.rows] == [t[-1] / runs[0][2][-1] for _, _, t in runs[1:]]
+
+
+@pytest.mark.parametrize("t_launch, inbound", [(1.0, True), (3.5, False)])
+def test_kepler_times_one_radial_period_off_an_apsis(t_launch, inbound):
+    # launched from later states of the orbit above, falling in (q.p < 0) or
+    # climbing out (q.p > 0), the period spans its 1st to its 3rd q.p zero
+    alpha, ic = 1.6, InitialConditions(q0=[1.0, 0.0], p0=[0.0, 0.7])
+    reference = fractional_kepler_check(alpha, ic, [2.0], TIGHT_CFG).base_radial_period
+    traj, _ = integrate(FractionalParams(alpha, 1.0), PowerLawPotential(-1.0, -1.0), ic, (0.0, 4.0), TIGHT_CFG)
+    state = traj.eval(t_launch)
+    assert (float(state.q @ state.p) < 0.0) == inbound
+    report = fractional_kepler_check(alpha, InitialConditions(q0=state.q, p0=state.p), [2.0])
+    assert report.base_radial_period == pytest.approx(reference, rel=1e-9)
+    assert report.rows[0].rel_err < 1e-8
+
+
+@pytest.mark.parametrize(
+    "check",
+    [
+        lambda rhos: fractional_kepler_check(1.75, InitialConditions(q0=[1.0, 0.0], p0=[0.0, 0.8]), rhos),
+        lambda rhos: verify_scaling(
+            FractionalParams(1.5, 1.0), PowerLawPotential(1.0, 1.5), InitialConditions(q0=[1.0], p0=[0.0]), rhos
+        ),
+    ],
+    ids=["kepler", "verify_scaling"],
+)
+def test_unit_scale_reuses_the_base_run(monkeypatch, check):
+    # rho = 1 launches bitwise the base motion: 4 runs for 4 scales, not 5
+    runs = _recording_first_event_times(monkeypatch)
+    rows = check([1.0, 2.0, 4.0, 8.0])
+    rows = getattr(rows, "rows", rows)
+    assert len(runs) == 4
+    assert rows[0].measured_ratio == 1.0
+    assert rows[0].rel_err == 0.0
 
 
 def test_kepler_single_scale_reports_no_fit():

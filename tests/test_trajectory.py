@@ -69,6 +69,33 @@ def test_lone_sample_without_quartics_is_refused():
         )
 
 
+def _lone_sample() -> Trajectory:
+    return Trajectory(
+        np.array([0.5]), np.array([[1.0, -2.0]]), np.array([[0.25, 0.0]]), np.array([1.0]),
+        np.empty((0, 4, 4)), np.empty(0),
+    )
+
+
+def test_lone_sample_evaluates_to_itself_at_its_own_time():
+    state = _lone_sample().eval(0.5)
+    assert state.t == 0.5
+    assert state.q.tolist() == [1.0, -2.0]
+    assert state.p.tolist() == [0.25, 0.0]
+
+
+def test_lone_sample_has_no_derivative():
+    with pytest.raises(DomainError, match="a lone sample holds no step, not even at its own time 0.5"):
+        _lone_sample().derivative(0.5)
+
+
+@pytest.mark.parametrize("t", [0.25, 0.75, math.nan])
+def test_lone_sample_refuses_other_times(t):
+    traj = _lone_sample()
+    for read in (traj.eval, traj.derivative):
+        with pytest.raises(DomainError, match=re.escape(f"time {t} outside trajectory span [0.5, 0.5]")):
+            read(t)
+
+
 def _three_samples() -> dict:
     """The fields of a valid 3-sample, 1D trajectory."""
     return dict(
