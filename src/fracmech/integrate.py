@@ -57,11 +57,13 @@ class IntegratorConfig:
     event_tol: float = 1e-12
 
     def __post_init__(self) -> None:
+        if not all(_is_number(v, numbers.Real) for k, v in vars(self).items() if (k, v) != ("initial_step", None)):
+            raise DomainError(f"integrator settings must be real numbers, not bools: {self}")
         require_finite(**vars(self))
         if not (self.rel_tol > 0.0 and self.abs_tol > 0.0 and self.event_tol > 0.0):
             raise DomainError("integrator tolerances must be positive")
-        if self.max_steps <= 0:
-            raise DomainError("max_steps must be positive")
+        if not (_is_number(self.max_steps, (int, np.integer)) and self.max_steps > 0):
+            raise DomainError(f"max_steps must be a positive integer, got {self.max_steps!r}")
         if self.initial_step is not None and not self.initial_step > 0.0:
             raise DomainError("initial_step must be positive when given")
 
@@ -140,13 +142,14 @@ def _is_number(x, kinds) -> bool:
     return isinstance(x, kinds) and not isinstance(x, bool)
 
 
-def _event_rows(d: int, q_levels: Sequence, radial_direction: int | None, stop_after) -> tuple[list, str | None, int]:
-    """The event rows of a run and its stop rule (kind, n), (None, 0) without
-    stop_after.  One row (kind, component, index, level, direction) per event
-    function: turning points (p_j = 0), origin crossings (q_j = 0), the level
-    crossings q[c] = level, and optionally the zeros of q.p.  A row's value is
-    y[index] - level, or q.p where index is None; direction +1 counts rising
-    zeros only, -1 falling only, 0 both.  Malformed options are DomainErrors."""
+def _event_rows(d: int, q_levels: Sequence, radial_direction: int | None, stop_after) -> tuple[list, int]:
+    """The event rows of a run and the count of events that ends it, 0 without
+    stop_after=(kind, n), which keeps the rows of its kind alone.  One row
+    (kind, component, index, level, direction) per event function: turning
+    points (p_j = 0), origin crossings (q_j = 0), the level crossings q[c] =
+    level, and optionally the zeros of q.p.  A row's value is y[index] - level,
+    or q.p where index is None; direction +1 counts rising zeros only, -1
+    falling only, 0 both.  Malformed options are DomainErrors."""
     rows = [("turning_point", j, d + j, 0.0, 0) for j in range(d)]
     rows += [("origin_crossing", j, j, 0.0, 0) for j in range(d)]
     for entry in q_levels:
@@ -162,9 +165,10 @@ def _event_rows(d: int, q_levels: Sequence, radial_direction: int | None, stop_a
             raise DomainError(f"radial_direction must be -1, 0 or +1, got {radial_direction!r}")
         rows.append(("custom", None, None, 0.0, int(radial_direction)))
     kind, n = stop_after if isinstance(stop_after, (tuple, list)) and len(stop_after) == 2 else (None, 0)
-    if stop_after is not None and not (_is_number(n, (int, np.integer)) and n >= 1 and kind in {r[0] for r in rows}):
-        raise DomainError(f"stop_after needs a kind this run detects and a count >= 1, got {stop_after!r}")
-    return rows, kind, n
+    stoppable = ("custom",) if rows[2 * d:] else ("turning_point", "origin_crossing")
+    if stop_after is not None and not (_is_number(n, (int, np.integer)) and n >= 1 and kind in stoppable):
+        raise DomainError(f"stop_after needs kind {' or '.join(stoppable)} and a count >= 1, got {stop_after!r}")
+    return [row for row in rows if stop_after is None or row[0] == kind], n
 
 
 def _value(row: tuple, y: list[float]) -> float:
@@ -227,13 +231,13 @@ def integrate(
     Returns the trajectory (a sample per accepted step with dense output)
     and the chronological list of located events.  ``q_levels`` (component,
     level) pairs and ``radial_direction`` add "custom" rows (see
-    _event_rows).  ``stop_after=(kind, n)`` ends the run on the n-th event of that
-    kind, cutting its last step there; a kind the run does not detect, or n < 1, is
-    a DomainError, as are malformed event options.  Given ``stop_after``,
-    the span may be open, t1 = inf: the run ends on that event within one
-    ``max_steps`` budget.  A non-finite energy or step, the step budget and
-    a step-size underflow raise IntegrationError, each reading "<what> at
-    t = ..., y = ..." plus the awaited ``stop_after``.  The vector field is
+    _event_rows).  ``stop_after=(kind, n)`` detects only events of that kind and
+    ends the run on the n-th, cutting its last step there; custom rows need kind
+    "custom", and a bad kind, n < 1 or a malformed option is a DomainError.  With
+    ``stop_after`` the span may be open, t1 = inf: the run ends on that event
+    within one ``max_steps`` budget.  A non-finite energy or step, the step
+    budget and a step-size underflow raise IntegrationError, each reading
+    "<what> at t = ..., y = ..." plus the awaited ``stop_after``.  The vector field is
     bound once per run by ``model._field``: on the two scalars at d = 1,
     with math.hypot norms above.
     """
@@ -251,7 +255,7 @@ def integrate(
     q0, p0 = ic.resolve(params)
     d = q0.size
     y = q0.tolist() + p0.tolist()
-    rows, stop_kind, stop_n = _event_rows(d, q_levels, radial_direction, stop_after)
+    rows, stop_n = _event_rows(d, q_levels, radial_direction, stop_after)
     rhs = _field(params, pot, d)
 
     e0 = float(_energy(params, pot, q0, p0))
@@ -280,7 +284,7 @@ def integrate(
     coefs: list[np.ndarray] = []
     widths: list[float] = []
     events: list[EventRecord] = []
-    stop_count = accepted = rejected = 0
+    accepted = rejected = 0
 
     f = rhs(y)
     try:
@@ -350,16 +354,14 @@ def integrate(
                 t_ev, y_ev = t + theta * h, seg.at(theta)
                 kind, comp = rows[r][:2]
                 events.append(EventRecord(kind, t_ev, PhaseState._of_row(t_ev, y_ev), comp))
-                if kind == stop_kind:
-                    stop_count += 1
-                    if stop_count >= stop_n:
-                        finished = True
-                        if t_ev > t:  # the run ends on the event: cut the step there
-                            t_new, y_new = t_ev, y_ev.tolist()
-                            # the same quartic over the cut width w: column k scales by (w / h)^k
-                            w = t_ev - t
-                            coef, h = coef * (w / h) ** np.arange(4.0), w
-                        break
+                if len(events) == stop_n:
+                    finished = True
+                    if t_ev > t:  # the run ends on the event: cut the step there
+                        t_new, y_new = t_ev, y_ev.tolist()
+                        # the same quartic over the cut width w: column k scales by (w / h)^k
+                        w = t_ev - t
+                        coef, h = coef * (w / h) ** np.arange(4.0), w
+                    break
 
         coefs.append(coef)
         widths.append(h)
@@ -395,9 +397,9 @@ def first_event_times(
     cfg: IntegratorConfig | None = None,
     **events,
 ) -> list[float]:
-    """Times of the first ``count`` events of ``kind`` from t = 0, found by
-    one run over the open span (0, inf) that ends on the count-th of them.
-    ``events`` passes ``q_levels`` / ``radial_direction`` on to :func:`integrate`.
+    """Times of the first ``count`` events of ``kind`` from t = 0: one run over
+    (0, inf) that detects only that kind and ends on the count-th.  ``events``
+    passes ``q_levels`` / ``radial_direction``, for kind "custom", to :func:`integrate`.
     """
     _, found = integrate(params, pot, ic, (0.0, math.inf), cfg, stop_after=(kind, count), **events)
-    return [ev.time for ev in found if ev.kind == kind]
+    return [ev.time for ev in found]

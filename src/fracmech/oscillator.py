@@ -238,7 +238,7 @@ def quantum_levels(spec: OscillatorSpec, hbar: float, n: int) -> float:
     require_finite(hbar=hbar, n=n)
     if not hbar > 0.0:
         raise DomainError(f"hbar must be positive, got {hbar}")
-    if n < 0 or n != int(n):
+    if isinstance(n, bool) or n < 0 or n != int(n):
         raise DomainError(f"level index must be a nonnegative integer, got {n}")
     a, b = spec.alpha, spec.beta
     exponent = a * b / (a + b)

@@ -186,8 +186,12 @@ def action(
     Each dense segment is integrated by 8-point Gauss-Legendre; the
     estimate is refined by halving and the difference reported as the
     quadrature error.  Warns when that error exceeds quad_tol, which means
-    the stored step data is too coarse for the requested accuracy.
+    the stored step data is too coarse for the requested accuracy; a
+    quad_tol that is not finite and positive is a DomainError.
     """
+    require_finite(quad_tol=quad_tol)
+    if not quad_tol > 0.0:
+        raise DomainError(f"quad_tol must be positive, got {quad_tol}")
     d = traj.dimension
     y_start = traj._rows[:-1]
     widths = traj.widths

@@ -5,6 +5,8 @@ from __future__ import annotations
 import ast
 import importlib
 import inspect
+import re
+from pathlib import Path
 
 import pytest
 
@@ -96,3 +98,13 @@ def test_hj_trajectory_reaches_period_then_the_beta_inversion(monkeypatch):
     assert calls[0] == "period" and calls.count("period") == 1
     assert calls.count("inv_inc_beta") >= 1 and calls.count("inc_beta") >= 1
     assert calls.index("inv_inc_beta") < calls.index("inc_beta")
+
+
+def test_readme_session_prints_its_documented_period(capsys):
+    # runs README's Python session as written, so its code and the period
+    # it documents cannot drift from the library
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    session = re.search(r"```python\n(.*?)```", readme, re.S).group(1)
+    documented = re.search(r"print\(period\(spec\)\)\s+# (\S+)", session).group(1)
+    exec(compile(session, "README.md", "exec"), {})
+    assert capsys.readouterr().out.splitlines()[0] == documented == "3.6504714985585363"

@@ -44,6 +44,21 @@ def test_config_validation():
         IntegratorConfig(abs_tol=-1e-12)
     with pytest.raises(DomainError):
         IntegratorConfig(max_steps=0)
+    assert IntegratorConfig(max_steps=np.int64(10)).max_steps == 10
+
+
+@pytest.mark.parametrize(
+    "options",
+    [{"max_steps": 2.5}, {"max_steps": 2.0}, {"max_steps": True}, {"rel_tol": True},
+     {"initial_step": True}, {"event_tol": "1e-12"}, {"rel_tol": None}],
+    ids=["fractional-max-steps", "float-max-steps", "bool-max-steps", "bool-rel-tol",
+         "bool-initial-step", "string-event-tol", "none-rel-tol"],
+)
+def test_config_refuses_bools_and_non_integer_max_steps(options):
+    # each of these once built a config or raised a raw TypeError: a bool is
+    # an int subclass, and a float max_steps compared fine against the step count
+    with pytest.raises(DomainError):
+        IntegratorConfig(**options)
 
 
 HARMONIC_IC = InitialConditions(q0=np.array([1.0]), p0=np.array([0.0]))
@@ -320,10 +335,14 @@ def test_stop_after_is_validated(stop_after):
         {"q_levels": [(0, 0.5, 1)]},
         {"q_levels": [0.5]},
         {"q_levels": [(0, "a")]},
+        {"stop_after": (["turning_point"], 1)},
+        {"q_levels": [(0, 0.5)], "stop_after": ("turning_point", 1)},
+        {"radial_direction": 0, "stop_after": ("origin_crossing", 1)},
     ],
     ids=["fractional-component", "nan-level", "inf-level", "half-direction", "direction-2",
          "stop-after-no-count", "stop-after-string", "stop-after-fractional-count",
-         "level-triple", "level-bare-float", "level-string"],
+         "level-triple", "level-bare-float", "level-string", "stop-after-unhashable-kind",
+         "levels-under-turning-point-stop", "radial-under-origin-stop"],
 )
 def test_malformed_event_options_are_domain_errors(options):
     # none of these may run as some nearby valid option, or fail as a raw Python error
@@ -349,10 +368,21 @@ def test_bool_event_options_are_domain_errors(options):
 
 
 def test_integer_event_options_still_accept_numpy_integers():
-    options = {"q_levels": [(np.int64(0), np.float64(0.5))], "stop_after": ("turning_point", np.int64(1))}
+    options = {"q_levels": [(np.int64(0), np.float64(0.5))], "stop_after": ("custom", np.int64(1))}
     _, events = integrate(M1, OSC, HARMONIC_IC, (0.0, 10.0), **options)
-    kinds = [e.kind for e in events]
-    assert "custom" in kinds and kinds[-1] == "turning_point"
+    assert [e.kind for e in events] == ["custom"]
+
+
+def test_stopped_run_reports_only_its_stop_kind():
+    # a stopped run detects the rows of its stop kind alone: it once also
+    # located every turning point and origin crossing on the way
+    _, events = integrate(M1, OSC, HARMONIC_IC, (0.0, math.inf), stop_after=("turning_point", 2))
+    assert [ev.kind for ev in events] == ["turning_point", "turning_point"]
+    kepler = FractionalParams(1.6, 1.0), PowerLawPotential(-1.0, -1.0)
+    ic = InitialConditions(q0=np.array([1.0, 0.0]), p0=np.array([0.0, 0.7]))
+    _, events = integrate(*kepler, ic, (0.0, math.inf), radial_direction=0, stop_after=("custom", 2))
+    assert [ev.kind for ev in events] == ["custom", "custom"]
+    assert events[-1].time == 4.933603242989538
 
 
 def test_non_finite_energy_names_the_awaited_event():

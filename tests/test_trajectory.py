@@ -270,6 +270,15 @@ def test_action_warns_when_tolerance_unreachable():
         action(params, pot, traj, quad_tol=1e-22)
 
 
+@pytest.mark.parametrize("quad_tol", [math.nan, math.inf, 0.0, -1.0])
+def test_action_refuses_a_quad_tol_that_is_not_finite_and_positive(quad_tol):
+    # nan once switched the error check off and a negative value always warned
+    ic = InitialConditions(q0=np.array([1.0]), p0=np.array([0.0]))
+    traj, _ = integrate(M1, OSC, ic, (0.0, 1.0))
+    with pytest.raises(DomainError, match="quad_tol"):
+        action(M1, OSC, traj, quad_tol=quad_tol)
+
+
 def test_action_additive_over_subspans():
     free = PowerLawPotential(0.0, 2.0)
     params = FractionalParams(1.5, 1.0)
