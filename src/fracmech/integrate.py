@@ -13,10 +13,10 @@ Events are sign crossings of functions held as data, one row per function
 theta in [0, 1] on its quartic, so the work is bounded however far the span
 lies from t = 0.
 
-A step runs on plain floats, in lists of 2d values: at d <= 3 a numpy
-temporary costs more than its arithmetic.  Only the error estimate and the
-dense-output coefficients contract the (7, 2d) stage array in numpy, because
-BLAS fixes their summation order and, through the error, the accepted steps.
+A step runs on plain floats, two scalars at d = 1 and lists of 2d above: at
+d <= 3 a numpy temporary costs more than its arithmetic.  The error estimate
+contracts the (7, 2d) stage array in numpy, as BLAS fixes its sum order and so
+the accepted steps; the dense output is one contraction per run, at its end.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ from .model import (
     _dot,
     _energy,
     _field,
+    _scalar_field,
     abs_power,
     require_finite,
     turning_point,
@@ -116,6 +117,37 @@ _ORDER_EXP = -1.0 / 5.0
 
 def _rms(v: list[float]) -> float:
     return math.sqrt(_dot(v, v) / len(v))
+
+
+def _scalar_attempt(field: Callable, y: list[float], k1: Sequence[float], h: float) -> tuple:
+    """_list_attempt at d = 1 on two floats, bitwise, with field = model._scalar_field."""
+    (q, p), (a1, b1) = y, k1
+    a2, b2 = field(q + h * (_A21 * a1), p + h * (_A21 * b1))
+    a3, b3 = field(q + h * (_A31 * a1 + _A32 * a2), p + h * (_A31 * b1 + _A32 * b2))
+    a4, b4 = field(q + h * (_A41 * a1 + _A42 * a2 + _A43 * a3), p + h * (_A41 * b1 + _A42 * b2 + _A43 * b3))
+    a5, b5 = field(q + h * (_A51 * a1 + _A52 * a2 + _A53 * a3 + _A54 * a4),
+                   p + h * (_A51 * b1 + _A52 * b2 + _A53 * b3 + _A54 * b4))
+    a6, b6 = field(q + h * (_A61 * a1 + _A62 * a2 + _A63 * a3 + _A64 * a4 + _A65 * a5),
+                   p + h * (_A61 * b1 + _A62 * b2 + _A63 * b3 + _A64 * b4 + _A65 * b5))
+    y_new = [q + h * (_B1 * a1 + _B3 * a3 + _B4 * a4 + _B5 * a5 + _B6 * a6),
+             p + h * (_B1 * b1 + _B3 * b3 + _B4 * b4 + _B5 * b5 + _B6 * b6)]
+    a7, b7 = f_new = field(*y_new)
+    return y_new, f_new, (a1, b1, a2, b2, a3, b3, a4, b4, a5, b5, a6, b6, a7, b7)
+
+
+def _list_attempt(rhs: Callable, y: list[float], k1: Sequence[float], h: float) -> tuple:
+    """One embedded attempt on lists of 2d floats, stage sums in stage order: (y_new, f_new, 7 stages flat)."""
+    k2 = rhs([x + h * (_A21 * s1) for x, s1 in zip(y, k1)])
+    k3 = rhs([x + h * (_A31 * s1 + _A32 * s2) for x, s1, s2 in zip(y, k1, k2)])
+    k4 = rhs([x + h * (_A41 * s1 + _A42 * s2 + _A43 * s3) for x, s1, s2, s3 in zip(y, k1, k2, k3)])
+    k5 = rhs([x + h * (_A51 * s1 + _A52 * s2 + _A53 * s3 + _A54 * s4)
+              for x, s1, s2, s3, s4 in zip(y, k1, k2, k3, k4)])
+    k6 = rhs([x + h * (_A61 * s1 + _A62 * s2 + _A63 * s3 + _A64 * s4 + _A65 * s5)
+              for x, s1, s2, s3, s4, s5 in zip(y, k1, k2, k3, k4, k5)])
+    y_new = [x + h * (_B1 * s1 + _B3 * s3 + _B4 * s4 + _B5 * s5 + _B6 * s6)
+             for x, s1, s3, s4, s5, s6 in zip(y, k1, k3, k4, k5, k6)]
+    f_new = rhs(y_new)
+    return y_new, f_new, [*k1, *k2, *k3, *k4, *k5, *k6, *f_new]
 
 
 def _initial_step(
@@ -237,9 +269,9 @@ def integrate(
     ``stop_after`` the span may be open, t1 = inf: the run ends on that event
     within one ``max_steps`` budget.  A non-finite energy or step, the step
     budget and a step-size underflow raise IntegrationError, each reading
-    "<what> at t = ..., y = ..." plus the awaited ``stop_after``.  The vector field is
-    bound once per run by ``model._field``: on the two scalars at d = 1,
-    with math.hypot norms above.
+    "<what> at t = ..., y = ..." plus the awaited ``stop_after``.  The field and attempt
+    are bound once per run, on two scalars at d = 1; the error estimate stays in numpy
+    for its BLAS sum order, and the dense output is one batched contraction per run.
     """
     if cfg is None:
         cfg = IntegratorConfig()
@@ -257,6 +289,8 @@ def integrate(
     y = q0.tolist() + p0.tolist()
     rows, stop_n = _event_rows(d, q_levels, radial_direction, stop_after)
     rhs = _field(params, pot, d)
+    attempt, field = (_scalar_attempt, _scalar_field(params, pot)) if d == 1 else (_list_attempt, rhs)
+    n, rel_tol = 2 * d, cfg.rel_tol
 
     e0 = float(_energy(params, pot, q0, p0))
     if not math.isfinite(e0):
@@ -281,7 +315,7 @@ def integrate(
     p_band = 0.1 * p_scale if params.alpha < 2.0 else 0.0
 
     times, ys = [t0], [y]
-    coefs: list[np.ndarray] = []
+    stacks, cut = [], 1.0  # each accepted step's (7, 2d) stages; the last step's cut width / full width
     widths: list[float] = []
     events: list[EventRecord] = []
     accepted = rejected = 0
@@ -310,26 +344,17 @@ def integrate(
         if finished:
             h = t1 - t
 
-        # one embedded attempt; each stage sum adds its terms in stage order
-        k1 = f
-        k2 = rhs([x + h * (_A21 * s1) for x, s1 in zip(y, k1)])
-        k3 = rhs([x + h * (_A31 * s1 + _A32 * s2) for x, s1, s2 in zip(y, k1, k2)])
-        k4 = rhs([x + h * (_A41 * s1 + _A42 * s2 + _A43 * s3) for x, s1, s2, s3 in zip(y, k1, k2, k3)])
-        k5 = rhs([x + h * (_A51 * s1 + _A52 * s2 + _A53 * s3 + _A54 * s4)
-                  for x, s1, s2, s3, s4 in zip(y, k1, k2, k3, k4)])
-        k6 = rhs([x + h * (_A61 * s1 + _A62 * s2 + _A63 * s3 + _A64 * s4 + _A65 * s5)
-                  for x, s1, s2, s3, s4, s5 in zip(y, k1, k2, k3, k4, k5)])
-        y_new = [x + h * (_B1 * s1 + _B3 * s3 + _B4 * s4 + _B5 * s5 + _B6 * s6)
-                 for x, s1, s3, s4, s5, s6 in zip(y, k1, k3, k4, k5, k6)]
+        y_new, f_new, stages = attempt(field, y, f, h)
         t_new = t + h
-        f_new = rhs(y_new)
-        K = np.array((k1, k2, k3, k4, k5, k6, f_new))
-        err = (_ERR @ K).tolist()
+        K = np.array(stages).reshape(7, n)
+        sq = 0.0
         try:
-            err_norm = _rms([h * e / (tol + cfg.rel_tol * max(abs(a), abs(b)))
-                             for e, a, b, tol in zip(err, y, y_new, atol)])
+            for e, a, b, tol in zip((_ERR @ K).tolist(), y, y_new, atol):
+                r = h * e / (tol + rel_tol * max(abs(a), abs(b)))
+                sq += r * r
         except ZeroDivisionError:  # a zero error scale
-            err_norm = math.inf
+            sq = math.inf
+        err_norm = math.sqrt(sq / n)
         if not (math.isfinite(err_norm) and math.isfinite(t_new) and all(map(math.isfinite, y_new))):
             raise failure(IntegrationError, f"non-finite step (h = {h}, error norm = {err_norm}, "
                           f"y -> {np.array(y_new)})", t, y)
@@ -340,13 +365,12 @@ def integrate(
             continue
 
         accepted += 1
-        coef = K.T @ _DENSE
 
         # locate the sign crossings of the event functions on this step
         g_new = [_value(row, y_new) for row in rows]
         hit_rows = _crossed(rows, g_old, g_new)
         if hit_rows:
-            seg = DenseSegment(t, h, np.array(y), coef)
+            seg = DenseSegment(t, h, np.array(y), K.T @ _DENSE)
             hits = sorted(
                 (_locate(rows[r], seg, g_old[r], cfg.event_tol), r) for r in hit_rows
             )
@@ -358,12 +382,10 @@ def integrate(
                     finished = True
                     if t_ev > t:  # the run ends on the event: cut the step there
                         t_new, y_new = t_ev, y_ev.tolist()
-                        # the same quartic over the cut width w: column k scales by (w / h)^k
-                        w = t_ev - t
-                        coef, h = coef * (w / h) ** np.arange(4.0), w
+                        cut, h = (t_ev - t) / h, t_ev - t
                     break
 
-        coefs.append(coef)
+        stacks.append(K)
         widths.append(h)
         times.append(t_new)
         ys.append(y_new)
@@ -372,6 +394,9 @@ def integrate(
         t, y, f, g_old = t_new, y_new, f_new, g_new
         h *= factor
 
+    # every step's quartic at once; over a cut width w, column k of the last scales by (w / h)^k
+    coefs = np.array(stacks).transpose(0, 2, 1) @ _DENSE
+    coefs[-1] *= cut ** np.arange(4.0)
     arr = np.asarray(ys)
     energies = _energy(params, pot, arr[:, :d], arr[:, d:])
 
@@ -380,7 +405,7 @@ def integrate(
         positions=arr[:, :d],
         momenta=arr[:, d:],
         energies=energies,
-        coefs=np.asarray(coefs),
+        coefs=coefs,
         widths=np.asarray(widths),
         accepted_steps=accepted,
         rejected_steps=rejected,

@@ -83,8 +83,8 @@ def _dot(u: Sequence[float], v: Sequence[float]) -> float:
 
 
 def require_finite(**values) -> None:
-    """Raise DomainError naming the first keyword value with an inf or NaN, or
-    with an int beyond the float range."""
+    """Raise DomainError naming the first keyword value with an inf or NaN, with
+    an int beyond the float range, or that is not numeric (a str, an object array)."""
     for name, value in values.items():
         if type(value) is int:  # unbounded, so finite exactly when it converts to a float
             try:
@@ -92,7 +92,10 @@ def require_finite(**values) -> None:
             except OverflowError:
                 raise DomainError(f"{name} must be finite, got an int of {value.bit_length()} bits") from None
         # a plain float (not np.float64, a subclass) is checked without a numpy round trip
-        finite = math.isfinite(value) if type(value) is float else value is None or np.all(np.isfinite(value))
+        try:
+            finite = math.isfinite(value) if type(value) is float else value is None or np.all(np.isfinite(value))
+        except TypeError:  # numpy's isfinite takes no str or object array
+            raise DomainError(f"{name} must be a finite number, got {value!r}") from None
         if not finite:
             raise DomainError(f"{name} must be finite, got {value}")
 
@@ -111,26 +114,13 @@ def _power_law(scale: float, k: float, x: np.ndarray) -> np.ndarray:
     return scale * n**k
 
 
-def _field(params: FractionalParams, pot: PowerLawPotential, d: int) -> Callable[[list[float]], list[float]]:
-    """The canonical equations in dimension d, bound once: y = (q, p) -> (qdot, pdot).
-
-    qdot = alpha d_alpha |p|^(alpha-2) p, extended to 0 at p = 0 (alpha > 1);
-    pdot = -strength degree |q|^(degree-2) q, 0 at q = 0 for degree > 1; for
-    degree <= 1 it has no value at q = 0, which raises.  At d = 1 the norms are
-    abs of the scalars, equal to sqrt(x * x) wherever x * x is a normal
-    float; above they come from math.hypot, finite wherever the norm is.
-    """
+def _norm_rates(params: FractionalParams, pot: PowerLawPotential) -> Callable[[float, float], tuple[float, float]]:
+    """(|p|, |q|) -> (v, f) with qdot = v p, pdot = f q: v = alpha d_alpha |p|^(alpha-2), 0 at p = 0,
+    f = -strength degree |q|^(degree-2), 0 at q = 0 for degree > 1 and raising for degree <= 1."""
     cv, ev = params.alpha * params.d_alpha, params.alpha - 2.0
     cf, ef, degree = -pot.strength * pot.degree, pot.degree - 2.0, pot.degree
-    fabs, hypot, zero = math.fabs, math.hypot, [0.0] * d
 
-    def field(y: list[float]) -> list[float]:
-        if d == 1:
-            q, p = y
-            m, n = fabs(p), fabs(q)
-        else:
-            q, p = y[:d], y[d:]
-            m, n = hypot(*p), hypot(*q)
+    def rates(m: float, n: float) -> tuple[float, float]:
         try:
             v = cv * m**ev if m else 0.0
             f = cf * n**ef if n else 0.0
@@ -140,8 +130,34 @@ def _field(params: FractionalParams, pot: PowerLawPotential, d: int) -> Callable
             abs_power(n, ef)
         if not n and degree <= 1.0:
             raise DomainError(f"force is undefined at q = 0 for degree {degree} <= 1")
-        if d == 1:
-            return [v * p if m else 0.0, f * q if n else 0.0]
+        return v, f
+
+    return rates
+
+
+def _scalar_field(params: FractionalParams, pot: PowerLawPotential) -> Callable[[float, float], tuple[float, float]]:
+    """The canonical equations at d = 1, bound once: (q, p) -> (qdot, pdot), a zero rate +0.0.
+    Norms are abs of the floats, equal to sqrt(x * x) wherever x * x is a normal float."""
+    rates, fabs = _norm_rates(params, pot), math.fabs
+
+    def field(q: float, p: float) -> tuple[float, float]:
+        v, f = rates(fabs(p), fabs(q))
+        return v * p if p else 0.0, f * q if q else 0.0
+
+    return field
+
+
+def _field(params: FractionalParams, pot: PowerLawPotential, d: int) -> Callable[[list[float]], list[float]]:
+    """The canonical equations in dimension d, bound once: y = (q, p) -> (qdot, pdot), one list;
+    _scalar_field at d = 1, norms from math.hypot above, finite wherever the norm is."""
+    if d == 1:
+        return lambda y, scalar=_scalar_field(params, pot): list(scalar(*y))
+    rates, hypot, zero = _norm_rates(params, pot), math.hypot, [0.0] * d
+
+    def field(y: list[float]) -> list[float]:
+        q, p = y[:d], y[d:]
+        m, n = hypot(*p), hypot(*q)
+        v, f = rates(m, n)
         return ([v * x for x in p] if m else zero) + ([f * x for x in q] if n else zero)
 
     return field

@@ -29,8 +29,9 @@ from fracmech import (
     measure_period,
     period,
 )
-from fracmech.integrate import first_event_times
-from fracmech.model import PhaseState, _field, hamilton_rhs
+from conftest import GRID_EXPONENTS
+from fracmech.integrate import _DENSE, _list_attempt, _scalar_attempt, first_event_times
+from fracmech.model import PhaseState, _field, _scalar_field, hamilton_rhs
 
 M1 = FractionalParams.from_mass(1.0)
 OSC = PowerLawPotential(1.0, 2.0)
@@ -517,6 +518,58 @@ def test_phase_field_is_hamilton_rhs_bitwise(d):
             q, p = rng.normal(size=d), rng.normal(size=d)
             qdot, pdot = hamilton_rhs(params, pot, PhaseState(0.0, q, p))
             assert _field(params, pot, d)([*q, *p]) == [*qdot, *pdot]
+
+
+def both_attempts(params, pot, y, f, h):
+    """One d = 1 attempt through the scalar attempt and through the list attempt
+    of d >= 2, each as (y_new, f_new, flat stages) in float.hex bits, or the
+    DomainError message it raised."""
+    out = []
+    for attempt, field in ((_scalar_attempt, _scalar_field(params, pot)), (_list_attempt, _field(params, pot, 1))):
+        try:
+            out.append([[x.hex() for x in part] for part in attempt(field, y, f, h)])
+        except DomainError as err:
+            out.append(str(err))
+    return out
+
+
+@pytest.mark.parametrize("alpha", GRID_EXPONENTS)
+@pytest.mark.parametrize("beta", GRID_EXPONENTS)
+def test_scalar_attempt_is_the_list_attempt_bitwise(alpha, beta):
+    rng = np.random.default_rng([int(100 * alpha), int(100 * beta)])
+    params, pot = FractionalParams(alpha, rng.uniform(0.2, 3.0)), PowerLawPotential(rng.uniform(0.2, 3.0), beta)
+    field = _field(params, pot, 1)
+    for i in range(200):
+        # every 10th state starts at rest or at the origin, where a rate is +0.0
+        y = [float(v) for v in rng.normal(size=2) * 10.0 ** rng.uniform(-3, 3, size=2)]
+        if i % 10 == 0:
+            y[i % 20 // 10] = 0.0
+        h = 10.0 ** rng.uniform(-6, 0)
+        scalar, listed = both_attempts(params, pot, y, field(y), h)
+        assert scalar == listed and not isinstance(scalar, str)
+
+
+def test_scalar_attempt_raises_the_list_attempts_errors():
+    # a stage at q = 0 for a force of degree <= 1 has no value
+    for beta in (1.0, 0.5, -1.0):
+        scalar, listed = both_attempts(FractionalParams(1.5, 1.0), PowerLawPotential(-1.0, beta), [0.0, 1.0],
+                                       [0.0, 0.0], 0.1)
+        assert scalar == listed == f"force is undefined at q = 0 for degree {beta} <= 1"
+    # a stage force beyond the float range: abs_power names the power
+    scalar, listed = both_attempts(FractionalParams(1.5, 1.0), PowerLawPotential(1.0, 40.0), [1e9, 1.0],
+                                   [1e9, 0.0], 1.0)
+    assert scalar == listed and "overflows the float range" in scalar
+
+
+@pytest.mark.parametrize("n", [2, 4, 6])
+def test_batched_dense_contraction_is_per_step_bitwise(n):
+    # integrate contracts every step's (7, 2d) stage stack with _DENSE at once
+    rng = np.random.default_rng(n)
+    for steps in (1, 2, 3, 17, 400):
+        stacks = np.array([rng.normal(size=(7, n)) * 10.0 ** rng.uniform(-8, 8, size=(7, n)) for _ in range(steps)])
+        batched = stacks.transpose(0, 2, 1) @ _DENSE
+        per_step = np.array([K.T @ _DENSE for K in stacks])
+        assert batched.tobytes() == per_step.tobytes()
 
 
 # one bounded fractional orbit per dimension: (params, potential, q0, p0, t1)

@@ -101,6 +101,22 @@ def test_require_finite_refuses_non_finite_numpy_values(value):
     assert str(err.value) == f"x must be finite, got {value}"
 
 
+NON_NUMERIC = ["1.5", b"2", np.array([1.0, "a"], dtype=object), np.array(["1.0"])]
+
+
+@pytest.mark.parametrize("value", NON_NUMERIC, ids=[repr(v) for v in NON_NUMERIC])
+def test_require_finite_names_a_non_numeric_value(value):
+    # numpy's isfinite raises TypeError on these; the check names the field instead
+    with pytest.raises(DomainError) as err:
+        require_finite(good=1.0, x=value)
+    assert str(err.value) == f"x must be a finite number, got {value!r}"
+
+
+def test_params_refuse_a_string_exponent():
+    with pytest.raises(DomainError, match="^alpha must be a finite number, got '1.5'$"):
+        FractionalParams("1.5", 1.0)
+
+
 def test_abs_power_edges():
     assert abs_power(0.0, 0.7) == 0.0
     assert abs_power(0.0, 0.0) == 1.0

@@ -328,6 +328,8 @@ def test_quantum_levels_validation():
         quantum_levels(HARMONIC, 0.0, 0)
     with pytest.raises(DomainError, match="level index"):
         quantum_levels(HARMONIC, 1.0, True)  # a bool is an int subclass: it once returned E_1
+    with pytest.raises(DomainError, match="^n must be a finite number, got '2'$"):
+        quantum_levels(HARMONIC, 1.0, "2")
 
 
 # ----------------------------------------------------------- classical limit
