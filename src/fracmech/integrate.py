@@ -22,7 +22,6 @@ the accepted steps; the dense output is one contraction per run, at its end.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -58,12 +57,10 @@ class IntegratorConfig:
     event_tol: float = 1e-12
 
     def __post_init__(self) -> None:
-        if not all(_is_number(v, numbers.Real) for k, v in vars(self).items() if (k, v) != ("initial_step", None)):
-            raise DomainError(f"integrator settings must be real numbers, not bools: {self}")
-        require_finite(**vars(self))
+        require_finite(**{k: v for k, v in vars(self).items() if (k, v) != ("initial_step", None)})
         if not (self.rel_tol > 0.0 and self.abs_tol > 0.0 and self.event_tol > 0.0):
             raise DomainError("integrator tolerances must be positive")
-        if not (_is_number(self.max_steps, (int, np.integer)) and self.max_steps > 0):
+        if not (isinstance(self.max_steps, (int, np.integer)) and self.max_steps > 0):
             raise DomainError(f"max_steps must be a positive integer, got {self.max_steps!r}")
         if self.initial_step is not None and not self.initial_step > 0.0:
             raise DomainError("initial_step must be positive when given")
@@ -169,11 +166,6 @@ def _initial_step(
     return min(100.0 * h0, h1, span)
 
 
-def _is_number(x, kinds) -> bool:
-    """isinstance(x, kinds) for a number that is not a bool (an int subclass)."""
-    return isinstance(x, kinds) and not isinstance(x, bool)
-
-
 def _event_rows(d: int, q_levels: Sequence, radial_direction: int | None, stop_after) -> tuple[list, int]:
     """The event rows of a run and the count of events that ends it, 0 without
     stop_after=(kind, n), which keeps the rows of its kind alone.  One row
@@ -185,20 +177,22 @@ def _event_rows(d: int, q_levels: Sequence, radial_direction: int | None, stop_a
     rows = [("turning_point", j, d + j, 0.0, 0) for j in range(d)]
     rows += [("origin_crossing", j, j, 0.0, 0) for j in range(d)]
     for entry in q_levels:
-        if not (isinstance(entry, (tuple, list)) and len(entry) == 2 and _is_number(entry[1], numbers.Real)):
+        if not (isinstance(entry, (tuple, list)) and len(entry) == 2):
             raise DomainError(f"level crossing {entry!r} is not a (component, real level) pair")
         comp, level = entry
-        if not (_is_number(comp, (int, np.integer)) and 0 <= comp < d):
+        require_finite(component=comp, level=level)
+        if not (isinstance(comp, (int, np.integer)) and 0 <= comp < d):
             raise DomainError(f"level-crossing component {comp} outside dimension {d}")
-        require_finite(level=level)
         rows.append(("custom", int(comp), int(comp), float(level), 0))
     if radial_direction is not None:
-        if radial_direction not in (-1, 0, 1) or isinstance(radial_direction, bool):
+        require_finite(radial_direction=radial_direction)
+        if radial_direction not in (-1, 0, 1):
             raise DomainError(f"radial_direction must be -1, 0 or +1, got {radial_direction!r}")
         rows.append(("custom", None, None, 0.0, int(radial_direction)))
     kind, n = stop_after if isinstance(stop_after, (tuple, list)) and len(stop_after) == 2 else (None, 0)
     stoppable = ("custom",) if rows[2 * d:] else ("turning_point", "origin_crossing")
-    if stop_after is not None and not (_is_number(n, (int, np.integer)) and n >= 1 and kind in stoppable):
+    require_finite(stop_after_count=n)
+    if stop_after is not None and not (isinstance(n, (int, np.integer)) and n >= 1 and kind in stoppable):
         raise DomainError(f"stop_after needs kind {' or '.join(stoppable)} and a count >= 1, got {stop_after!r}")
     return [row for row in rows if stop_after is None or row[0] == kind], n
 
@@ -275,8 +269,9 @@ def integrate(
     """
     if cfg is None:
         cfg = IntegratorConfig()
+    require_finite(t0=span[0], t1=span[1] if span[1] != math.inf else 0.0)  # t1 = inf with stop_after
     t0, t1 = float(span[0]), float(span[1])
-    if not -math.inf < t0 < t1 or (t1 == math.inf and stop_after is None):
+    if not t0 < t1 or (t1 == math.inf and stop_after is None):
         raise DomainError(f"integration span needs finite t0 < t1 (inf t1 only with stop_after), got {span}")
     awaiting = "" if stop_after is None else f", awaiting stop_after {stop_after!r}"
 

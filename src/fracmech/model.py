@@ -53,25 +53,29 @@ def abs_power(x: float, k: float) -> float:
     value.  At x = 0 the result is 0 for k > 0 and 1 for k = 0; k < 0 is a
     genuine singularity and raises, as does a result beyond the float range.
     """
-    m = abs(x)
-    if m == 0.0:
-        if k > 0.0:
-            return 0.0
-        if k == 0.0:
-            return 1.0
-        raise DomainError(f"0 raised to negative power {k}")
     try:
+        m = abs(x)
+        if m == 0.0:
+            if k > 0.0:
+                return 0.0
+            if k == 0.0:
+                return 1.0
+            raise DomainError(f"0 raised to negative power {k}")
         return m ** k
     except OverflowError:
         raise DomainError(f"|{x}| ** {k} overflows the float range") from None
+    except TypeError:  # not a number: the rule names which argument, off the hot path
+        require_finite(x=x, k=k)
+        raise
 
 
 def _vec(x, name: str = "vector") -> np.ndarray:
-    """Coerce scalars / sequences to a 1..3 component float vector."""
-    v = np.atleast_1d(np.asarray(x, dtype=float))
+    """A finite real scalar / sequence (require_finite's rule) as a 1..3 component float vector."""
+    v = np.atleast_1d(x)
+    require_finite(**{name: v})
     if v.ndim != 1 or not 1 <= v.size <= 3:
         raise DomainError(f"{name} must have 1 to 3 components, got shape {v.shape}")
-    return v
+    return v.astype(float, copy=False)
 
 
 def _dot(u: Sequence[float], v: Sequence[float]) -> float:
@@ -83,19 +87,21 @@ def _dot(u: Sequence[float], v: Sequence[float]) -> float:
 
 
 def require_finite(**values) -> None:
-    """Raise DomainError naming the first keyword value with an inf or NaN, with
-    an int beyond the float range, or that is not numeric (a str, an object array)."""
+    """The one type rule at the input edge: raise DomainError naming the first keyword value that is
+    not a finite real number or an array of them.  Python and numpy ints and floats and int or float
+    arrays pass; bool, None, str and bytes (numeric strings are not converted), complex and object
+    arrays are not numbers; inf, NaN and an int beyond the float range are not finite.  The specfun
+    kernels alone convert with float() instead."""
     for name, value in values.items():
-        if type(value) is int:  # unbounded, so finite exactly when it converts to a float
+        if type(value) is float or type(value) is int:  # plain (not np.float64 or bool): no numpy round trip
             try:
-                value = float(value)
-            except OverflowError:
+                finite = math.isfinite(value)
+            except OverflowError:  # an int beyond the float range
                 raise DomainError(f"{name} must be finite, got an int of {value.bit_length()} bits") from None
-        # a plain float (not np.float64, a subclass) is checked without a numpy round trip
-        try:
-            finite = math.isfinite(value) if type(value) is float else value is None or np.all(np.isfinite(value))
-        except TypeError:  # numpy's isfinite takes no str or object array
-            raise DomainError(f"{name} must be a finite number, got {value!r}") from None
+        elif np.asarray(value).dtype.kind in "iuf":
+            finite = np.all(np.isfinite(value))
+        else:
+            raise DomainError(f"{name} must be a finite number, got {value!r}")
         if not finite:
             raise DomainError(f"{name} must be finite, got {value}")
 
@@ -181,6 +187,7 @@ class FractionalParams:
     @classmethod
     def from_mass(cls, mass: float) -> "FractionalParams":
         """Classical limit alpha = 2 with d_alpha = 1/(2 mass)."""
+        require_finite(mass=mass)
         if not mass > 0.0:
             raise DomainError(f"mass must be positive, got {mass}")
         return cls(alpha=2.0, d_alpha=1.0 / (2.0 * mass))
@@ -243,9 +250,9 @@ class PhaseState:
     p: np.ndarray
 
     def __post_init__(self) -> None:
+        require_finite(t=self.t)
         q = _vec(self.q, "q")
         p = _vec(self.p, "p")
-        require_finite(t=self.t, q=q, p=p)
         if q.shape != p.shape:
             raise DomainError(f"q and p dimensions differ: {q.shape} vs {p.shape}")
         q.flags.writeable = False
@@ -281,15 +288,12 @@ class InitialConditions:
     qdot0: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "q0", _vec(self.q0, "q0"))
         if (self.p0 is None) == (self.qdot0 is None):
             raise DomainError("supply exactly one of p0 and qdot0")
-        if self.p0 is not None:
-            object.__setattr__(self, "p0", _vec(self.p0, "p0"))
-        if self.qdot0 is not None:
-            object.__setattr__(self, "qdot0", _vec(self.qdot0, "qdot0"))
-        require_finite(q0=self.q0, p0=self.p0, qdot0=self.qdot0)
-        if (self.qdot0 if self.p0 is None else self.p0).shape != self.q0.shape:
+        given = "p0" if self.qdot0 is None else "qdot0"
+        for name in ("q0", given):
+            object.__setattr__(self, name, _vec(getattr(self, name), name))
+        if getattr(self, given).shape != self.q0.shape:
             raise DomainError("initial momentum/velocity dimension must match q0")
 
     def resolve(self, params: FractionalParams) -> tuple[np.ndarray, np.ndarray]:
@@ -419,8 +423,9 @@ def free_particle_trajectory(
 def _partial(f: PhaseField, state: PhaseState, k: int, step: float) -> float:
     """Central-difference partial derivative of a phase-space field in
     coordinate k of the stacked (t, q, p), with step h = step * max(1, |x|)."""
-    if not 0.0 < step < math.inf:
-        raise DomainError(f"finite-difference step must be finite and positive, got {step}")
+    require_finite(step=step)
+    if not step > 0.0:
+        raise DomainError(f"finite-difference step must be positive, got {step}")
     y, d = [state.t, *state.q.tolist(), *state.p.tolist()], state.dimension
     h = step * max(1.0, abs(y[k]))
 

@@ -182,6 +182,7 @@ def hj_time_of_flight(spec: OscillatorSpec, q: float) -> float:
     Strictly increasing on [0, q_turn]; t(q_turn) is exactly a quarter
     period.
     """
+    require_finite(q=q)
     q_turn = spec.q_turn
     if not 0.0 <= q <= q_turn * (1.0 + 1e-12):
         raise DomainError(f"position {q} outside [0, q_turn={q_turn}]")
@@ -195,6 +196,7 @@ def hj_position(spec: OscillatorSpec, t: float) -> float:
     Defined for t in [0, T/4]; uses the inverse incomplete Beta, so the
     roundtrip with :func:`hj_time_of_flight` is exact to solver tolerance.
     """
+    require_finite(t=t)
     quarter = spec.quarter_period
     if not 0.0 <= t <= quarter * (1.0 + 1e-12):
         raise DomainError(f"time {t} outside the quarter period [0, {quarter}]")
@@ -238,7 +240,7 @@ def quantum_levels(spec: OscillatorSpec, hbar: float, n: int) -> float:
     require_finite(hbar=hbar, n=n)
     if not hbar > 0.0:
         raise DomainError(f"hbar must be positive, got {hbar}")
-    if isinstance(n, bool) or n < 0 or n != int(n):
+    if n < 0 or n != int(n):
         raise DomainError(f"level index must be a nonnegative integer, got {n}")
     a, b = spec.alpha, spec.beta
     exponent = a * b / (a + b)

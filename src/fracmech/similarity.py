@@ -12,7 +12,6 @@ beta = -1 whose time exponent 2 - 1/alpha generalizes Kepler's third law
 from __future__ import annotations
 
 import dataclasses
-import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -60,13 +59,9 @@ class SimilarityExponents:
 
 
 def exponents(alpha: float, beta_degree: float) -> SimilarityExponents:
-    """The four similarity exponents for kinetic exponent alpha and
-    potential degree beta_degree."""
-    if not 1.0 < alpha <= 2.0:
-        raise DomainError(f"alpha must lie in (1, 2], got {alpha}")
-    require_finite(beta_degree=beta_degree)
-    if beta_degree == 0.0:
-        raise DomainError("potential degree must be nonzero")
+    """The four similarity exponents for kinetic exponent alpha and potential
+    degree beta_degree, which FractionalParams and PowerLawPotential check."""
+    FractionalParams(alpha, 1.0), PowerLawPotential(1.0, beta_degree)
     b = beta_degree
     return SimilarityExponents(
         time_vs_length=1.0 - b + b / alpha,
@@ -79,7 +74,8 @@ def exponents(alpha: float, beta_degree: float) -> SimilarityExponents:
 def _require_scale_factors(rho_list: Sequence[float]) -> None:
     """Raise DomainError on the first scale factor that is not finite and positive."""
     for rho in rho_list:
-        if not 0.0 < rho < math.inf:
+        require_finite(rho=rho)
+        if not rho > 0.0:
             raise DomainError(f"scale factors must be finite and positive, got {rho}")
 
 
@@ -127,14 +123,16 @@ class ScalingRow:
 
 
 def _scaling_rows(
-    measure: Callable[[InitialConditions, float], float], q0: np.ndarray, p0: np.ndarray,
-    rho_list: Sequence[float], alpha: float, beta_degree: float,
+    measure: Callable[[InitialConditions, float], float], params: FractionalParams, pot: PowerLawPotential,
+    q0: np.ndarray, p0: np.ndarray, rho_list: Sequence[float],
 ) -> tuple[float, list[ScalingRow]]:
     """measure(ic, rho) of the motion from (q0, p0) and of its copy scaled by each
     rho, launched from rho q0 with momentum rho^(beta/alpha) p0: the base time,
     and one row per rho against the predicted ratio rho^time_vs_length.  At
-    rho = 1 the copy is the base motion itself, so its row reuses the base."""
-    t_exp = exponents(alpha, beta_degree).time_vs_length
+    rho = 1 the copy is the base motion itself, so its row reuses the base.  An
+    energy beyond the float range, inf or 0 where the base's is not, is a DomainError."""
+    t_exp = exponents(params.alpha, pot.degree).time_vs_length
+    e0 = _initial_energy(params, pot, q0, p0)
     base = measure(InitialConditions(q0=q0, p0=p0), 1.0)
     rows = []
     for rho in rho_list:
@@ -143,8 +141,11 @@ def _scaling_rows(
             rows.append(ScalingRow.of(rho, predicted, 1.0))
             continue
         with np.errstate(all="ignore"):
-            q, p = q0 * rho, p0 * abs_power(rho, beta_degree / alpha)
+            q, p = q0 * rho, p0 * abs_power(rho, pot.degree / params.alpha)
         require_finite(scaled_q0=q, scaled_p0=p)
+        e = float(_energy(params, pot, q, p))
+        if not np.isfinite(e) or (e == 0.0 and e0 != 0.0):
+            raise DomainError(f"rho = {rho} takes the launch energy {e0} to {e}, outside the float range")
         rows.append(ScalingRow.of(rho, predicted, measure(InitialConditions(q0=q, p0=p), rho) / base))
     return base, rows
 
@@ -189,8 +190,7 @@ def verify_scaling(
         return first_event_times(params, pot, ic, kind, 1, cfg, q_levels=scaled)[0]
 
     _require_scale_factors(rho_list)
-    _initial_energy(params, pot, q0, p0)  # a non-finite energy is a DomainError
-    return _scaling_rows(landmark_time, q0, p0, rho_list, params.alpha, pot.degree)[1]
+    return _scaling_rows(landmark_time, params, pot, q0, p0, rho_list)[1]
 
 
 def fit_time_exponent(rows: Sequence[ScalingRow]) -> tuple[float, float] | None:
@@ -236,12 +236,11 @@ def fractional_kepler_check(
     ratio must follow rho^(2 - 1/alpha).  The fitted log-log slope of
     the measured ratios is reported beside that prediction.
     """
-    params = FractionalParams(alpha, d_alpha)
+    params, pot = FractionalParams(alpha, d_alpha), PowerLawPotential(strength, -1.0)
     if not strength < 0.0:
         raise UnsuitablePhysicsError(
             f"orbital check needs an attractive potential, got strength {strength}"
         )
-    pot = PowerLawPotential(strength, -1.0)
     _require_scale_factors(rho_list)
     q0, p0 = ic.resolve(params)
     if q0.size != 2:
@@ -277,7 +276,7 @@ def fractional_kepler_check(
         zeros = first_event_times(params, pot, ic, "custom", 3 - at_apsis, cfg, radial_direction=0)
         return zeros[-1] - (0.0 if at_apsis else zeros[0])
 
-    base_T, rows = _scaling_rows(radial_period, q0, p0, rho_list, alpha, -1.0)
+    base_T, rows = _scaling_rows(radial_period, params, pot, q0, p0, rho_list)
     fit = fit_time_exponent(rows)
     slope, resid = fit if fit is not None else (None, None)
     return KeplerReport(
@@ -297,6 +296,5 @@ def kepler_gamma(alpha: float) -> float:
     gamma = alpha / (2 (alpha - 1)); at alpha = 2 this is Newtonian
     gravity, gamma = 1.
     """
-    if not 1.0 < alpha <= 2.0:
-        raise DomainError(f"alpha must lie in (1, 2], got {alpha}")
+    FractionalParams(alpha, 1.0)  # checks alpha as a kinetic exponent
     return alpha / (2.0 * (alpha - 1.0))

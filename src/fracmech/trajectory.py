@@ -94,11 +94,11 @@ class Trajectory:
             raise DomainError("trajectory needs at least one sample")
         if self.positions.shape != self.momenta.shape or self.positions.shape[0] != n:
             raise DomainError("trajectory arrays have inconsistent shapes")
+        if np.shape(self.coefs) != (n - 1, 2 * self.dimension, 4) or np.shape(self.widths) != (n - 1,):
+            raise DomainError("dense output needs one quartic and one width per step")
         require_finite(**vars(self))  # the arrays in field order, before times are differenced
         if n > 1 and not np.all(np.diff(self.times) > 0.0):
             raise DomainError("trajectory times must be strictly increasing")
-        if np.shape(self.coefs) != (n - 1, 2 * self.dimension, 4) or np.shape(self.widths) != (n - 1,):
-            raise DomainError("dense output needs one quartic and one width per step")
         # the samples as stacked (q, p) rows, the layout of a step's quartic
         object.__setattr__(self, "_rows", np.hstack([self.positions, self.momenta]))
 

@@ -6,6 +6,7 @@ import ast
 import importlib
 import inspect
 import re
+import warnings
 from pathlib import Path
 
 import pytest
@@ -108,3 +109,72 @@ def test_readme_session_prints_its_documented_period(capsys):
     documented = re.search(r"print\(period\(spec\)\)\s+# (\S+)", session).group(1)
     exec(compile(session, "README.md", "exec"), {})
     assert capsys.readouterr().out.splitlines()[0] == documented == "3.6504714985585363"
+
+
+# ------------------------------------------------------------- the type edge
+
+P, V = fracmech.FractionalParams(1.5, 1.0), fracmech.PowerLawPotential(1.0, 1.5)
+IC, SPEC = fracmech.InitialConditions(q0=[1.0], p0=[0.0]), fracmech.OscillatorSpec.from_exponents(1.5, 1.5)
+PLANE = fracmech.InitialConditions(q0=[1.0, 0.0], p0=[0.0, 0.8])
+
+
+def _traj():
+    return fracmech.integrate(P, V, IC, (0.0, 0.5))[0]
+
+
+# one row per call and the field its DomainError must name: each once raised a raw
+# TypeError or ran on a None, bool or numeric string taken as a number
+TYPE_EDGE = {
+    "params-none-d_alpha": (lambda: fracmech.FractionalParams(1.5, None), "d_alpha"),
+    "from_mass-none": (lambda: fracmech.FractionalParams.from_mass(None), "mass"),
+    "from_mass-bool": (lambda: fracmech.FractionalParams.from_mass(True), "mass"),
+    "potential-none-strength": (lambda: fracmech.PowerLawPotential(None, 2.0), "strength"),
+    "potential-bool-degree": (lambda: fracmech.PowerLawPotential(1.0, True), "degree"),
+    "potential-energy-none": (lambda: V.energy(None), "q"),
+    "ic-numeric-strings": (lambda: fracmech.InitialConditions(q0="1.5", p0="0"), "q0"),
+    "state-none-t": (lambda: fracmech.PhaseState(None, [1.0], [0.0]), "t"),
+    "state-numeric-strings": (lambda: fracmech.PhaseState(0.0, "1", "0"), "q"),
+    "abs_power-string": (lambda: fracmech.abs_power("2", 2.0), "x"),
+    "lagrangian-string-qdot": (lambda: fracmech.lagrangian(P, V, [1.0], "1"), "qdot"),
+    "momentum-none-qdot": (lambda: fracmech.momentum_from_velocity(P, None), "qdot"),
+    "velocity-bool-p": (lambda: fracmech.velocity_from_momentum(P, True), "p"),
+    "residual-none-q": (lambda: fracmech.euler_lagrange_residual(P, V, None, 1.0, 1.0), "q"),
+    "turning_point-none": (lambda: fracmech.turning_point(V, None), "energy"),
+    "free_particle-none": (lambda: fracmech.free_particle_trajectory(P, None, 0.0, 0.0), "energy"),
+    "poisson-none-step": (lambda: fracmech.poisson_bracket(len, len, fracmech.PhaseState(0.0, [1.0], [0.0]), None),
+                          "step"),
+    "action-none-tol": (lambda: fracmech.action(P, V, _traj(), None), "quad_tol"),
+    "span-none-t0": (lambda: fracmech.integrate(P, V, IC, (None, 1.0)), "t0"),
+    "span-none-t1": (lambda: fracmech.integrate(P, V, IC, (0.0, None)), "t1"),
+    "span-strings": (lambda: fracmech.integrate(P, V, IC, ("0", "1")), "t0"),
+    "span-bool-t1": (lambda: fracmech.integrate(P, V, IC, (0.0, True)), "t1"),
+    "spec-none-energy": (lambda: fracmech.OscillatorSpec(P, V, None), "energy"),
+    "measure_period-none": (lambda: fracmech.measure_period(P, V, None), "energy"),
+    "hj_time_of_flight-none": (lambda: fracmech.hj_time_of_flight(SPEC, None), "q"),
+    "hj_time_of_flight-bool": (lambda: fracmech.hj_time_of_flight(SPEC, True), "q"),
+    "hj_position-none": (lambda: fracmech.hj_position(SPEC, None), "t"),
+    "hj_position-string": (lambda: fracmech.hj_position(SPEC, "0.1"), "t"),
+    "hj_trajectory-bool": (lambda: fracmech.hj_trajectory(SPEC, True), "t"),
+    "hj_trajectory-none-delta": (lambda: fracmech.hj_trajectory(SPEC, 0.1, None), "delta"),
+    "levels-none-hbar": (lambda: fracmech.quantum_levels(SPEC, None, 1), "hbar"),
+    "levels-none-n": (lambda: fracmech.quantum_levels(SPEC, 1.0, None), "n"),
+    "classical-none": (lambda: fracmech.classical_limit_solution(None, 1.0, 1.0, 0.0, 0.0), "energy"),
+    "exponents-string-alpha": (lambda: fracmech.exponents("1.5", 2.0), "alpha"),
+    "exponents-none-degree": (lambda: fracmech.exponents(1.5, None), "degree"),
+    "kepler_gamma-string": (lambda: fracmech.kepler_gamma("1.5"), "alpha"),
+    "kepler_gamma-none": (lambda: fracmech.kepler_gamma(None), "alpha"),
+    "scale_trajectory-none": (lambda: fracmech.scale_trajectory(_traj(), None, 1.5, 1.5), "rho"),
+    "verify_scaling-bool": (lambda: fracmech.verify_scaling(P, V, IC, [True]), "rho"),
+    "verify_scaling-none": (lambda: fracmech.verify_scaling(P, V, IC, [None]), "rho"),
+    "kepler-none-strength": (lambda: fracmech.fractional_kepler_check(1.5, PLANE, [2.0], strength=None), "strength"),
+    "kepler-bool-d_alpha": (lambda: fracmech.fractional_kepler_check(1.5, PLANE, [2.0], d_alpha=True), "d_alpha"),
+    "kepler-none-rho": (lambda: fracmech.fractional_kepler_check(1.5, PLANE, [None]), "rho"),
+}
+
+
+@pytest.mark.parametrize("call, field", TYPE_EDGE.values(), ids=TYPE_EDGE.keys())
+def test_a_value_that_is_not_a_real_number_is_a_domain_error_naming_its_field(call, field):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(fracmech.DomainError, match=f"^{field} must be a finite number, got "):
+            call()

@@ -69,11 +69,11 @@ def test_require_finite_checks_plain_floats_without_numpy(monkeypatch):
         require_finite(a=2.0, b=math.nan)
 
 
-# values other than a plain float keep the numpy rule: None passes, anything
-# else passes exactly when all(isfinite(value))
+# a finite real number or an array of them: Python and numpy ints and floats,
+# and arrays of integer or float dtype whose elements are all finite
 ACCEPTED = [
-    None, 0, -7, 2**62, True, False, np.float64(1.5), np.int64(3),
-    np.array(2.0), np.array([1.0, 2.0]), np.array([]),
+    0, -7, 2**62, np.float64(1.5), np.int64(3), np.uint8(3),
+    np.array(2.0), np.array([1.0, 2.0]), np.array([1, 2]), np.array([]),
 ]
 REFUSED = [
     np.float64(math.inf), np.float64(-math.inf), np.float64(math.nan), np.float32(math.inf),
@@ -101,12 +101,15 @@ def test_require_finite_refuses_non_finite_numpy_values(value):
     assert str(err.value) == f"x must be finite, got {value}"
 
 
-NON_NUMERIC = ["1.5", b"2", np.array([1.0, "a"], dtype=object), np.array(["1.0"])]
+NON_NUMERIC = [
+    "1.5", b"2", np.array([1.0, "a"], dtype=object), np.array(["1.0"]),
+    None, True, False, np.bool_(True), np.array([True]), 1j, np.complex128(1.0), np.array([1.0], dtype=object),
+]
 
 
 @pytest.mark.parametrize("value", NON_NUMERIC, ids=[repr(v) for v in NON_NUMERIC])
 def test_require_finite_names_a_non_numeric_value(value):
-    # numpy's isfinite raises TypeError on these; the check names the field instead
+    # not a real number: bools, None, strings (numeric or not), complex and object arrays
     with pytest.raises(DomainError) as err:
         require_finite(good=1.0, x=value)
     assert str(err.value) == f"x must be a finite number, got {value!r}"

@@ -457,6 +457,14 @@ def test_non_finite_initial_energy_is_domain_error_without_warning():
             )
 
 
+@pytest.mark.parametrize("rho, energy", [(1e300, "inf"), (1e-300, "0.0")], ids=["overflow", "underflow"])
+def test_scaled_launch_energy_beyond_the_float_range_is_domain_error(rho, energy):
+    # rho^1.5 scales the launch energy 1.0 to 1e450 or 1e-450: the first once raised
+    # IntegrationError (exit 3), the second ran and reported rel_err 4.4e144
+    with pytest.raises(DomainError, match="^" + re.escape(f"rho = {rho} takes the launch energy 1.0 to {energy},")):
+        _verify_rhos([2.0, rho])
+
+
 def test_overflowing_scaled_trajectory_is_domain_error_without_warning():
     # rho = 1e308 maps q = 5 to 5e308, past the float range
     import warnings
@@ -506,7 +514,7 @@ def test_non_finite_scale_factor_is_domain_error_without_warning(base_osc_traj, 
     _, _, traj = base_osc_traj
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(DomainError, match="scale factors must be finite and positive"):
+        with pytest.raises(DomainError, match="^rho must be finite, got (inf|nan)$"):
             call(traj)
 
 
