@@ -335,7 +335,6 @@ def _add_command(sub, name: str, func: Callable, out: str) -> argparse.ArgumentP
     p.add_argument("--manifest", help="manifest JSON path; None writes OUT.manifest.json")
     p.add_argument("--rel-tol", type=float, help="integrator relative tolerance")
     p.add_argument("--abs-tol", type=float, help="integrator absolute tolerance")
-    p.add_argument("--event-tol", type=float, help="event location tolerance")
     p.add_argument("--max-steps", type=int, help="integrator step budget")
     p.add_argument("--initial-step", type=float, help="fixed first step size")
     return p

@@ -155,9 +155,7 @@ def _scalar_field(params: FractionalParams, pot: PowerLawPotential) -> Callable[
 
 def _field(params: FractionalParams, pot: PowerLawPotential, d: int) -> Callable[[list[float]], list[float]]:
     """The canonical equations in dimension d, bound once: y = (q, p) -> (qdot, pdot), one list;
-    _scalar_field at d = 1, norms from math.hypot above, finite wherever the norm is."""
-    if d == 1:
-        return lambda y, scalar=_scalar_field(params, pot): list(scalar(*y))
+    norms from math.hypot, which at d = 1 is fabs as in _scalar_field, finite wherever the norm is."""
     rates, hypot, zero = _norm_rates(params, pot), math.hypot, [0.0] * d
 
     def field(y: list[float]) -> list[float]:

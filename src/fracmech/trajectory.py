@@ -142,12 +142,14 @@ class Trajectory:
     def eval(self, t: float) -> PhaseState:
         """The state at time t, in DenseSegment.at's arithmetic on the step holding t;
         a lone sample, at its own time, is its own state."""
+        require_finite(t=t)
         if len(self.times) == 1 and t == self.t0:
             return self.state(0)
         i, w, theta = self._step_at(t)
         return PhaseState._of_row(float(t), self._rows[i] + w * _quartic(self.coefs[i], theta))
 
     def derivative(self, t: float) -> tuple[np.ndarray, np.ndarray]:
+        require_finite(t=t)
         i, _, theta = self._step_at(t)
         dy, d = _quartic(self.coefs[i], theta, derivative=True), self.dimension
         return dy[:d], dy[d:]

@@ -144,6 +144,12 @@ TYPE_EDGE = {
     "poisson-none-step": (lambda: fracmech.poisson_bracket(len, len, fracmech.PhaseState(0.0, [1.0], [0.0]), None),
                           "step"),
     "action-none-tol": (lambda: fracmech.action(P, V, _traj(), None), "quad_tol"),
+    "eval-none-t": (lambda: _traj().eval(None), "t"),
+    "eval-string-t": (lambda: _traj().eval("0.1"), "t"),
+    "eval-bool-t": (lambda: _traj().eval(True), "t"),
+    "derivative-none-t": (lambda: _traj().derivative(None), "t"),
+    "derivative-string-t": (lambda: _traj().derivative("0.1"), "t"),
+    "derivative-bool-t": (lambda: _traj().derivative(True), "t"),
     "span-none-t0": (lambda: fracmech.integrate(P, V, IC, (None, 1.0)), "t0"),
     "span-none-t1": (lambda: fracmech.integrate(P, V, IC, (0.0, None)), "t1"),
     "span-strings": (lambda: fracmech.integrate(P, V, IC, ("0", "1")), "t0"),

@@ -159,7 +159,7 @@ def test_manifest_echo_reproduces_run(tmp_path):
     assert doc["outputs"] == [str(out)]
     assert doc["duration_s"] > 0.0
     assert set(doc["tolerances"]) == {
-        "rel_tol", "abs_tol", "event_tol", "max_steps", "initial_step",
+        "rel_tol", "abs_tol", "max_steps", "initial_step",
     }
     # the parameter echo must rebuild the identical run
     p = doc["parameters"]
@@ -358,7 +358,7 @@ def test_config_unknown_key_is_usage_error(tmp_path):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("key", ["func", "command", "config", "samples", "alphas"])
+@pytest.mark.parametrize("key", ["func", "command", "config", "samples", "alphas", "event_tol"])
 def test_config_keys_outside_the_subcommand_rejected(tmp_path, capsys, key):
     # in process: the key is refused before anything runs
     import fracmech.cli as cli
@@ -368,6 +368,16 @@ def test_config_keys_outside_the_subcommand_rejected(tmp_path, capsys, key):
     assert cli.main(["period", "--config", str(cfg), "--out", str(tmp_path / "p.json")]) == 2
     assert repr(key) in capsys.readouterr().err
     assert not (tmp_path / "p.json").exists()
+
+
+def test_event_tol_flag_is_gone(capsys):
+    # events resolve to the precision of t; there is no event tolerance to set
+    import fracmech.cli as cli
+
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(["simulate", "--alpha", "1.5", "--t1", "1", "--event-tol", "1e-12"])
+    assert exit_.value.code == 2
+    assert "--event-tol" in capsys.readouterr().err
 
 
 def test_config_default_stays_with_its_subcommand():
@@ -656,6 +666,19 @@ def test_simulate_power_overflow_is_usage_exit(tmp_path):
     assert proc.returncode == 2
     assert "overflows" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_simulate_underflowed_launch_is_usage_exit(tmp_path):
+    # V(1e-300) = 1e-450 underflows to 0, so E = 0 is not the launch's energy;
+    # the run once exited 0 with 79,838 samples and a drift of 2.6e285
+    out = tmp_path / "t.csv"
+    proc = run_cli(
+        "simulate", "--alpha", "1.5", "--d-alpha", "1", "--strength", "1", "--degree", "1.5",
+        "--q0", "1e-300", "--p0", "0", "--t1", "1", "--out", str(out), cwd=tmp_path,
+    )
+    assert proc.returncode == 2
+    assert "underflows: q0 = [1.e-300], p0 = [0.]" in proc.stderr
+    assert not out.exists()
 
 
 def test_kepler_overflowing_energy_is_usage_exit(tmp_path):

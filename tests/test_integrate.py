@@ -51,9 +51,9 @@ def test_config_validation():
 @pytest.mark.parametrize(
     "options",
     [{"max_steps": 2.5}, {"max_steps": 2.0}, {"max_steps": True}, {"rel_tol": True},
-     {"initial_step": True}, {"event_tol": "1e-12"}, {"rel_tol": None}],
+     {"initial_step": True}, {"abs_tol": "1e-12"}, {"rel_tol": None}],
     ids=["fractional-max-steps", "float-max-steps", "bool-max-steps", "bool-rel-tol",
-         "bool-initial-step", "string-event-tol", "none-rel-tol"],
+         "bool-initial-step", "string-abs-tol", "none-rel-tol"],
 )
 def test_config_refuses_bools_and_non_integer_max_steps(options):
     # each of these once built a config or raised a raw TypeError: a bool is
@@ -83,7 +83,6 @@ HARMONIC_IC = InitialConditions(q0=np.array([1.0]), p0=np.array([0.0]))
         lambda: integrate(M1, OSC, HARMONIC_IC, (-math.inf, 0.0), stop_after=("turning_point", 1)),
         lambda: IntegratorConfig(rel_tol=math.inf),
         lambda: IntegratorConfig(abs_tol=math.nan),
-        lambda: IntegratorConfig(event_tol=math.inf),
         lambda: IntegratorConfig(initial_step=math.inf),
         lambda: IntegratorConfig(max_steps=math.inf),
     ],
@@ -91,7 +90,7 @@ HARMONIC_IC = InitialConditions(q0=np.array([1.0]), p0=np.array([0.0]))
         "d_alpha-inf", "alpha-nan", "strength-nan", "degree-inf", "energy-inf",
         "energy-nan", "q0-inf", "p0-nan", "qdot0-inf", "span-end-inf",
         "span-start-nan", "span-end-nan", "span-start-neg-inf", "rel_tol-inf",
-        "abs_tol-nan", "event_tol-inf", "initial_step-inf", "max_steps-inf",
+        "abs_tol-nan", "initial_step-inf", "max_steps-inf",
     ],
 )
 def test_non_finite_inputs_rejected(build):
@@ -129,13 +128,40 @@ def test_non_finite_energy_raises_with_the_state():
 
 
 @pytest.mark.parametrize(
+    "params, pot, q0, p0",
+    [(FractionalParams(1.5, 1.0), PowerLawPotential(1.0, 1.5), [1e-300], [0.0]),
+     (FractionalParams(1.5, 1.0), PowerLawPotential(0.0, 2.0), [0.0], [1e-300]),
+     (FractionalParams(1.5, 1.0), PowerLawPotential(-1.0, 1.5), [0.0, 1e-300], [1e-300, 0.0])],
+    ids=["potential", "free-kinetic", "plane"],
+)
+def test_launch_energy_zero_by_underflow_is_domain_error(params, pot, q0, p0):
+    # E = 0 only because a nonzero coordinate's term underflowed: the run
+    # once stepped on tolerance scales of 1, e.g. 79,838 samples with a drift
+    # of 2.6e285 from q0 = 1e-300 in a beta = 1.5 well
+    ic = InitialConditions(q0=np.array(q0), p0=np.array(p0))
+    with pytest.raises(DomainError, match=r"underflows: q0 = .*, p0 = "):
+        integrate(params, pot, ic, (0.0, 1.0))
+
+
+@pytest.mark.parametrize(
+    "pot, q0, p0",
+    [(OSC, [0.0], [0.0]), (PowerLawPotential(0.0, 2.0), [1.0], [0.0]), (PowerLawPotential(-1.0, 2.0), [1.0], [1.0])],
+    ids=["rest-at-origin", "free-at-rest", "exact-cancellation"],
+)
+def test_launch_energy_zero_without_underflow_runs(pot, q0, p0):
+    ic = InitialConditions(q0=np.array(q0), p0=np.array(p0))
+    traj, _ = integrate(FractionalParams(2.0, 1.0), pot, ic, (0.0, 1.0))
+    assert traj.energies[0] == 0.0 and traj.t_end == 1.0
+
+
+@pytest.mark.parametrize(
     "span, base",
     [((8150.0, 8250.0), (0.0, 100.0)), ((1e6, 1e6 + 10.0), (0.0, 10.0))],
 )
 def test_events_far_from_the_time_origin(span, base):
-    # past t = 2^13 the default event_tol is below one ulp of t; events are
-    # located in the step's own theta, so the run ends and matches the same
-    # motion started at t = 0
+    # past t = 2^13 an absolute 1e-12 is below one ulp of t; events are
+    # located in the step's own theta to the precision of t, so the run ends
+    # and matches the same motion started at t = 0
     _, far = integrate(M1, OSC, HARMONIC_IC, span)
     _, near = integrate(M1, OSC, HARMONIC_IC, base)
     assert [ev.kind for ev in far] == [ev.kind for ev in near]
@@ -383,7 +409,7 @@ def test_stopped_run_reports_only_its_stop_kind():
     ic = InitialConditions(q0=np.array([1.0, 0.0]), p0=np.array([0.0, 0.7]))
     _, events = integrate(*kepler, ic, (0.0, math.inf), radial_direction=0, stop_after=("custom", 2))
     assert [ev.kind for ev in events] == ["custom", "custom"]
-    assert events[-1].time == 4.933603242989538
+    assert events[-1].time == 4.933603242989269
 
 
 def test_non_finite_energy_names_the_awaited_event():
@@ -466,10 +492,9 @@ def test_open_span_ends_on_the_awaited_event():
 
 
 def test_measured_period_frozen():
-    # the span bounds no step of this run (the |p| band cap is tighter), so an
-    # open span keeps these bits
+    # no step is bounded by the span, so an open span keeps these bits
     spec = OscillatorSpec.from_exponents(1.5, 1.5, energy=1.0)
-    assert measure_period(spec.params, spec.pot, 1.0) == 3.6504714727089245
+    assert measure_period(spec.params, spec.pot, 1.0) == 3.6504714727088943
 
 
 @pytest.mark.parametrize(
@@ -518,6 +543,17 @@ def test_phase_field_is_hamilton_rhs_bitwise(d):
             q, p = rng.normal(size=d), rng.normal(size=d)
             qdot, pdot = hamilton_rhs(params, pot, PhaseState(0.0, q, p))
             assert _field(params, pot, d)([*q, *p]) == [*qdot, *pdot]
+
+
+def test_list_field_at_d1_is_the_scalar_field_bitwise():
+    # math.hypot of one value is its fabs, so _field needs no d = 1 branch
+    values = [0.0, -0.0, 5e-324, -1e-300, 0.3, -2.5, 1e200, -1.7e308]
+    for params, pot in [(FractionalParams(1.5, 1.0), PowerLawPotential(1.0, 1.5)),
+                        (FractionalParams(1.83, 0.37), PowerLawPotential(-2.5, 3.0)), (M1, OSC)]:
+        field, scalar = _field(params, pot, 1), _scalar_field(params, pot)
+        for q in values:
+            for p in values:
+                assert [x.hex() for x in field([q, p])] == [x.hex() for x in scalar(q, p)]
 
 
 def both_attempts(params, pot, y, f, h):

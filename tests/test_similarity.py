@@ -242,7 +242,10 @@ def test_attractive_plunge_ratio_frozen():
         FractionalParams(1.75, 1.0), PowerLawPotential(-1.0, -1.0),
         InitialConditions(q0=[1.0], p0=[0.0]), [2.0],
     )
-    assert rows[0].measured_ratio == 2.6918003852645715
+    # events are resolved to the precision of t, so the scaled landmark time
+    # meets its predicted ratio to rounding
+    assert rows[0].measured_ratio == 2.691800385264712
+    assert abs(rows[0].rel_err) < 1e-15
 
 
 @pytest.mark.parametrize(
@@ -315,8 +318,8 @@ def test_kepler_slope_fit():
 
 def test_kepler_radial_periods_frozen():
     report = fractional_kepler_check(1.6, InitialConditions(q0=[1.0, 0.0], p0=[0.0, 0.7]), [2.0])
-    assert report.base_radial_period == 4.933603242989538
-    assert report.rows[0].measured_ratio == 2.593679109344413
+    assert report.base_radial_period == 4.933603242989269
+    assert report.rows[0].measured_ratio == 2.593679109344628
 
 
 def _recording_first_event_times(monkeypatch) -> list:

@@ -88,11 +88,16 @@ def test_lone_sample_has_no_derivative():
         _lone_sample().derivative(0.5)
 
 
-@pytest.mark.parametrize("t", [0.25, 0.75, math.nan])
-def test_lone_sample_refuses_other_times(t):
+@pytest.mark.parametrize(
+    "t, message",
+    [(0.25, "time 0.25 outside trajectory span [0.5, 0.5]"), (0.75, "time 0.75 outside trajectory span [0.5, 0.5]"),
+     (math.nan, "t must be finite, got nan")],
+    ids=["0.25", "0.75", "nan"],
+)
+def test_lone_sample_refuses_other_times(t, message):
     traj = _lone_sample()
     for read in (traj.eval, traj.derivative):
-        with pytest.raises(DomainError, match=re.escape(f"time {t} outside trajectory span [0.5, 0.5]")):
+        with pytest.raises(DomainError, match=re.escape(message)):
             read(t)
 
 
