@@ -109,12 +109,16 @@ def inc_beta(a: float, b: float, x: float) -> float:
 def inv_inc_beta(a: float, b: float, target: float) -> float:
     """Solve B_x(a, b) = target for x in [0, 1].
 
-    Bracketed bisection refined by safeguarded Newton steps with
-    derivative x^(a-1) (1-x)^(b-1); bisection guarantees convergence even
-    though the derivative is unbounded at the endpoints when a < 1 or
-    b < 1.  A target above B/2 is solved as B_(1-x)(b, a) = B - target, where
-    doubles resolve the root; |residual| <= 1e-13 * B on the side solved, or
-    after 200 iterations DomainError names the residual.
+    Starts from the leading term of the small-x series, B_x(a, b) ~ x^a / a,
+    so x0 = (a * target)^(1/a), and refines it by Halley steps (Press et
+    al., Numerical Recipes 3rd ed. 6.4) with derivative x^(a-1) (1-x)^(b-1)
+    inside a bracket; a step that leaves the bracket is replaced by its
+    midpoint, which guarantees convergence even though the derivative is
+    unbounded at the endpoints when a < 1 or b < 1.  A target above B/2 is
+    solved as B_(1-x)(b, a) = B - target, where doubles resolve the root.
+    The result has |residual| <= 1e-13 * B on the side solved, or the root
+    lies between it and an adjacent double, or after 200 iterations
+    DomainError names the residual.
     """
     total = beta(a, b)
     if not 0.0 <= target <= total * (1.0 + 1e-12):
@@ -129,7 +133,8 @@ def inv_inc_beta(a: float, b: float, target: float) -> float:
         return 1.0 - inv_inc_beta(b, a, total - target)
 
     lo, hi = 0.0, 1.0
-    x = min(max(target / total, 1e-12), 1.0 - 1e-12)
+    # the power of a value in [0, 1] neither overflows nor takes log(0)
+    x = min(max(min(a * target, 1.0) ** (1.0 / a), 1e-12), 1.0 - 1e-12)
     tol = 1e-13 * total
     for _ in range(200):
         res = inc_beta(a, b, x) - target
@@ -139,15 +144,16 @@ def inv_inc_beta(a: float, b: float, target: float) -> float:
             hi = x
         else:
             lo = x
-        # Newton step, clipped back into the bracket when it escapes
+        # Halley step, its denominator kept >= 1/2; bisect when it escapes
         deriv = math.exp((a - 1.0) * math.log(x) + (b - 1.0) * math.log1p(-x))
         step = res / deriv if deriv > 0.0 and math.isfinite(deriv) else 0.0
+        step /= 1.0 - 0.5 * min(1.0, step * ((a - 1.0) / x - (b - 1.0) / (1.0 - x)))
         x_new = x - step
         if not lo < x_new < hi:
             x_new = 0.5 * (lo + hi)
-        # relative collapse test: roots can sit arbitrarily close to 0
-        if hi - lo <= 1e-16 * hi:
-            return x_new
+            # no double lies between the ends, so x is one of the two nearest the root
+            if x_new in (lo, hi):
+                return x
         x = x_new
     raise DomainError(
         f"inverse incomplete Beta failed to converge for a={a}, b={b}, "

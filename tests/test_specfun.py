@@ -230,6 +230,75 @@ def test_inv_inc_beta_non_convergence_raises(monkeypatch):
         inv_inc_beta(0.5, 0.7, 0.3)
 
 
+def _counting_inc_beta(monkeypatch):
+    """Wrap specfun.inc_beta; returns the list of x it was evaluated at."""
+    import fracmech.specfun as specfun
+
+    true_inc_beta = specfun.inc_beta
+    xs = []
+
+    def counting(a, b, x):
+        xs.append(x)
+        return true_inc_beta(a, b, x)
+
+    monkeypatch.setattr(specfun, "inc_beta", counting)
+    return xs
+
+
+def test_inv_inc_beta_takes_few_evaluations_on_the_oscillator_domain(monkeypatch):
+    # the series start and Halley steps; the linear start and Newton steps
+    # took 7.19 evaluations on average and 24 at worst on this grid
+    xs = _counting_inc_beta(monkeypatch)
+    counts = []
+    for beta_exp in GRID:
+        for alpha in GRID:
+            a, b = 1.0 / beta_exp, 1.0 / alpha
+            total = beta(a, b)
+            for frac in (1e-6, 0.01, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99, 1.0 - 1e-6):
+                target = frac * total
+                xs.clear()
+                x = inv_inc_beta(a, b, target)
+                counts.append(len(xs))
+                # the residual on the side solved, as inv_inc_beta solves it
+                if target > 0.5 * total:
+                    a_s, b_s, target_s = b, a, total - target
+                    x_s = inv_inc_beta(b, a, target_s)
+                    assert x == 1.0 - x_s
+                else:
+                    a_s, b_s, target_s, x_s = a, b, target, x
+                assert abs(inc_beta(a_s, b_s, x_s) - target_s) <= 1e-13 * total
+    assert sum(counts) / len(counts) <= 3.5 and max(counts) <= 6
+
+
+def test_inv_inc_beta_stops_when_the_bracket_holds_no_double():
+    # the root of B_y(0.05, 0.001) = 0.3 B lies within 1e-146 of y = 1; the
+    # bisection midpoint of (1 - 2^-53, 1) rounds to 1, and the next
+    # derivative raised a raw ValueError from log1p(-1)
+    a, b = 0.001, 0.05
+    total = beta(a, b)
+    target = 0.7 * total
+    x = inv_inc_beta(a, b, target)
+    assert 1.0 - x == math.nextafter(1.0, 0.0)
+    assert inc_beta(b, a, 1.0 - x) < total - target
+
+
+def test_inv_inc_beta_answers_or_refuses_on_a_wide_grid(monkeypatch):
+    # far outside the oscillator domain: an x in [0, 1] or a DomainError,
+    # and never a forward evaluation at an end of the bracket
+    xs = _counting_inc_beta(monkeypatch)
+    fracs = (1e-12, 1e-9, 1e-6, 1e-3, 0.01, 0.1, 0.25, 0.4, 0.5, 0.6, 0.75, 0.9, 0.99, 1.0 - 1e-6)
+    for a in (0.05, 0.3, 0.5, 0.7, 1.0, 2.0, 5.0, 30.0):
+        for b in (0.05, 0.3, 0.5, 0.7, 1.0, 2.0, 5.0, 30.0):
+            total = beta(a, b)
+            for frac in fracs:
+                try:
+                    x = inv_inc_beta(a, b, frac * total)
+                except DomainError:
+                    continue
+                assert 0.0 <= x <= 1.0
+    assert xs and all(0.0 < x < 1.0 for x in xs)
+
+
 def test_inv_inc_beta_rejects_out_of_range():
     with pytest.raises(DomainError):
         inv_inc_beta(0.5, 0.5, -1e-9)
