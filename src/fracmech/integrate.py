@@ -13,10 +13,10 @@ Events are sign crossings of functions held as data, one row per function
 theta in [0, 1] on its quartic, to the precision of t, so the work is
 bounded however far the span lies from t = 0.
 
-A step runs on plain floats, two scalars at d = 1 and lists of 2d above: at
-d <= 3 a numpy temporary costs more than its arithmetic.  The error estimate
-contracts the (7, 2d) stage array in numpy; the dense output is one contraction
-per run, at its end.
+A step runs on plain floats: two unpacked scalars at d = 1, four at d = 2 and
+lists of 2d above; at d <= 3 a numpy temporary costs more than its arithmetic.
+The error estimate contracts the (7, 2d) stage array in numpy; the dense output
+is one contraction per run, at its end.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ from .model import (
     _dot,
     _energy,
     _field,
+    _planar_field,
     _power_law,
     _scalar_field,
     abs_power,
@@ -130,6 +131,31 @@ def _scalar_attempt(field: Callable, y: list[float], k1: Sequence[float], h: flo
              p + h * (_B1 * b1 + _B3 * b3 + _B4 * b4 + _B5 * b5 + _B6 * b6)]
     a7, b7 = f_new = field(*y_new)
     return y_new, f_new, (a1, b1, a2, b2, a3, b3, a4, b4, a5, b5, a6, b6, a7, b7)
+
+
+def _planar_attempt(field: Callable, y: list[float], k1: Sequence[float], h: float) -> tuple:
+    """_list_attempt at d = 2 on four floats, bitwise, with field = model._planar_field."""
+    (qx, qy, px, py), (a1, b1, c1, e1) = y, k1
+    a2, b2, c2, e2 = field(qx + h * (_A21 * a1), qy + h * (_A21 * b1), px + h * (_A21 * c1), py + h * (_A21 * e1))
+    a3, b3, c3, e3 = field(qx + h * (_A31 * a1 + _A32 * a2), qy + h * (_A31 * b1 + _A32 * b2),
+                           px + h * (_A31 * c1 + _A32 * c2), py + h * (_A31 * e1 + _A32 * e2))
+    a4, b4, c4, e4 = field(qx + h * (_A41 * a1 + _A42 * a2 + _A43 * a3), qy + h * (_A41 * b1 + _A42 * b2 + _A43 * b3),
+                           px + h * (_A41 * c1 + _A42 * c2 + _A43 * c3), py + h * (_A41 * e1 + _A42 * e2 + _A43 * e3))
+    a5, b5, c5, e5 = field(qx + h * (_A51 * a1 + _A52 * a2 + _A53 * a3 + _A54 * a4),
+                           qy + h * (_A51 * b1 + _A52 * b2 + _A53 * b3 + _A54 * b4),
+                           px + h * (_A51 * c1 + _A52 * c2 + _A53 * c3 + _A54 * c4),
+                           py + h * (_A51 * e1 + _A52 * e2 + _A53 * e3 + _A54 * e4))
+    a6, b6, c6, e6 = field(qx + h * (_A61 * a1 + _A62 * a2 + _A63 * a3 + _A64 * a4 + _A65 * a5),
+                           qy + h * (_A61 * b1 + _A62 * b2 + _A63 * b3 + _A64 * b4 + _A65 * b5),
+                           px + h * (_A61 * c1 + _A62 * c2 + _A63 * c3 + _A64 * c4 + _A65 * c5),
+                           py + h * (_A61 * e1 + _A62 * e2 + _A63 * e3 + _A64 * e4 + _A65 * e5))
+    y_new = [qx + h * (_B1 * a1 + _B3 * a3 + _B4 * a4 + _B5 * a5 + _B6 * a6),
+             qy + h * (_B1 * b1 + _B3 * b3 + _B4 * b4 + _B5 * b5 + _B6 * b6),
+             px + h * (_B1 * c1 + _B3 * c3 + _B4 * c4 + _B5 * c5 + _B6 * c6),
+             py + h * (_B1 * e1 + _B3 * e3 + _B4 * e4 + _B5 * e5 + _B6 * e6)]
+    a7, b7, c7, e7 = f_new = field(*y_new)
+    return y_new, f_new, (a1, b1, c1, e1, a2, b2, c2, e2, a3, b3, c3, e3, a4, b4, c4, e4,
+                          a5, b5, c5, e5, a6, b6, c6, e6, a7, b7, c7, e7)
 
 
 def _list_attempt(rhs: Callable, y: list[float], k1: Sequence[float], h: float) -> tuple:
@@ -264,9 +290,9 @@ def integrate(
     ``stop_after`` the span may be open, t1 = inf: the run ends on that event
     within one ``max_steps`` budget.  A non-finite energy or step, the step
     budget and a step-size underflow raise IntegrationError, each reading
-    "<what> at t = ..., y = ..." plus the awaited ``stop_after``.  The field and attempt
-    are bound once per run, on two scalars at d = 1, and the dense output is one batched
-    contraction per run.  The error estimate is one numpy contraction whose sum order is
+    "<what> at t = ..., y = ..." plus the awaited ``stop_after``.  The field and attempt are bound
+    once per run (two scalars at d = 1, four at d = 2, lists at d = 3), and the dense output is one
+    batched contraction per run.  The error estimate is one numpy contraction whose sum order is
     the host BLAS kernel's, so the steps can differ across CPUs at rounding level: 10
     periods at alpha = beta = 1.5 from (0, 1) take 3014/1262 accepted/rejected steps
     on an OpenBLAS SkylakeX core, 3003/1243 on Haswell and 3007/1256 on Sandybridge.
@@ -288,7 +314,8 @@ def integrate(
     y = q0.tolist() + p0.tolist()
     rows, stop_n = _event_rows(d, q_levels, radial_direction, stop_after)
     rhs = _field(params, pot, d)
-    attempt, field = (_scalar_attempt, _scalar_field(params, pot)) if d == 1 else (_list_attempt, rhs)
+    attempt, field = ((_scalar_attempt, _scalar_field(params, pot)) if d == 1 else
+                      (_planar_attempt, _planar_field(params, pot)) if d == 2 else (_list_attempt, rhs))
     n, rel_tol = 2 * d, cfg.rel_tol
 
     e0 = float(_energy(params, pot, q0, p0))

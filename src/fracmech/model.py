@@ -153,6 +153,19 @@ def _scalar_field(params: FractionalParams, pot: PowerLawPotential) -> Callable[
     return field
 
 
+def _planar_field(params: FractionalParams, pot: PowerLawPotential) -> Callable[..., tuple[float, ...]]:
+    """_field(params, pot, 2) on four floats, bitwise: (qx, qy, px, py) -> rates, (0.0, 0.0) for a zero norm."""
+    rates, hypot = _norm_rates(params, pot), math.hypot
+
+    def field(qx: float, qy: float, px: float, py: float) -> tuple[float, float, float, float]:
+        m, n = hypot(px, py), hypot(qx, qy)
+        v, f = rates(m, n)
+        vx, vy = (v * px, v * py) if m else (0.0, 0.0)
+        return (vx, vy, f * qx, f * qy) if n else (vx, vy, 0.0, 0.0)
+
+    return field
+
+
 def _field(params: FractionalParams, pot: PowerLawPotential, d: int) -> Callable[[list[float]], list[float]]:
     """The canonical equations in dimension d, bound once: y = (q, p) -> (qdot, pdot), one list;
     norms from math.hypot, which at d = 1 is fabs as in _scalar_field, finite wherever the norm is."""

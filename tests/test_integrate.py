@@ -7,6 +7,7 @@ grid in conftest; everything else is computed inline.
 from __future__ import annotations
 
 import importlib
+import itertools
 import math
 import re
 
@@ -30,8 +31,8 @@ from fracmech import (
     period,
 )
 from conftest import GRID_EXPONENTS
-from fracmech.integrate import _DENSE, _list_attempt, _scalar_attempt, first_event_times
-from fracmech.model import PhaseState, _field, _scalar_field, hamilton_rhs
+from fracmech.integrate import _DENSE, _list_attempt, _planar_attempt, _scalar_attempt, first_event_times
+from fracmech.model import PhaseState, _field, _planar_field, _scalar_field, hamilton_rhs
 
 M1 = FractionalParams.from_mass(1.0)
 OSC = PowerLawPotential(1.0, 2.0)
@@ -556,12 +557,33 @@ def test_list_field_at_d1_is_the_scalar_field_bitwise():
                 assert [x.hex() for x in field([q, p])] == [x.hex() for x in scalar(q, p)]
 
 
+def test_planar_field_is_the_list_field_bitwise():
+    # both signs of zero, a subnormal, and norms beyond the float range (hypot(-1.7e308, -1.7e308) = inf)
+    values = [0.0, -0.0, 5e-324, -1e-300, 0.3, -2.5, 1e200, -1.7e308]
+    for params, pot in [(FractionalParams(1.5, 1.0), PowerLawPotential(1.0, 1.5)),
+                        (FractionalParams(1.83, 0.37), PowerLawPotential(-2.5, 3.0)),
+                        (FractionalParams(1.6, 0.5), PowerLawPotential(-1.0, -1.0))]:
+        listed, planar = _field(params, pot, 2), _planar_field(params, pot)
+        for y in itertools.product(values, repeat=4):
+            out = []
+            for call in (lambda: planar(*y), lambda: listed(list(y))):
+                try:
+                    out.append([x.hex() for x in call()])
+                except DomainError as err:
+                    out.append(str(err))
+            assert out[0] == out[1]
+            if not any(y[:2]) and pot.degree <= 1.0:
+                assert out[0] == f"force is undefined at q = 0 for degree {pot.degree} <= 1"
+
+
 def both_attempts(params, pot, y, f, h):
-    """One d = 1 attempt through the scalar attempt and through the list attempt
-    of d >= 2, each as (y_new, f_new, flat stages) in float.hex bits, or the
-    DomainError message it raised."""
-    out = []
-    for attempt, field in ((_scalar_attempt, _scalar_field(params, pot)), (_list_attempt, _field(params, pot, 1))):
+    """One attempt in dimension d = len(y) / 2 through its float attempt (the
+    scalar one at d = 1, the planar one at d = 2) and through the list attempt,
+    kept for d = 3 and as the reference, each as (y_new, f_new, flat stages) in
+    float.hex bits, or the DomainError message it raised."""
+    d, out = len(y) // 2, []
+    unrolled, bind = (_scalar_attempt, _scalar_field) if d == 1 else (_planar_attempt, _planar_field)
+    for attempt, field in ((unrolled, bind(params, pot)), (_list_attempt, _field(params, pot, d))):
         try:
             out.append([[x.hex() for x in part] for part in attempt(field, y, f, h)])
         except DomainError as err:
@@ -595,6 +617,48 @@ def test_scalar_attempt_raises_the_list_attempts_errors():
     scalar, listed = both_attempts(FractionalParams(1.5, 1.0), PowerLawPotential(1.0, 40.0), [1e9, 1.0],
                                    [1e9, 0.0], 1.0)
     assert scalar == listed and "overflows the float range" in scalar
+
+
+@pytest.mark.parametrize("alpha", GRID_EXPONENTS)
+@pytest.mark.parametrize("degree", [-1.0, -0.5, 1.5, 2.0])
+def test_planar_attempt_is_the_list_attempt_bitwise(alpha, degree):
+    rng = np.random.default_rng([int(100 * alpha), int(100 * degree) % 1000])
+    strength = math.copysign(rng.uniform(0.2, 3.0), degree)  # attractive below degree 0, a well above
+    params, pot = FractionalParams(alpha, rng.uniform(0.2, 3.0)), PowerLawPotential(strength, degree)
+    field = _field(params, pot, 2)
+    for i in range(200):
+        # every 10th state starts at rest or at the origin, where a rate pair is (0.0, 0.0)
+        y = [float(v) for v in rng.normal(size=4) * 10.0 ** rng.uniform(-3, 3, size=4)]
+        if i % 10 == 0:
+            j = 2 * (i % 20 // 10)
+            y[j:j + 2] = [0.0, 0.0]
+        at_singular_origin = degree <= 1.0 and not any(y[:2])
+        f = [0.0] * 4 if at_singular_origin else field(y)  # the first stage then raises for both
+        h = 10.0 ** rng.uniform(-6, 0)
+        planar, listed = both_attempts(params, pot, y, f, h)
+        assert planar == listed and isinstance(planar, str) == at_singular_origin
+
+
+def test_planar_attempt_raises_the_list_attempts_errors():
+    # the d = 1 cases of test_scalar_attempt_raises_the_list_attempts_errors in the plane
+    for beta in (1.0, 0.5, -1.0):
+        planar, listed = both_attempts(FractionalParams(1.5, 1.0), PowerLawPotential(-1.0, beta),
+                                       [0.0, 0.0, 1.0, 0.0], [0.0] * 4, 0.1)
+        assert planar == listed == f"force is undefined at q = 0 for degree {beta} <= 1"
+    planar, listed = both_attempts(FractionalParams(1.5, 1.0), PowerLawPotential(1.0, 40.0), [1e9, 0.0, 1.0, 0.0],
+                                   [1e9, 0.0, 0.0, 0.0], 1.0)
+    assert planar == listed and "overflows the float range" in planar
+
+
+def test_planar_oscillator_run_keeps_its_step_sequence():
+    # a d = 2 run outside the Kepler check, on the turning-point and origin-crossing
+    # rows of both components; recorded before the planar attempt, which keeps every bit
+    ic = InitialConditions(q0=np.array([1.0, 0.0]), p0=np.array([0.0, 0.5]))
+    traj, events = integrate(FractionalParams(1.5, 1.0), PowerLawPotential(1.0, 1.5), ic, (0.0, 5.0))
+    assert (traj.accepted_steps, traj.rejected_steps, len(events)) == (232, 8, 10)
+    assert [float(x).hex() for x in (*traj.positions[-1], *traj.momenta[-1])] == [
+        "-0x1.ea045189f3949p-3", "0x1.112b28e2236b6p-1", "-0x1.3f6b81ea8a370p-1", "-0x1.65ac64c7f7b5cp-1"
+    ]
 
 
 @pytest.mark.parametrize("n", [2, 4, 6])
