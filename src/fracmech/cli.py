@@ -105,12 +105,6 @@ def _config_defaults(args: argparse.Namespace) -> dict:
     return defaults
 
 
-def _integrator_config(args) -> IntegratorConfig:
-    """The tolerances given as flags or config values, library defaults for the rest."""
-    given = {f.name: getattr(args, f.name) for f in dataclasses.fields(IntegratorConfig)}
-    return IntegratorConfig(**{k: v for k, v in given.items() if v is not None})
-
-
 def _kinetic_params(args, d_alpha_default: float | None = None) -> FractionalParams:
     mass, alpha, d_alpha = args.mass, args.alpha, args.d_alpha
     if mass is not None:
@@ -333,10 +327,9 @@ def _add_command(sub, name: str, func: Callable, out: str) -> argparse.ArgumentP
     p.add_argument("--config", help="key = value defaults file; explicit flags win")
     p.add_argument("--out", default=out, help="primary output path")
     p.add_argument("--manifest", help="manifest JSON path; None writes OUT.manifest.json")
-    p.add_argument("--rel-tol", type=float, help="integrator relative tolerance")
-    p.add_argument("--abs-tol", type=float, help="integrator absolute tolerance")
-    p.add_argument("--max-steps", type=int, help="integrator step budget")
-    p.add_argument("--initial-step", type=float, help="fixed first step size")
+    p.add_argument("--rel-tol", type=float, default=IntegratorConfig.rel_tol, help="integrator relative tolerance")
+    p.add_argument("--abs-tol", type=float, default=IntegratorConfig.abs_tol, help="integrator absolute tolerance")
+    p.add_argument("--max-steps", type=int, default=IntegratorConfig.max_steps, help="integrator step budget")
     return p
 
 
@@ -412,7 +405,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.config:
             commands[args.command].set_defaults(**_config_defaults(args))
             args = parser.parse_args(argv)
-        cfg = _integrator_config(args)
+        cfg = IntegratorConfig(args.rel_tol, args.abs_tol, args.max_steps)
         started = time.perf_counter()
         parameters, outputs, failure = args.func(args, cfg)
         manifest = args.manifest if args.manifest is not None else args.out + ".manifest.json"

@@ -50,21 +50,18 @@ __all__ = ["IntegratorConfig", "EventRecord", "integrate"]
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Error-control and event-location knobs for one integration run."""
+    """The error tolerances and step budget of one integration run."""
 
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
     max_steps: int = 1_000_000
-    initial_step: float | None = None
 
     def __post_init__(self) -> None:
-        require_finite(**{k: v for k, v in vars(self).items() if (k, v) != ("initial_step", None)})
+        require_finite(**vars(self))
         if not (self.rel_tol > 0.0 and self.abs_tol > 0.0):
             raise DomainError("integrator tolerances must be positive")
         if not (isinstance(self.max_steps, (int, np.integer)) and self.max_steps > 0):
             raise DomainError(f"max_steps must be a positive integer, got {self.max_steps!r}")
-        if self.initial_step is not None and not self.initial_step > 0.0:
-            raise DomainError("initial_step must be positive when given")
 
 
 @dataclass(frozen=True)
@@ -349,7 +346,7 @@ def integrate(
 
     f = rhs(y)
     try:
-        h = cfg.initial_step or _initial_step(rhs, y, f, atol, cfg.rel_tol, t1 - t0)
+        h = _initial_step(rhs, y, f, atol, rel_tol, t1 - t0)
     except ZeroDivisionError:  # a zero error scale or a non-finite field; the first step reports it
         h = math.nan
     t = t0

@@ -3,7 +3,9 @@
 Log-gamma, the complete and incomplete Beta functions, the inverse of the
 incomplete Beta in its x argument, and the one Gauss hypergeometric family
 F(mu, 1-nu; mu+1; x) that the oscillator solution needs.  Everything is
-scalar, pure and reentrant, and needs only the standard library.
+scalar, pure and reentrant, and computes with the standard library alone.
+An argument that is not a number is a DomainError that names it, from
+model.require_finite, called only once a comparison or float() has refused it.
 
 Log-gamma is ``math.lgamma``.  The incomplete Beta is the continued
 fraction of DLMF 8.17.22 (modified Lentz), switched by the symmetry
@@ -16,6 +18,7 @@ from __future__ import annotations
 import math
 
 from .errors import DomainError
+from .model import require_finite
 
 __all__ = [
     "ln_gamma",
@@ -26,24 +29,38 @@ __all__ = [
 ]
 
 
+def _refused(exc: Exception, **args) -> Exception:
+    """require_finite's DomainError for the first argument that is not a number, else
+    exc, the TypeError or ValueError that an entry point caught from its arguments."""
+    try:
+        require_finite(**args)
+    except DomainError as err:
+        return err
+    return exc
+
+
 def ln_gamma(x: float) -> float:
     """Natural log of Gamma(x) for finite x > 0, from ``math.lgamma``."""
-    if not 0.0 < x < math.inf:
-        raise DomainError(f"ln_gamma requires finite x > 0, got {x}")
     try:
+        if not 0.0 < x < math.inf:
+            raise DomainError(f"ln_gamma requires finite x > 0, got {x}")
         return math.lgamma(x)
     except OverflowError:
         raise DomainError(f"ln_gamma({x}) overflows the float range") from None
+    except TypeError as exc:
+        raise _refused(exc, x=x) from None
 
 
 def beta(a: float, b: float) -> float:
     """Complete Beta function B(a, b) = Gamma(a) Gamma(b) / Gamma(a+b)."""
-    if not (a > 0.0 and b > 0.0):
-        raise DomainError(f"beta requires positive arguments, got a={a}, b={b}")
     try:
+        if not (a > 0.0 and b > 0.0):
+            raise DomainError(f"beta requires positive arguments, got a={a}, b={b}")
         return math.exp(ln_gamma(a) + ln_gamma(b) - ln_gamma(a + b))
     except OverflowError:
         raise DomainError(f"beta({a}, {b}) overflows the float range") from None
+    except TypeError as exc:
+        raise _refused(exc, a=a, b=b) from None
 
 
 def _beta_cont_frac(a: float, b: float, x: float) -> float:
@@ -91,7 +108,10 @@ def inc_beta(a: float, b: float, x: float) -> float:
 
     Monotone nondecreasing in x, with B_0 = 0 and B_1 = beta(a, b).
     """
-    a, b, x = float(a), float(b), float(x)
+    try:
+        a, b, x = float(a), float(b), float(x)
+    except (TypeError, ValueError) as exc:
+        raise _refused(exc, a=a, b=b, x=x) from None
     if not (0.0 < a < math.inf and 0.0 < b < math.inf):
         raise DomainError(f"Beta parameters must be positive and finite, got a={a}, b={b}")
     if not 0.0 <= x <= 1.0:
@@ -120,11 +140,14 @@ def inv_inc_beta(a: float, b: float, target: float) -> float:
     lies between it and an adjacent double, or after 200 iterations
     DomainError names the residual.
     """
-    total = beta(a, b)
-    if not 0.0 <= target <= total * (1.0 + 1e-12):
-        raise DomainError(
-            f"inverse incomplete Beta target {target} outside [0, B(a,b)={total}]"
-        )
+    total = beta(a, b)  # its errors name a and b
+    try:
+        if not 0.0 <= target <= total * (1.0 + 1e-12):
+            raise DomainError(
+                f"inverse incomplete Beta target {target} outside [0, B(a,b)={total}]"
+            )
+    except TypeError as exc:
+        raise _refused(exc, target=target) from None
     if target == 0.0:
         return 0.0
     if target >= total:
@@ -169,19 +192,22 @@ def hyp2f1(mu: float, one_minus_nu: float, mu_plus_one: float, x: float) -> floa
     x = 0.  Only this contiguous family is supported: the second parameter
     must be 1 - nu with nu > 0 and the third must equal mu + 1.
     """
-    if not mu > 0.0:
-        raise DomainError(f"hyp2f1 family requires mu > 0, got {mu}")
-    nu = 1.0 - one_minus_nu
-    if not nu > 0.0:
-        raise DomainError(
-            f"hyp2f1 family requires second parameter 1 - nu with nu > 0, got {one_minus_nu}"
-        )
-    if abs(mu_plus_one - (mu + 1.0)) > 1e-12 * (1.0 + abs(mu)):
-        raise DomainError(
-            f"hyp2f1 family requires third parameter mu + 1, got {mu_plus_one} for mu={mu}"
-        )
-    if not 0.0 <= x <= 1.0:
-        raise DomainError(f"hyp2f1 argument must be in [0, 1], got {x}")
-    if x == 0.0:
-        return 1.0
-    return mu * inc_beta(mu, nu, x) / math.exp(mu * math.log(x))
+    try:
+        if not mu > 0.0:
+            raise DomainError(f"hyp2f1 family requires mu > 0, got {mu}")
+        nu = 1.0 - one_minus_nu
+        if not nu > 0.0:
+            raise DomainError(
+                f"hyp2f1 family requires second parameter 1 - nu with nu > 0, got {one_minus_nu}"
+            )
+        if abs(mu_plus_one - (mu + 1.0)) > 1e-12 * (1.0 + abs(mu)):
+            raise DomainError(
+                f"hyp2f1 family requires third parameter mu + 1, got {mu_plus_one} for mu={mu}"
+            )
+        if not 0.0 <= x <= 1.0:
+            raise DomainError(f"hyp2f1 argument must be in [0, 1], got {x}")
+        if x == 0.0:
+            return 1.0
+        return mu * inc_beta(mu, nu, x) / math.exp(mu * math.log(x))
+    except TypeError as exc:
+        raise _refused(exc, mu=mu, one_minus_nu=one_minus_nu, mu_plus_one=mu_plus_one, x=x) from None

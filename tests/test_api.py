@@ -175,6 +175,13 @@ TYPE_EDGE = {
     "kepler-none-strength": (lambda: fracmech.fractional_kepler_check(1.5, PLANE, [2.0], strength=None), "strength"),
     "kepler-bool-d_alpha": (lambda: fracmech.fractional_kepler_check(1.5, PLANE, [2.0], d_alpha=True), "d_alpha"),
     "kepler-none-rho": (lambda: fracmech.fractional_kepler_check(1.5, PLANE, [None]), "rho"),
+    "ln_gamma-none": (lambda: fracmech.ln_gamma(None), "x"),
+    "beta-string-a": (lambda: fracmech.beta("0.5", 0.5), "a"),
+    "inc_beta-none-a": (lambda: fracmech.inc_beta(None, 0.5, 0.3), "a"),
+    "inc_beta-string-a": (lambda: fracmech.inc_beta("x", 0.5, 0.3), "a"),
+    "inv_inc_beta-string-a": (lambda: fracmech.inv_inc_beta("0.5", 0.5, 0.3), "a"),
+    "inv_inc_beta-string-target": (lambda: fracmech.inv_inc_beta(0.5, 0.5, "0.3"), "target"),
+    "hyp2f1-string-mu": (lambda: fracmech.hyp2f1("0.5", 0.5, 1.5, 0.3), "mu"),
 }
 
 

@@ -158,9 +158,7 @@ def test_manifest_echo_reproduces_run(tmp_path):
     assert doc["subcommand"] == "simulate"
     assert doc["outputs"] == [str(out)]
     assert doc["duration_s"] > 0.0
-    assert set(doc["tolerances"]) == {
-        "rel_tol", "abs_tol", "max_steps", "initial_step",
-    }
+    assert set(doc["tolerances"]) == {"rel_tol", "abs_tol", "max_steps"}
     # the parameter echo must rebuild the identical run
     p = doc["parameters"]
     again = tmp_path / "again.csv"
@@ -378,6 +376,28 @@ def test_event_tol_flag_is_gone(capsys):
         cli.main(["simulate", "--alpha", "1.5", "--t1", "1", "--event-tol", "1e-12"])
     assert exit_.value.code == 2
     assert "--event-tol" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["simulate", "period", "hj", "sweep", "kepler"])
+def test_help_shows_the_integrator_defaults_and_initial_step_is_gone(tmp_path, capsys, command):
+    # the tolerance flags default to IntegratorConfig's fields; no first-step option is left
+    import fracmech.cli as cli
+
+    with pytest.raises(SystemExit) as exit_:
+        cli.main([command, "--help"])
+    assert exit_.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    for shown in ("(default: 1e-10)", "(default: 1e-12)", "(default: 1000000)"):
+        assert shown in text
+    with pytest.raises(SystemExit) as exit_:
+        cli.main([command, "--initial-step", "1"])
+    assert exit_.value.code == 2
+    assert "--initial-step" in capsys.readouterr().err
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("initial_step = 1\n")
+    assert cli.main([command, "--config", str(cfg), "--out", str(tmp_path / "out.dat")]) == 2
+    assert "unknown config key 'initial_step'" in capsys.readouterr().err
+    assert not (tmp_path / "out.dat").exists()
 
 
 def test_config_default_stays_with_its_subcommand():

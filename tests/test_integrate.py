@@ -31,8 +31,9 @@ from fracmech import (
     period,
 )
 from conftest import GRID_EXPONENTS
-from fracmech.integrate import _DENSE, _list_attempt, _planar_attempt, _scalar_attempt, first_event_times
+from fracmech.integrate import _DENSE, _ERR, _list_attempt, _planar_attempt, _scalar_attempt, first_event_times
 from fracmech.model import PhaseState, _field, _planar_field, _scalar_field, hamilton_rhs
+from fracmech.trajectory import DenseSegment
 
 M1 = FractionalParams.from_mass(1.0)
 OSC = PowerLawPotential(1.0, 2.0)
@@ -52,9 +53,9 @@ def test_config_validation():
 @pytest.mark.parametrize(
     "options",
     [{"max_steps": 2.5}, {"max_steps": 2.0}, {"max_steps": True}, {"rel_tol": True},
-     {"initial_step": True}, {"abs_tol": "1e-12"}, {"rel_tol": None}],
+     {"abs_tol": "1e-12"}, {"rel_tol": None}],
     ids=["fractional-max-steps", "float-max-steps", "bool-max-steps", "bool-rel-tol",
-         "bool-initial-step", "string-abs-tol", "none-rel-tol"],
+         "string-abs-tol", "none-rel-tol"],
 )
 def test_config_refuses_bools_and_non_integer_max_steps(options):
     # each of these once built a config or raised a raw TypeError: a bool is
@@ -84,28 +85,18 @@ HARMONIC_IC = InitialConditions(q0=np.array([1.0]), p0=np.array([0.0]))
         lambda: integrate(M1, OSC, HARMONIC_IC, (-math.inf, 0.0), stop_after=("turning_point", 1)),
         lambda: IntegratorConfig(rel_tol=math.inf),
         lambda: IntegratorConfig(abs_tol=math.nan),
-        lambda: IntegratorConfig(initial_step=math.inf),
         lambda: IntegratorConfig(max_steps=math.inf),
     ],
     ids=[
         "d_alpha-inf", "alpha-nan", "strength-nan", "degree-inf", "energy-inf",
         "energy-nan", "q0-inf", "p0-nan", "qdot0-inf", "span-end-inf",
         "span-start-nan", "span-end-nan", "span-start-neg-inf", "rel_tol-inf",
-        "abs_tol-nan", "initial_step-inf", "max_steps-inf",
+        "abs_tol-nan", "max_steps-inf",
     ],
 )
 def test_non_finite_inputs_rejected(build):
     with pytest.raises(DomainError):
         build()
-
-
-def test_non_finite_step_is_never_accepted():
-    # one huge first step overflows the stages; its NaN error norm must
-    # not pass the acceptance test (nan > 1.0 is False)
-    with pytest.raises(IntegrationError, match="non-finite step") as err:
-        integrate(M1, OSC, HARMONIC_IC, (0.0, 1e300), IntegratorConfig(initial_step=1e300))
-    assert err.value.t == 0.0
-    assert list(err.value.y) == [1.0, 0.0]
 
 
 def test_overflowing_field_at_the_start_is_integration_error():
@@ -436,11 +427,10 @@ def test_failed_step_names_the_state(t1, awaiting):
     with pytest.raises(MaxStepsExceeded) as err:
         integrate(M1, OSC, HARMONIC_IC, (0.0, t1), IntegratorConfig(max_steps=5), stop_after=stop_after)
     assert str(err.value) == f"exceeded 5 steps at t = {err.value.t}, y = {err.value.y}{awaiting}"
-    # one ulp of t = 1e6 is 1.2e-10, so a first step of 1e-12 underflows at once
-    far = IntegratorConfig(initial_step=1e-12)
+    # ten ulp of t = 1e15 is 1.25, so the run's own first step of 1.6e-3 underflows at once
     with pytest.raises(StepSizeUnderflow) as err:
-        integrate(M1, OSC, HARMONIC_IC, (1e6, t1), far, stop_after=stop_after)
-    assert str(err.value) == f"step size underflow (1.000e-12) at t = 1000000.0, y = [1. 0.]{awaiting}"
+        integrate(M1, OSC, HARMONIC_IC, (1e15, 1e15 + t1), stop_after=stop_after)
+    assert str(err.value) == f"step size underflow (1.585e-03) at t = 1000000000000000.0, y = [1. 0.]{awaiting}"
 
 
 def test_tolerance_refinement_reduces_error():
@@ -659,6 +649,40 @@ def test_planar_oscillator_run_keeps_its_step_sequence():
     assert [float(x).hex() for x in (*traj.positions[-1], *traj.momenta[-1])] == [
         "-0x1.ea045189f3949p-3", "0x1.112b28e2236b6p-1", "-0x1.3f6b81ea8a370p-1", "-0x1.65ac64c7f7b5cp-1"
     ]
+
+
+# each attempt with its field binder, by dimension d
+ATTEMPTS = {1: (_scalar_attempt, _scalar_field), 2: (_planar_attempt, _planar_field),
+            3: (_list_attempt, lambda params, pot: _field(params, pot, 3))}
+
+
+@pytest.mark.parametrize("d", sorted(ATTEMPTS))
+def test_each_attempt_has_the_order_of_its_tableau(d):
+    # alpha = beta = 2, D = g = 1/2: qdot = p, pdot = -q, so the exact flow rotates each (q_j, p_j)
+    # pair by -t.  One attempt from a fixed state at h = 0.2 / 2^k, k = 0..4: the 5th-order
+    # result has local error O(h^6), and the embedded estimate h (_ERR . K) and the dense
+    # quartic at theta = 1/2 are O(h^5).  A wrong stage coefficient breaks an order condition
+    # and lowers a slope by one or more, whatever bits a re-pinned step sequence records.
+    attempt, bind = ATTEMPTS[d]
+    params, pot = FractionalParams(2.0, 0.5), PowerLawPotential(0.5, 2.0)
+    field = bind(params, pot)
+    q, p = np.array([0.6, -0.3, 0.2][:d]), np.array([0.8, 0.5, -0.9][:d])
+    y = q.tolist() + p.tolist()
+    f = _field(params, pot, d)(y)
+
+    def exact(t):
+        return np.concatenate([q * math.cos(t) + p * math.sin(t), p * math.cos(t) - q * math.sin(t)])
+
+    errors = []
+    for h in (0.2 / 2**k for k in range(5)):
+        y_new, _, stages = attempt(field, y, f, h)
+        K = np.array(stages).reshape(7, 2 * d)
+        quartic = DenseSegment(0.0, h, np.array(y), K.T @ _DENSE).at(0.5)
+        errors.append([np.linalg.norm(np.array(y_new) - exact(h)), np.linalg.norm(h * (_ERR @ K)),
+                       np.linalg.norm(quartic - exact(0.5 * h))])
+    slopes = np.log2(np.array(errors[:-1]) / np.array(errors[1:]))
+    assert np.all((5.7 <= slopes[:, 0]) & (slopes[:, 0] <= 6.3)), slopes
+    assert np.all((4.8 <= slopes[:, 1:]) & (slopes[:, 1:] <= 5.2)), slopes
 
 
 @pytest.mark.parametrize("n", [2, 4, 6])
