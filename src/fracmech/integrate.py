@@ -15,8 +15,9 @@ bounded however far the span lies from t = 0.
 
 A step runs on plain floats: two unpacked scalars at d = 1, four at d = 2 and
 lists of 2d above; at d <= 3 a numpy temporary costs more than its arithmetic.
-The error estimate contracts the (7, 2d) stage array in numpy; the dense output
-is one contraction per run, at its end.
+The error estimate contracts a (7, 2d) stage buffer, allocated once per run and
+filled in place, with one BLAS call into a reused output; the dense output is one
+contraction per run, at its end, of copies of the accepted steps' buffers.
 """
 
 from __future__ import annotations
@@ -340,6 +341,8 @@ def integrate(
 
     times, ys = [t0], [y]
     stacks, cut = [], 1.0  # each accepted step's (7, 2d) stages; the last step's cut width / full width
+    kbuf, ebuf = np.empty((7, n)), np.empty(n)  # the attempt's stages and error estimate
+    kflat = kbuf.reshape(-1)
     widths: list[float] = []
     events: list[EventRecord] = []
     accepted = rejected = 0
@@ -368,10 +371,11 @@ def integrate(
 
         y_new, f_new, stages = attempt(field, y, f, h)
         t_new = t + h
-        K = np.array(stages).reshape(7, n)
+        kflat[:] = stages
+        np.dot(_ERR, kbuf, ebuf)
         sq = 0.0
         try:
-            for e, a, b, tol in zip((_ERR @ K).tolist(), y, y_new, atol):
+            for e, a, b, tol in zip(ebuf.tolist(), y, y_new, atol):
                 r = h * e / (tol + rel_tol * max(abs(a), abs(b)))
                 sq += r * r
         except ZeroDivisionError:  # a zero error scale
@@ -392,7 +396,7 @@ def integrate(
         g_new = [_value(row, y_new) for row in rows]
         hit_rows = _crossed(rows, g_old, g_new)
         if hit_rows:
-            seg = DenseSegment(t, h, np.array(y), K.T @ _DENSE)
+            seg = DenseSegment(t, h, np.array(y), kbuf.T @ _DENSE)
             hits = sorted((_locate(rows[r], seg, g_old[r]), r) for r in hit_rows)
             for theta, r in hits:
                 t_ev, y_ev = t + theta * h, seg.at(theta)
@@ -405,7 +409,7 @@ def integrate(
                         cut, h = (t_ev - t) / h, t_ev - t
                     break
 
-        stacks.append(K)
+        stacks.append(kbuf.copy())  # an array holds them in less memory than their floats
         widths.append(h)
         times.append(t_new)
         ys.append(y_new)

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from scipy.integrate import IntegrationWarning, quad
 
 from fracmech import DomainError, beta, hyp2f1, inc_beta, inv_inc_beta, ln_gamma
+from fracmech.specfun import _beta_cont_frac
 
 GRID = (1.1, 1.25, 1.5, 1.75, 2.0)
 
@@ -177,6 +178,81 @@ def test_inc_beta_symmetry(a, b, x):
 def test_inc_beta_monotone_in_x(a, b, x1, x2):
     lo, hi = min(x1, x2), max(x1, x2)
     assert inc_beta(a, b, lo) <= inc_beta(a, b, hi)
+
+
+def _loop_cont_frac(a: float, b: float, x: float) -> float:
+    """The textbook modified-Lentz loop for DLMF 8.17.22, the reference for
+    _beta_cont_frac's written-out half-steps: one pass per coefficient pair,
+    an inner loop over (even, odd), abs() tests and an integer counter."""
+    tiny = 1e-300
+    qab = a + b
+    qap = a + 1.0
+    qam = a - 1.0
+    c = 1.0
+    d = 1.0 - qab * x / qap
+    if abs(d) < tiny:
+        d = tiny
+    d = 1.0 / d
+    h = d
+    for m in range(1, 400):
+        m2 = 2 * m
+        for aa in (
+            m * (b - m) * x / ((qam + m2) * (a + m2)),
+            -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2)),
+        ):
+            d = 1.0 + aa * d
+            if abs(d) < tiny:
+                d = tiny
+            c = 1.0 + aa / c
+            if abs(c) < tiny:
+                c = tiny
+            d = 1.0 / d
+            delta = d * c
+            h *= delta
+        if abs(delta - 1.0) < 1e-16:
+            return h
+    raise DomainError(
+        f"incomplete Beta continued fraction failed to converge for a={a}, b={b}, x={x}"
+    )
+
+
+def _bits(f, *args) -> str:
+    """f(*args) as float.hex, or the message of the DomainError it raises."""
+    try:
+        return f(*args).hex()
+    except DomainError as err:
+        return f"DomainError: {err}"
+
+
+KERNEL_PARAMS = (1e-3, 0.01, 0.05, 0.3, 0.5, 1.0, 2.0, 5.0, 30.0)
+SWITCH_FRACTIONS = (0.0, 1e-300, 1e-12, 1e-6, 1e-3, 0.1, 0.5, 0.9, 0.999, 1.0)
+
+
+@pytest.mark.parametrize("a", KERNEL_PARAMS)
+def test_cont_frac_is_the_textbook_loop_bitwise(a):
+    # x runs over fractions of the switch point (a+1)/(a+b+2), the kernel's range
+    for b in KERNEL_PARAMS:
+        switch = (a + 1.0) / (a + b + 2.0)
+        for frac in SWITCH_FRACTIONS:
+            x = frac * switch
+            assert _bits(_beta_cont_frac, a, b, x) == _bits(_loop_cont_frac, a, b, x), (a, b, x)
+
+
+def test_cont_frac_failure_is_the_textbook_loops():
+    # near the switch point at a = b = 1e6 the fraction needs more than 399 pairs
+    message = _bits(_loop_cont_frac, 1e6, 1e6, 0.4999995)
+    assert message.startswith("DomainError: incomplete Beta continued fraction failed to converge")
+    assert _bits(_beta_cont_frac, 1e6, 1e6, 0.4999995) == message
+
+
+@given(
+    st.floats(min_value=1e-3, max_value=1e4),
+    st.floats(min_value=1e-3, max_value=1e4),
+    st.floats(min_value=0.0, max_value=1.0),
+)
+def test_cont_frac_is_the_textbook_loop_bitwise_on_draws(a, b, frac):
+    x = frac * (a + 1.0) / (a + b + 2.0)
+    assert _bits(_beta_cont_frac, a, b, x) == _bits(_loop_cont_frac, a, b, x)
 
 
 # ------------------------------------------------------------ inv_inc_beta
@@ -387,6 +463,23 @@ def test_beta_beyond_the_float_range_is_domain_error():
 )
 def test_gamma_beyond_the_float_range_is_domain_error(call):
     with pytest.raises(DomainError):
+        call()
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: inc_beta(1e-310, 0.5, 0.1), r"inc_beta\(1e-310, 0\.5, 0\.1\) overflows the float range"),
+        (lambda: inc_beta(5e-324, 1.0, 0.2), r"inc_beta\(5e-324, 1\.0, 0\.2\) overflows the float range"),
+        (lambda: hyp2f1(1e-310, 0.5, 1.0, 0.3), r"inc_beta\(1e-310, 0\.5, 0\.3\) overflows the float range"),
+        (lambda: hyp2f1(2.0, 0.5, 3.0, 1e-200), r"hyp2f1\(2\.0, 0\.5, 3\.0, 1e-200\): x\^mu underflows to 0"),
+        (lambda: hyp2f1(1000.0, 0.5, 1001.0, 1e-300), r"x\^mu underflows to 0"),
+    ],
+    ids=["inc_beta_tiny_a", "inc_beta_least_a", "hyp2f1_tiny_mu", "hyp2f1_power_2", "hyp2f1_power_1000"],
+)
+def test_specfun_beyond_the_float_range_is_domain_error(call, message):
+    # B_x ~ x^a / a overflows as a -> 0, and x^mu underflows to 0 at small x
+    with pytest.raises(DomainError, match=message):
         call()
 
 
