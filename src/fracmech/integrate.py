@@ -13,16 +13,19 @@ Events are sign crossings of functions held as data, one row per function
 theta in [0, 1] on its quartic, to the precision of t, so the work is
 bounded however far the span lies from t = 0.
 
-A step runs on plain floats: two unpacked scalars at d = 1, four at d = 2 and
-lists of 2d above; at d <= 3 a numpy temporary costs more than its arithmetic.
-The error estimate contracts a (7, 2d) stage buffer, allocated once per run and
-filled in place, with one BLAS call into a reused output; the dense output is one
-contraction per run, at its end, of copies of the accepted steps' buffers.
+An attempt is one straight-line function on 2d unpacked floats, generated from
+the tableau once per dimension (see _kernel); at d <= 3 a numpy temporary costs
+more than its arithmetic.  It writes its stages into a (7, 2d) buffer, allocated
+once per run, and contracts it with one BLAS call into a reused output for the
+error estimate; the dense output is one contraction per run, at its end, of
+copies of the accepted steps' buffers.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import struct
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -37,9 +40,8 @@ from .model import (
     _dot,
     _energy,
     _field,
-    _planar_field,
     _power_law,
-    _scalar_field,
+    _rate_constants,
     abs_power,
     require_finite,
     turning_point,
@@ -115,47 +117,6 @@ def _rms(v: list[float]) -> float:
     return math.sqrt(_dot(v, v) / len(v))
 
 
-def _scalar_attempt(field: Callable, y: list[float], k1: Sequence[float], h: float) -> tuple:
-    """_list_attempt at d = 1 on two floats, bitwise, with field = model._scalar_field."""
-    (q, p), (a1, b1) = y, k1
-    a2, b2 = field(q + h * (_A21 * a1), p + h * (_A21 * b1))
-    a3, b3 = field(q + h * (_A31 * a1 + _A32 * a2), p + h * (_A31 * b1 + _A32 * b2))
-    a4, b4 = field(q + h * (_A41 * a1 + _A42 * a2 + _A43 * a3), p + h * (_A41 * b1 + _A42 * b2 + _A43 * b3))
-    a5, b5 = field(q + h * (_A51 * a1 + _A52 * a2 + _A53 * a3 + _A54 * a4),
-                   p + h * (_A51 * b1 + _A52 * b2 + _A53 * b3 + _A54 * b4))
-    a6, b6 = field(q + h * (_A61 * a1 + _A62 * a2 + _A63 * a3 + _A64 * a4 + _A65 * a5),
-                   p + h * (_A61 * b1 + _A62 * b2 + _A63 * b3 + _A64 * b4 + _A65 * b5))
-    y_new = [q + h * (_B1 * a1 + _B3 * a3 + _B4 * a4 + _B5 * a5 + _B6 * a6),
-             p + h * (_B1 * b1 + _B3 * b3 + _B4 * b4 + _B5 * b5 + _B6 * b6)]
-    a7, b7 = f_new = field(*y_new)
-    return y_new, f_new, (a1, b1, a2, b2, a3, b3, a4, b4, a5, b5, a6, b6, a7, b7)
-
-
-def _planar_attempt(field: Callable, y: list[float], k1: Sequence[float], h: float) -> tuple:
-    """_list_attempt at d = 2 on four floats, bitwise, with field = model._planar_field."""
-    (qx, qy, px, py), (a1, b1, c1, e1) = y, k1
-    a2, b2, c2, e2 = field(qx + h * (_A21 * a1), qy + h * (_A21 * b1), px + h * (_A21 * c1), py + h * (_A21 * e1))
-    a3, b3, c3, e3 = field(qx + h * (_A31 * a1 + _A32 * a2), qy + h * (_A31 * b1 + _A32 * b2),
-                           px + h * (_A31 * c1 + _A32 * c2), py + h * (_A31 * e1 + _A32 * e2))
-    a4, b4, c4, e4 = field(qx + h * (_A41 * a1 + _A42 * a2 + _A43 * a3), qy + h * (_A41 * b1 + _A42 * b2 + _A43 * b3),
-                           px + h * (_A41 * c1 + _A42 * c2 + _A43 * c3), py + h * (_A41 * e1 + _A42 * e2 + _A43 * e3))
-    a5, b5, c5, e5 = field(qx + h * (_A51 * a1 + _A52 * a2 + _A53 * a3 + _A54 * a4),
-                           qy + h * (_A51 * b1 + _A52 * b2 + _A53 * b3 + _A54 * b4),
-                           px + h * (_A51 * c1 + _A52 * c2 + _A53 * c3 + _A54 * c4),
-                           py + h * (_A51 * e1 + _A52 * e2 + _A53 * e3 + _A54 * e4))
-    a6, b6, c6, e6 = field(qx + h * (_A61 * a1 + _A62 * a2 + _A63 * a3 + _A64 * a4 + _A65 * a5),
-                           qy + h * (_A61 * b1 + _A62 * b2 + _A63 * b3 + _A64 * b4 + _A65 * b5),
-                           px + h * (_A61 * c1 + _A62 * c2 + _A63 * c3 + _A64 * c4 + _A65 * c5),
-                           py + h * (_A61 * e1 + _A62 * e2 + _A63 * e3 + _A64 * e4 + _A65 * e5))
-    y_new = [qx + h * (_B1 * a1 + _B3 * a3 + _B4 * a4 + _B5 * a5 + _B6 * a6),
-             qy + h * (_B1 * b1 + _B3 * b3 + _B4 * b4 + _B5 * b5 + _B6 * b6),
-             px + h * (_B1 * c1 + _B3 * c3 + _B4 * c4 + _B5 * c5 + _B6 * c6),
-             py + h * (_B1 * e1 + _B3 * e3 + _B4 * e4 + _B5 * e5 + _B6 * e6)]
-    a7, b7, c7, e7 = f_new = field(*y_new)
-    return y_new, f_new, (a1, b1, c1, e1, a2, b2, c2, e2, a3, b3, c3, e3, a4, b4, c4, e4,
-                          a5, b5, c5, e5, a6, b6, c6, e6, a7, b7, c7, e7)
-
-
 def _list_attempt(rhs: Callable, y: list[float], k1: Sequence[float], h: float) -> tuple:
     """One embedded attempt on lists of 2d floats, stage sums in stage order: (y_new, f_new, 7 stages flat)."""
     k2 = rhs([x + h * (_A21 * s1) for x, s1 in zip(y, k1)])
@@ -169,6 +130,75 @@ def _list_attempt(rhs: Callable, y: list[float], k1: Sequence[float], h: float) 
              for x, s1, s3, s4, s5, s6 in zip(y, k1, k3, k4, k5, k6)]
     f_new = rhs(y_new)
     return y_new, f_new, [*k1, *k2, *k3, *k4, *k5, *k6, *f_new]
+
+
+# the attempt's stage sums as (j, coefficient of k_j) rows: stages 2..6, then the 5th-order result
+_TABLEAU = (
+    ((1, _A21),),
+    ((1, _A31), (2, _A32)),
+    ((1, _A41), (2, _A42), (3, _A43)),
+    ((1, _A51), (2, _A52), (3, _A53), (4, _A54)),
+    ((1, _A61), (2, _A62), (3, _A63), (4, _A64), (5, _A65)),
+    ((1, _B1), (3, _B3), (4, _B4), (5, _B5), (6, _B6)),
+)
+
+
+@functools.cache
+def _kernel(d: int) -> Callable:
+    """The whole attempt in dimension d as one straight-line function on floats, generated from
+    _TABLEAU and compiled once per process: bind(params, pot, rhs, atol, rel_tol, kbuf, ebuf) gives
+    a run's attempt(y, k1, h) -> (y_new, f_new, err_norm).  Each stage sum is _list_attempt's, in its
+    order, with the coefficients as repr literals, which round-trip exactly.  Each stage's field
+    writes _norm_rates' formula out (norms fabs at d = 1, hypot above) with _field's zero rates;
+    the parity tests hold the kernel equal to _list_attempt with _field, bit for bit.  The seven
+    stages are packed into kbuf, the error estimate is _ERR.dot(kbuf, ebuf), one BLAS call, and
+    err_norm is its RMS against tol + rel_tol max(|y|, |y_new|), inf where that scale is 0.  A power
+    beyond the float range, or a force at q = 0 for degree <= 1, re-runs _list_attempt with rhs,
+    which raises the DomainError that names it at the same stage."""
+    size = 2 * d
+
+    def names(stem: str) -> list[str]:
+        return [f"{stem}{j}" for j in range(size)]
+
+    def norm(x: list[str]) -> str:
+        return f"fabs({x[0]})" if d == 1 else f"hypot({', '.join(x)})"
+
+    body = [f"{', '.join(names('y'))} = y", f"{', '.join(names('k1_'))} = k1", "try:"]
+    for i, row in enumerate(_TABLEAU, start=2):  # stage i's state x, the last row's the new state u
+        x = names("x" if i < 7 else "u")
+        body += [f"    {x[j]} = y{j} + h * ({' + '.join(f'{c!r} * k{s}_{j}' for s, c in row)})" for j in range(size)]
+        body += [f"    m, n = {norm(x[d:])}, {norm(x[:d])}",
+                 "    v = cv * m**ev if m else 0.0",
+                 "    f = cf * n**ef if n or singular else 0.0"]  # 0.0**ef raises where the force is undefined
+        body += [f"    k{i}_{j} = v * {x[d + j]} if m else 0.0" for j in range(d)]
+        body += [f"    k{i}_{d + j} = f * {x[j]} if n else 0.0" for j in range(d)]
+    y_new, f_new = f"[{', '.join(names('u'))}]", f"({', '.join(names('k7_'))})"
+    body += ["except (OverflowError, ZeroDivisionError):",
+             "    _list_attempt(rhs, y, k1, h)",
+             "    raise",
+             f"pack(kbuf, 0, {', '.join(f'k{i}_{j}' for i in range(1, 8) for j in range(size))})",
+             "errdot(kbuf, ebuf)",
+             f"{', '.join(names('e'))} = ebuf.tolist()",
+             "try:"]
+    for j in range(size):  # b if b > a else a is max(a, b), NaN included
+        body += [f"    a, b = abs(y{j}), abs(u{j})",
+                 f"    r{j} = h * e{j} / (tol{j} + rel_tol * (b if b > a else a))"]
+    body += ["except ZeroDivisionError:",
+             f"    return {y_new}, {f_new}, inf",
+             f"return {y_new}, {f_new}, sqrt(({' + '.join(f'{r} * {r}' for r in names('r'))}) / {size})"]
+    source = "\n".join([
+        "def bind(params, pot, rhs, atol, rel_tol, kbuf, ebuf):",
+        "    (cv, ev, cf, ef), singular = _rate_constants(params, pot), pot.degree <= 1.0",
+        f"    {', '.join(names('tol'))} = atol",
+        "    def attempt(y, k1, h):",
+        *(f"        {line}" for line in body),
+        "    return attempt",
+    ])
+    scope = {"_rate_constants": _rate_constants, "_list_attempt": _list_attempt, "errdot": _ERR.dot,
+             "pack": struct.Struct(f"{7 * size}d").pack_into,
+             "fabs": math.fabs, "hypot": math.hypot, "sqrt": math.sqrt, "inf": math.inf}
+    exec(compile(source, f"<attempt kernel, d = {d}>", "exec"), scope)
+    return scope["bind"]
 
 
 def _initial_step(
@@ -229,16 +259,6 @@ def _value(row: tuple, y: list[float]) -> float:
     return y[index] - level
 
 
-def _crossed(rows: list[tuple], g_old: list[float], g_new: list[float]) -> list[int]:
-    """Rows whose sign change over a step is a counted zero; a row that
-    starts exactly at zero is departing an event, not crossing one."""
-    return [
-        r
-        for r, (a, b, (_, _, _, _, way)) in enumerate(zip(g_old, g_new, rows))
-        if (a < 0.0 <= b and way >= 0) or (a > 0.0 >= b and way <= 0)
-    ]
-
-
 _MAX_HALVINGS = 60  # exhausts a double's 53-bit mantissa with room to spare
 
 
@@ -288,9 +308,9 @@ def integrate(
     ``stop_after`` the span may be open, t1 = inf: the run ends on that event
     within one ``max_steps`` budget.  A non-finite energy or step, the step
     budget and a step-size underflow raise IntegrationError, each reading
-    "<what> at t = ..., y = ..." plus the awaited ``stop_after``.  The field and attempt are bound
-    once per run (two scalars at d = 1, four at d = 2, lists at d = 3), and the dense output is one
-    batched contraction per run.  The error estimate is one numpy contraction whose sum order is
+    "<what> at t = ..., y = ..." plus the awaited ``stop_after``.  The attempt kernel of dimension d
+    is bound once per run to its constants and buffers, and the dense output is one batched
+    contraction per run.  The error estimate is one numpy contraction whose sum order is
     the host BLAS kernel's, so the steps can differ across CPUs at rounding level: 10
     periods at alpha = beta = 1.5 from (0, 1) take 3014/1262 accepted/rejected steps
     on an OpenBLAS SkylakeX core, 3003/1243 on Haswell and 3007/1256 on Sandybridge.
@@ -311,10 +331,9 @@ def integrate(
     d = q0.size
     y = q0.tolist() + p0.tolist()
     rows, stop_n = _event_rows(d, q_levels, radial_direction, stop_after)
+    levels = [(index, level) for _, _, index, level, _ in rows if index is not None]
+    radial, ways = len(levels) < len(rows), [row[4] for row in rows]  # the q.p row comes last
     rhs = _field(params, pot, d)
-    attempt, field = ((_scalar_attempt, _scalar_field(params, pot)) if d == 1 else
-                      (_planar_attempt, _planar_field(params, pot)) if d == 2 else (_list_attempt, rhs))
-    n, rel_tol = 2 * d, cfg.rel_tol
 
     e0 = float(_energy(params, pot, q0, p0))
     if not math.isfinite(e0):
@@ -341,15 +360,15 @@ def integrate(
 
     times, ys = [t0], [y]
     stacks, cut = [], 1.0  # each accepted step's (7, 2d) stages; the last step's cut width / full width
-    kbuf, ebuf = np.empty((7, n)), np.empty(n)  # the attempt's stages and error estimate
-    kflat = kbuf.reshape(-1)
+    kbuf = np.empty((7, 2 * d))  # the attempt's stages
+    attempt = _kernel(d)(params, pot, rhs, atol, cfg.rel_tol, kbuf, np.empty(2 * d))
     widths: list[float] = []
     events: list[EventRecord] = []
     accepted = rejected = 0
 
     f = rhs(y)
     try:
-        h = _initial_step(rhs, y, f, atol, rel_tol, t1 - t0)
+        h = _initial_step(rhs, y, f, atol, cfg.rel_tol, t1 - t0)
     except ZeroDivisionError:  # a zero error scale or a non-finite field; the first step reports it
         h = math.nan
     t = t0
@@ -360,8 +379,7 @@ def integrate(
             raise failure(MaxStepsExceeded, f"exceeded {cfg.max_steps} steps", t, y)
         if h < 10.0 * abs(math.ulp(t)):
             raise failure(StepSizeUnderflow, f"step size underflow ({h:.3e})", t, y)
-        p_norm = math.hypot(*y[d:])
-        if p_norm < p_band:
+        if p_band and (p_norm := math.hypot(*y[d:])) < p_band:
             pdot_norm = math.hypot(*f[d:])
             if pdot_norm > 0.0:
                 h = min(h, (0.5 * p_norm + 1e-5 * p_scale) / pdot_norm)
@@ -369,18 +387,8 @@ def integrate(
         if finished:
             h = t1 - t
 
-        y_new, f_new, stages = attempt(field, y, f, h)
+        y_new, f_new, err_norm = attempt(y, f, h)
         t_new = t + h
-        kflat[:] = stages
-        np.dot(_ERR, kbuf, ebuf)
-        sq = 0.0
-        try:
-            for e, a, b, tol in zip(ebuf.tolist(), y, y_new, atol):
-                r = h * e / (tol + rel_tol * max(abs(a), abs(b)))
-                sq += r * r
-        except ZeroDivisionError:  # a zero error scale
-            sq = math.inf
-        err_norm = math.sqrt(sq / n)
         if not (math.isfinite(err_norm) and math.isfinite(t_new) and all(map(math.isfinite, y_new))):
             raise failure(IntegrationError, f"non-finite step (h = {h}, error norm = {err_norm}, "
                           f"y -> {np.array(y_new)})", t, y)
@@ -393,8 +401,12 @@ def integrate(
         accepted += 1
 
         # locate the sign crossings of the event functions on this step
-        g_new = [_value(row, y_new) for row in rows]
-        hit_rows = _crossed(rows, g_old, g_new)
+        g_new = [y_new[i] - level for i, level in levels]
+        if radial:
+            g_new.append(_dot(y_new[:d], y_new[d:]))
+        # a row that starts exactly at zero is departing an event, not crossing one
+        hit_rows = [r for r, (a, b, way) in enumerate(zip(g_old, g_new, ways))
+                    if (a < 0.0 <= b and way >= 0) or (a > 0.0 >= b and way <= 0)]
         if hit_rows:
             seg = DenseSegment(t, h, np.array(y), kbuf.T @ _DENSE)
             hits = sorted((_locate(rows[r], seg, g_old[r]), r) for r in hit_rows)

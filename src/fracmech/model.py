@@ -120,11 +120,15 @@ def _power_law(scale: float, k: float, x: np.ndarray) -> np.ndarray:
     return scale * n**k
 
 
+def _rate_constants(params: FractionalParams, pot: PowerLawPotential) -> tuple[float, float, float, float]:
+    """(cv, ev, cf, ef) of _norm_rates: v = cv |p|^ev and f = cf |q|^ef."""
+    return params.alpha * params.d_alpha, params.alpha - 2.0, -pot.strength * pot.degree, pot.degree - 2.0
+
+
 def _norm_rates(params: FractionalParams, pot: PowerLawPotential) -> Callable[[float, float], tuple[float, float]]:
     """(|p|, |q|) -> (v, f) with qdot = v p, pdot = f q: v = alpha d_alpha |p|^(alpha-2), 0 at p = 0,
     f = -strength degree |q|^(degree-2), 0 at q = 0 for degree > 1 and raising for degree <= 1."""
-    cv, ev = params.alpha * params.d_alpha, params.alpha - 2.0
-    cf, ef, degree = -pot.strength * pot.degree, pot.degree - 2.0, pot.degree
+    (cv, ev, cf, ef), degree = _rate_constants(params, pot), pot.degree
 
     def rates(m: float, n: float) -> tuple[float, float]:
         try:
@@ -141,34 +145,9 @@ def _norm_rates(params: FractionalParams, pot: PowerLawPotential) -> Callable[[f
     return rates
 
 
-def _scalar_field(params: FractionalParams, pot: PowerLawPotential) -> Callable[[float, float], tuple[float, float]]:
-    """The canonical equations at d = 1, bound once: (q, p) -> (qdot, pdot), a zero rate +0.0.
-    Norms are abs of the floats, equal to sqrt(x * x) wherever x * x is a normal float."""
-    rates, fabs = _norm_rates(params, pot), math.fabs
-
-    def field(q: float, p: float) -> tuple[float, float]:
-        v, f = rates(fabs(p), fabs(q))
-        return v * p if p else 0.0, f * q if q else 0.0
-
-    return field
-
-
-def _planar_field(params: FractionalParams, pot: PowerLawPotential) -> Callable[..., tuple[float, ...]]:
-    """_field(params, pot, 2) on four floats, bitwise: (qx, qy, px, py) -> rates, (0.0, 0.0) for a zero norm."""
-    rates, hypot = _norm_rates(params, pot), math.hypot
-
-    def field(qx: float, qy: float, px: float, py: float) -> tuple[float, float, float, float]:
-        m, n = hypot(px, py), hypot(qx, qy)
-        v, f = rates(m, n)
-        vx, vy = (v * px, v * py) if m else (0.0, 0.0)
-        return (vx, vy, f * qx, f * qy) if n else (vx, vy, 0.0, 0.0)
-
-    return field
-
-
 def _field(params: FractionalParams, pot: PowerLawPotential, d: int) -> Callable[[list[float]], list[float]]:
     """The canonical equations in dimension d, bound once: y = (q, p) -> (qdot, pdot), one list;
-    norms from math.hypot, which at d = 1 is fabs as in _scalar_field, finite wherever the norm is."""
+    norms from math.hypot, which at d = 1 is fabs, finite wherever the norm is."""
     rates, hypot, zero = _norm_rates(params, pot), math.hypot, [0.0] * d
 
     def field(y: list[float]) -> list[float]:

@@ -31,8 +31,8 @@ from fracmech import (
     period,
 )
 from conftest import GRID_EXPONENTS
-from fracmech.integrate import _DENSE, _ERR, _list_attempt, _planar_attempt, _scalar_attempt, first_event_times
-from fracmech.model import PhaseState, _field, _planar_field, _scalar_field, hamilton_rhs
+from fracmech.integrate import _DENSE, _ERR, _kernel, _list_attempt, first_event_times
+from fracmech.model import PhaseState, _field, hamilton_rhs
 from fracmech.trajectory import DenseSegment
 
 M1 = FractionalParams.from_mass(1.0)
@@ -536,49 +536,53 @@ def test_phase_field_is_hamilton_rhs_bitwise(d):
             assert _field(params, pot, d)([*q, *p]) == [*qdot, *pdot]
 
 
-def test_list_field_at_d1_is_the_scalar_field_bitwise():
-    # math.hypot of one value is its fabs, so _field needs no d = 1 branch
-    values = [0.0, -0.0, 5e-324, -1e-300, 0.3, -2.5, 1e200, -1.7e308]
-    for params, pot in [(FractionalParams(1.5, 1.0), PowerLawPotential(1.0, 1.5)),
-                        (FractionalParams(1.83, 0.37), PowerLawPotential(-2.5, 3.0)), (M1, OSC)]:
-        field, scalar = _field(params, pot, 1), _scalar_field(params, pot)
-        for q in values:
-            for p in values:
-                assert [x.hex() for x in field([q, p])] == [x.hex() for x in scalar(q, p)]
+def both_attempts(params, pot, y, f, h, atol=None, rel_tol=1e-10):
+    """One attempt in dimension d = len(y) / 2 through the run's kernel and through the list
+    attempt, the reference, with the error norm integrate took before the kernel: np.dot(_ERR, K)
+    and the loop below.  Each as (y_new, f_new, the 7 stages flat, [err_norm]) in float.hex bits,
+    the kernel's stages read from its kbuf, or the DomainError message it raised."""
+    n, out = len(y), []
+    atol = [1e-12 * (j + 1) for j in range(n)] if atol is None else atol  # a distinct tol per component
+    kbuf = np.empty((7, n))
+    kernel = _kernel(n // 2)(params, pot, _field(params, pot, n // 2), atol, rel_tol, kbuf, np.empty(n))
 
+    def through_kernel():
+        y_new, f_new, err_norm = kernel(y, f, h)
+        return y_new, f_new, kbuf.ravel().tolist(), [err_norm]
 
-def test_planar_field_is_the_list_field_bitwise():
-    # both signs of zero, a subnormal, and norms beyond the float range (hypot(-1.7e308, -1.7e308) = inf)
-    values = [0.0, -0.0, 5e-324, -1e-300, 0.3, -2.5, 1e200, -1.7e308]
-    for params, pot in [(FractionalParams(1.5, 1.0), PowerLawPotential(1.0, 1.5)),
-                        (FractionalParams(1.83, 0.37), PowerLawPotential(-2.5, 3.0)),
-                        (FractionalParams(1.6, 0.5), PowerLawPotential(-1.0, -1.0))]:
-        listed, planar = _field(params, pot, 2), _planar_field(params, pot)
-        for y in itertools.product(values, repeat=4):
-            out = []
-            for call in (lambda: planar(*y), lambda: listed(list(y))):
-                try:
-                    out.append([x.hex() for x in call()])
-                except DomainError as err:
-                    out.append(str(err))
-            assert out[0] == out[1]
-            if not any(y[:2]) and pot.degree <= 1.0:
-                assert out[0] == f"force is undefined at q = 0 for degree {pot.degree} <= 1"
-
-
-def both_attempts(params, pot, y, f, h):
-    """One attempt in dimension d = len(y) / 2 through its float attempt (the
-    scalar one at d = 1, the planar one at d = 2) and through the list attempt,
-    kept for d = 3 and as the reference, each as (y_new, f_new, flat stages) in
-    float.hex bits, or the DomainError message it raised."""
-    d, out = len(y) // 2, []
-    unrolled, bind = (_scalar_attempt, _scalar_field) if d == 1 else (_planar_attempt, _planar_field)
-    for attempt, field in ((unrolled, bind(params, pot)), (_list_attempt, _field(params, pot, d))):
+    def through_list():
+        y_new, f_new, stages = _list_attempt(_field(params, pot, n // 2), y, f, h)
+        sq = 0.0
         try:
-            out.append([[x.hex() for x in part] for part in attempt(field, y, f, h)])
+            for e, a, b, tol in zip(np.dot(_ERR, np.reshape(stages, (7, n))).tolist(), y, y_new, atol):
+                r = h * e / (tol + rel_tol * max(abs(a), abs(b)))
+                sq += r * r
+        except ZeroDivisionError:  # a zero error scale
+            sq = math.inf
+        return y_new, f_new, stages, [math.sqrt(sq / n)]
+
+    for attempt in (through_kernel, through_list):
+        try:
+            with np.errstate(all="ignore"):  # as in integrate: a non-finite estimate is a value here
+                out.append([[x.hex() for x in part] for part in attempt()])
         except DomainError as err:
             out.append(str(err))
     return out
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_kernel_field_is_the_list_field_bitwise(d):
+    # at h = 0 the second stage is the field at y: both signs of zero, a subnormal, and norms
+    # beyond the float range (hypot(-1.7e308, -1.7e308) = inf), in every component
+    values = [0.0, -0.0, 5e-324, -1e-300, 0.3, -2.5, 1e200, -1.7e308][:8 if d < 3 else 4]
+    for params, pot in [(FractionalParams(1.5, 1.0), PowerLawPotential(1.0, 1.5)),
+                        (FractionalParams(1.83, 0.37), PowerLawPotential(-2.5, 3.0)),
+                        (FractionalParams(1.6, 0.5), PowerLawPotential(-1.0, -1.0)), (M1, OSC)]:
+        for y in itertools.product(values, repeat=2 * d):
+            kernel, listed = both_attempts(params, pot, list(y), [0.0] * 2 * d, 0.0)
+            assert kernel == listed
+            if not any(y[:d]) and pot.degree <= 1.0:
+                assert kernel == f"force is undefined at q = 0 for degree {pot.degree} <= 1"
 
 
 @pytest.mark.parametrize("alpha", GRID_EXPONENTS)
@@ -607,37 +611,45 @@ def test_scalar_attempt_raises_the_list_attempts_errors():
     scalar, listed = both_attempts(FractionalParams(1.5, 1.0), PowerLawPotential(1.0, 40.0), [1e9, 1.0],
                                    [1e9, 0.0], 1.0)
     assert scalar == listed and "overflows the float range" in scalar
+    # at rest at the origin with a zero tolerance the error scale is 0, and the norm inf
+    scalar, listed = both_attempts(M1, OSC, [0.0, 0.0], [0.0, 0.0], 0.1, atol=[0.0, 0.0])
+    assert scalar == listed and scalar[3] == ["inf"]
 
 
 @pytest.mark.parametrize("alpha", GRID_EXPONENTS)
 @pytest.mark.parametrize("degree", [-1.0, -0.5, 1.5, 2.0])
-def test_planar_attempt_is_the_list_attempt_bitwise(alpha, degree):
-    rng = np.random.default_rng([int(100 * alpha), int(100 * degree) % 1000])
+@pytest.mark.parametrize("d", [2, 3])
+def test_planar_attempt_is_the_list_attempt_bitwise(d, alpha, degree):
+    rng = np.random.default_rng([d, int(100 * alpha), int(100 * degree) % 1000])
     strength = math.copysign(rng.uniform(0.2, 3.0), degree)  # attractive below degree 0, a well above
     params, pot = FractionalParams(alpha, rng.uniform(0.2, 3.0)), PowerLawPotential(strength, degree)
-    field = _field(params, pot, 2)
+    field = _field(params, pot, d)
     for i in range(200):
-        # every 10th state starts at rest or at the origin, where a rate pair is (0.0, 0.0)
-        y = [float(v) for v in rng.normal(size=4) * 10.0 ** rng.uniform(-3, 3, size=4)]
+        # every 10th state starts at rest or at the origin, where a rate vector is zero
+        y = [float(v) for v in rng.normal(size=2 * d) * 10.0 ** rng.uniform(-3, 3, size=2 * d)]
         if i % 10 == 0:
-            j = 2 * (i % 20 // 10)
-            y[j:j + 2] = [0.0, 0.0]
-        at_singular_origin = degree <= 1.0 and not any(y[:2])
-        f = [0.0] * 4 if at_singular_origin else field(y)  # the first stage then raises for both
+            j = d * (i % 20 // 10)
+            y[j:j + d] = [0.0] * d
+        at_singular_origin = degree <= 1.0 and not any(y[:d])
+        f = [0.0] * 2 * d if at_singular_origin else field(y)  # the first stage then raises for both
         h = 10.0 ** rng.uniform(-6, 0)
         planar, listed = both_attempts(params, pot, y, f, h)
         assert planar == listed and isinstance(planar, str) == at_singular_origin
 
 
-def test_planar_attempt_raises_the_list_attempts_errors():
-    # the d = 1 cases of test_scalar_attempt_raises_the_list_attempts_errors in the plane
+@pytest.mark.parametrize("d", [2, 3])
+def test_planar_attempt_raises_the_list_attempts_errors(d):
+    # the d = 1 cases of test_scalar_attempt_raises_the_list_attempts_errors in the plane and in space
+    zero = [0.0] * (d - 1)
     for beta in (1.0, 0.5, -1.0):
         planar, listed = both_attempts(FractionalParams(1.5, 1.0), PowerLawPotential(-1.0, beta),
-                                       [0.0, 0.0, 1.0, 0.0], [0.0] * 4, 0.1)
+                                       [0.0, *zero, 1.0, *zero], [0.0] * 2 * d, 0.1)
         assert planar == listed == f"force is undefined at q = 0 for degree {beta} <= 1"
-    planar, listed = both_attempts(FractionalParams(1.5, 1.0), PowerLawPotential(1.0, 40.0), [1e9, 0.0, 1.0, 0.0],
-                                   [1e9, 0.0, 0.0, 0.0], 1.0)
+    planar, listed = both_attempts(FractionalParams(1.5, 1.0), PowerLawPotential(1.0, 40.0),
+                                   [1e9, *zero, 1.0, *zero], [1e9, *zero, 0.0, *zero], 1.0)
     assert planar == listed and "overflows the float range" in planar
+    planar, listed = both_attempts(M1, OSC, [0.0] * 2 * d, [0.0] * 2 * d, 0.1, atol=[0.0] * 2 * d)
+    assert planar == listed and planar[3] == ["inf"]
 
 
 def test_planar_oscillator_run_keeps_its_step_sequence():
@@ -651,21 +663,31 @@ def test_planar_oscillator_run_keeps_its_step_sequence():
     ]
 
 
-# each attempt with its field binder, by dimension d
-ATTEMPTS = {1: (_scalar_attempt, _scalar_field), 2: (_planar_attempt, _planar_field),
-            3: (_list_attempt, lambda params, pot: _field(params, pot, 3))}
+def test_spatial_run_keeps_its_step_sequence():
+    # a d = 3 run on every row kind: turning points, origin crossings, a q-level and the
+    # zeros of q.p; recorded when d = 3 still stepped on lists, so a kernel must keep every bit
+    ic = InitialConditions(q0=np.array([1.0, 0.2, -0.3]), p0=np.array([0.1, 0.7, 0.4]))
+    traj, events = integrate(FractionalParams(1.75, 0.5), PowerLawPotential(1.0, 1.8), ic, (0.0, 5.0),
+                             q_levels=[(2, 0.1)], radial_direction=0)
+    assert (traj.accepted_steps, traj.rejected_steps, len(events)) == (189, 4, 18)
+    assert [float(x).hex() for x in (*traj.positions[-1], *traj.momenta[-1])] == [
+        "0x1.cd38a5baf941bp-1", "0x1.0a57164f0580ap-2", "-0x1.c1f27e80a9c50p-3",
+        "0x1.9ee9f8255add6p-2", "0x1.be64125549a58p-1", "0x1.839ac7b649360p-2",
+    ]
+    assert float(events[-1].time).hex() == "0x1.2a8c97f12c9a0p+2"
 
 
-@pytest.mark.parametrize("d", sorted(ATTEMPTS))
+@pytest.mark.parametrize("d", [1, 2, 3])
 def test_each_attempt_has_the_order_of_its_tableau(d):
     # alpha = beta = 2, D = g = 1/2: qdot = p, pdot = -q, so the exact flow rotates each (q_j, p_j)
-    # pair by -t.  One attempt from a fixed state at h = 0.2 / 2^k, k = 0..4: the 5th-order
-    # result has local error O(h^6), and the embedded estimate h (_ERR . K) and the dense
-    # quartic at theta = 1/2 are O(h^5).  A wrong stage coefficient breaks an order condition
-    # and lowers a slope by one or more, whatever bits a re-pinned step sequence records.
-    attempt, bind = ATTEMPTS[d]
+    # pair by -t.  One kernel attempt from a fixed state at h = 0.2 / 2^k, k = 0..4: the 5th-order
+    # result has local error O(h^6), and the kernel's own error norm (its scale 1 to 1e-10 here) and
+    # the dense quartic of its stage buffer at theta = 1/2 are O(h^5).  A wrong stage coefficient
+    # breaks an order condition and lowers a slope by one or more, whatever bits a re-pinned step
+    # sequence records.
     params, pot = FractionalParams(2.0, 0.5), PowerLawPotential(0.5, 2.0)
-    field = bind(params, pot)
+    kbuf = np.empty((7, 2 * d))
+    attempt = _kernel(d)(params, pot, _field(params, pot, d), [1.0] * 2 * d, 1e-10, kbuf, np.empty(2 * d))
     q, p = np.array([0.6, -0.3, 0.2][:d]), np.array([0.8, 0.5, -0.9][:d])
     y = q.tolist() + p.tolist()
     f = _field(params, pot, d)(y)
@@ -675,11 +697,9 @@ def test_each_attempt_has_the_order_of_its_tableau(d):
 
     errors = []
     for h in (0.2 / 2**k for k in range(5)):
-        y_new, _, stages = attempt(field, y, f, h)
-        K = np.array(stages).reshape(7, 2 * d)
-        quartic = DenseSegment(0.0, h, np.array(y), K.T @ _DENSE).at(0.5)
-        errors.append([np.linalg.norm(np.array(y_new) - exact(h)), np.linalg.norm(h * (_ERR @ K)),
-                       np.linalg.norm(quartic - exact(0.5 * h))])
+        y_new, _, err_norm = attempt(y, f, h)
+        quartic = DenseSegment(0.0, h, np.array(y), kbuf.T @ _DENSE).at(0.5)
+        errors.append([np.linalg.norm(np.array(y_new) - exact(h)), err_norm, np.linalg.norm(quartic - exact(0.5 * h))])
     slopes = np.log2(np.array(errors[:-1]) / np.array(errors[1:]))
     assert np.all((5.7 <= slopes[:, 0]) & (slopes[:, 0] <= 6.3)), slopes
     assert np.all((4.8 <= slopes[:, 1:]) & (slopes[:, 1:] <= 5.2)), slopes

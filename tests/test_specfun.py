@@ -471,16 +471,24 @@ def test_gamma_beyond_the_float_range_is_domain_error(call):
     [
         (lambda: inc_beta(1e-310, 0.5, 0.1), r"inc_beta\(1e-310, 0\.5, 0\.1\) overflows the float range"),
         (lambda: inc_beta(5e-324, 1.0, 0.2), r"inc_beta\(5e-324, 1\.0, 0\.2\) overflows the float range"),
-        (lambda: hyp2f1(1e-310, 0.5, 1.0, 0.3), r"inc_beta\(1e-310, 0\.5, 0\.3\) overflows the float range"),
-        (lambda: hyp2f1(2.0, 0.5, 3.0, 1e-200), r"hyp2f1\(2\.0, 0\.5, 3\.0, 1e-200\): x\^mu underflows to 0"),
-        (lambda: hyp2f1(1000.0, 0.5, 1001.0, 1e-300), r"x\^mu underflows to 0"),
+        (lambda: hyp2f1(2000.0, -1e7, 2001.0, 0.5), r"hyp2f1\(2000\.0, -10000000\.0, 2001\.0, 0\.5\): x\^mu underflows to 0"),
     ],
-    ids=["inc_beta_tiny_a", "inc_beta_least_a", "hyp2f1_tiny_mu", "hyp2f1_power_2", "hyp2f1_power_1000"],
+    ids=["inc_beta_tiny_a", "inc_beta_least_a", "hyp2f1_power_above_the_switch"],
 )
 def test_specfun_beyond_the_float_range_is_domain_error(call, message):
-    # B_x ~ x^a / a overflows as a -> 0, and x^mu underflows to 0 at small x
+    # B_x ~ x^a / a overflows as a -> 0; x^mu underflows to 0 where B_x takes the complement's fraction
     with pytest.raises(DomainError, match=message):
         call()
+
+
+@pytest.mark.parametrize("mu, nu, x", [(1e-310, 0.5, 0.3), (2.0, 0.5, 1e-200), (1000.0, 0.5, 1e-300)],
+                         ids=["tiny_mu", "power_2", "power_1000"])
+def test_hyp2f1_cancels_a_factor_beyond_the_float_range(mu, nu, x):
+    # mu B_x(mu, nu) / x^mu with B_x or x^mu beyond the floats, each once a DomainError, is finite
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        expected = float(mpmath.hyp2f1(mu, 1.0 - nu, mu + 1.0, x))
+    assert hyp2f1(mu, 1.0 - nu, mu + 1.0, x) == pytest.approx(expected, rel=1e-13)
 
 
 def test_inc_beta_names_the_non_finite_parameter():
