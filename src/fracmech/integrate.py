@@ -8,17 +8,17 @@ p = 0 for alpha < 2; the error estimate shrinks steps through turning
 points on its own, and while |p| is small a cap bounds the relative momentum
 change per step.
 
-Events are sign crossings of functions held as data, one row per function
-(see _event_rows).  Each crossing is located by bisection in the step's own
-theta in [0, 1] on its quartic, to the precision of t, so the work is
-bounded however far the span lies from t = 0.
+Events are sign crossings of functions held as data, one row per function, and
+one evaluator per run gives every row's value at a state (see _event_rows).  A
+crossing is located by bisection in the step's own theta in [0, 1] on its quartic,
+to the precision of t, however far the span lies from t = 0.
 
-An attempt is one straight-line function on 2d unpacked floats, generated from
-the tableau once per dimension (see _kernel); at d <= 3 a numpy temporary costs
-more than its arithmetic.  It writes its stages into a (7, 2d) buffer, allocated
-once per run, and contracts it with one BLAS call into a reused output for the
-error estimate; the dense output is one contraction per run, at its end, of
-copies of the accepted steps' buffers.
+The tableau is stated once, in _TABLEAU: _list_attempt, the reference, reads it
+row by row, and _kernel compiles the same rows into one straight-line function
+on 2d floats per dimension, since at d <= 3 a numpy temporary costs more than its
+arithmetic.  The kernel writes its stages into a (7, 2d) buffer, allocated once
+per run, and contracts it with one BLAS call for the error estimate; the dense
+output is one contraction per run, at its end, of the accepted steps' buffers.
 """
 
 from __future__ import annotations
@@ -78,16 +78,16 @@ class EventRecord:
     component: int | None = None
 
 
-# Dormand-Prince 5(4) tableau: stage i is the field at y + h sum_j A_ij k_j,
-# and the step's 5th-order result is y + h sum_j B_j k_j (B_2 = 0)
-_A21 = 1.0 / 5.0
-_A31, _A32 = 3.0 / 40.0, 9.0 / 40.0
-_A41, _A42, _A43 = 44.0 / 45.0, -56.0 / 15.0, 32.0 / 9.0
-_A51, _A52, _A53, _A54 = 19372.0 / 6561.0, -25360.0 / 2187.0, 64448.0 / 6561.0, -212.0 / 729.0
-_A61, _A62, _A63, _A64, _A65 = (
-    9017.0 / 3168.0, -355.0 / 33.0, 46732.0 / 5247.0, 49.0 / 176.0, -5103.0 / 18656.0
+# Dormand-Prince 5(4) tableau (J. Comput. Appl. Math. 6 (1980) 19) as (j, coefficient of k_j) rows: stage
+# i = 2..6 is the field at y + h sum_j A_ij k_j, and the last row is the 5th-order result's B_j (B_2 = 0)
+_TABLEAU = (
+    ((1, 1.0 / 5.0),),
+    ((1, 3.0 / 40.0), (2, 9.0 / 40.0)),
+    ((1, 44.0 / 45.0), (2, -56.0 / 15.0), (3, 32.0 / 9.0)),
+    ((1, 19372.0 / 6561.0), (2, -25360.0 / 2187.0), (3, 64448.0 / 6561.0), (4, -212.0 / 729.0)),
+    ((1, 9017.0 / 3168.0), (2, -355.0 / 33.0), (3, 46732.0 / 5247.0), (4, 49.0 / 176.0), (5, -5103.0 / 18656.0)),
+    ((1, 35.0 / 384.0), (3, 500.0 / 1113.0), (4, 125.0 / 192.0), (5, -2187.0 / 6784.0), (6, 11.0 / 84.0)),
 )
-_B1, _B3, _B4, _B5, _B6 = 35.0 / 384.0, 500.0 / 1113.0, 125.0 / 192.0, -2187.0 / 6784.0, 11.0 / 84.0
 # difference between the 5th- and 4th-order weights; dotted with the stages
 # (including the FSAL stage) it yields the local error estimate
 _ERR = np.array([
@@ -118,43 +118,30 @@ def _rms(v: list[float]) -> float:
 
 
 def _list_attempt(rhs: Callable, y: list[float], k1: Sequence[float], h: float) -> tuple:
-    """One embedded attempt on lists of 2d floats, stage sums in stage order: (y_new, f_new, 7 stages flat)."""
-    k2 = rhs([x + h * (_A21 * s1) for x, s1 in zip(y, k1)])
-    k3 = rhs([x + h * (_A31 * s1 + _A32 * s2) for x, s1, s2 in zip(y, k1, k2)])
-    k4 = rhs([x + h * (_A41 * s1 + _A42 * s2 + _A43 * s3) for x, s1, s2, s3 in zip(y, k1, k2, k3)])
-    k5 = rhs([x + h * (_A51 * s1 + _A52 * s2 + _A53 * s3 + _A54 * s4)
-              for x, s1, s2, s3, s4 in zip(y, k1, k2, k3, k4)])
-    k6 = rhs([x + h * (_A61 * s1 + _A62 * s2 + _A63 * s3 + _A64 * s4 + _A65 * s5)
-              for x, s1, s2, s3, s4, s5 in zip(y, k1, k2, k3, k4, k5)])
-    y_new = [x + h * (_B1 * s1 + _B3 * s3 + _B4 * s4 + _B5 * s5 + _B6 * s6)
-             for x, s1, s3, s4, s5, s6 in zip(y, k1, k3, k4, k5, k6)]
-    f_new = rhs(y_new)
-    return y_new, f_new, [*k1, *k2, *k3, *k4, *k5, *k6, *f_new]
-
-
-# the attempt's stage sums as (j, coefficient of k_j) rows: stages 2..6, then the 5th-order result
-_TABLEAU = (
-    ((1, _A21),),
-    ((1, _A31), (2, _A32)),
-    ((1, _A41), (2, _A42), (3, _A43)),
-    ((1, _A51), (2, _A52), (3, _A53), (4, _A54)),
-    ((1, _A61), (2, _A62), (3, _A63), (4, _A64), (5, _A65)),
-    ((1, _B1), (3, _B3), (4, _B4), (5, _B5), (6, _B6)),
-)
+    """One embedded attempt on lists of 2d floats, _TABLEAU row by row: (y_new, f_new, 7 stages flat).
+    Each stage sum starts from its row's first product; 0 + it would turn a -0.0 sum into +0.0."""
+    stages = [k1]
+    for (j, c), *rest in _TABLEAU:  # the last row's state is y_new, and its field f_new
+        acc = [c * v for v in stages[j - 1]]
+        for j, c in rest:
+            acc = [a + c * v for a, v in zip(acc, stages[j - 1])]
+        x = [yi + h * a for yi, a in zip(y, acc)]
+        stages.append(rhs(x))
+    return x, stages[-1], [v for k in stages for v in k]
 
 
 @functools.cache
 def _kernel(d: int) -> Callable:
-    """The whole attempt in dimension d as one straight-line function on floats, generated from
-    _TABLEAU and compiled once per process: bind(params, pot, rhs, atol, rel_tol, kbuf, ebuf) gives
-    a run's attempt(y, k1, h) -> (y_new, f_new, err_norm).  Each stage sum is _list_attempt's, in its
-    order, with the coefficients as repr literals, which round-trip exactly.  Each stage's field
-    writes _norm_rates' formula out (norms fabs at d = 1, hypot above) with _field's zero rates;
-    the parity tests hold the kernel equal to _list_attempt with _field, bit for bit.  The seven
-    stages are packed into kbuf, the error estimate is _ERR.dot(kbuf, ebuf), one BLAS call, and
-    err_norm is its RMS against tol + rel_tol max(|y|, |y_new|), inf where that scale is 0.  A power
-    beyond the float range, or a force at q = 0 for degree <= 1, re-runs _list_attempt with rhs,
-    which raises the DomainError that names it at the same stage."""
+    """The whole attempt in dimension d as one straight-line function on floats, compiled once per
+    process from the rows of _TABLEAU that _list_attempt reads: bind(params, pot, rhs, atol, rel_tol,
+    kbuf, ebuf) gives a run's attempt(y, k1, h) -> (y_new, f_new, err_norm).  Each stage sum is its
+    row's, in order from the first product, with the coefficients as repr literals, which round-trip
+    exactly.  Each stage's field writes _norm_rates' formula out (norms fabs at d = 1, hypot above)
+    with _field's zero rates; the parity tests hold the kernel equal to _list_attempt with _field,
+    bit for bit.  The seven stages are packed into kbuf, the error estimate is _ERR.dot(kbuf, ebuf),
+    one BLAS call, and err_norm is its RMS against tol + rel_tol max(|y|, |y_new|), inf where that
+    scale is 0.  A power beyond the float range, or a force at q = 0 for degree <= 1, re-runs
+    _list_attempt with rhs, which raises the DomainError that names it at the same stage."""
     size = 2 * d
 
     def names(stem: str) -> list[str]:
@@ -220,16 +207,17 @@ def _initial_step(
     return min(100.0 * h0, h1, span)
 
 
-def _event_rows(d: int, q_levels: Sequence, radial_direction: int | None, stop_after) -> tuple[list, int]:
-    """The event rows of a run and the count of events that ends it, 0 without
-    stop_after=(kind, n), which keeps the rows of its kind alone.  One row
-    (kind, component, index, level, direction) per event function: turning
-    points (p_j = 0), origin crossings (q_j = 0), the level crossings q[c] =
-    level, and optionally the zeros of q.p.  A row's value is y[index] - level,
-    or q.p where index is None; direction +1 counts rising zeros only, -1
-    falling only, 0 both.  Malformed options are DomainErrors."""
+def _event_rows(d: int, q_levels: Sequence, radial_direction: int | None, stop_after) -> tuple:
+    """The event rows of a run, their evaluator values(y) -> [each row's value], and the count of
+    events that ends the run, 0 without stop_after=(kind, n), which keeps the rows of its kind
+    alone.  One row (kind, component, index, level, direction) per event function: turning points
+    (p_j = 0), origin crossings (q_j = 0), the level crossings q[c] = level, and optionally the
+    zeros of q.p, last.  A row's value is y[index] - level, or q.p where index is None; direction
+    +1 counts rising zeros only, -1 falling only, 0 both.  Malformed options are DomainErrors."""
     rows = [("turning_point", j, d + j, 0.0, 0) for j in range(d)]
     rows += [("origin_crossing", j, j, 0.0, 0) for j in range(d)]
+    if not isinstance(q_levels, (tuple, list)):
+        raise DomainError(f"q_levels must be a sequence of (component, level) pairs, got {q_levels!r}")
     for entry in q_levels:
         if not (isinstance(entry, (tuple, list)) and len(entry) == 2):
             raise DomainError(f"level crossing {entry!r} is not a (component, real level) pair")
@@ -248,23 +236,25 @@ def _event_rows(d: int, q_levels: Sequence, radial_direction: int | None, stop_a
     require_finite(stop_after_count=n)
     if stop_after is not None and not (isinstance(n, (int, np.integer)) and n >= 1 and kind in stoppable):
         raise DomainError(f"stop_after needs kind {' or '.join(stoppable)} and a count >= 1, got {stop_after!r}")
-    return [row for row in rows if stop_after is None or row[0] == kind], n
+    rows = [row for row in rows if stop_after is None or row[0] == kind]
+    levels = [(index, level) for _, _, index, level, _ in rows if index is not None]
+    radial = len(levels) < len(rows)
 
+    def values(y: list[float]) -> list[float]:
+        g = [y[index] - level for index, level in levels]
+        if radial:
+            g.append(_dot(y[:d], y[d:]))
+        return g
 
-def _value(row: tuple, y: list[float]) -> float:
-    _, _, index, level, _ = row
-    if index is None:
-        d = len(y) // 2
-        return _dot(y[:d], y[d:])
-    return y[index] - level
+    return rows, values, n
 
 
 _MAX_HALVINGS = 60  # exhausts a double's 53-bit mantissa with room to spare
 
 
-def _locate(row: tuple, seg: DenseSegment, g_lo: float) -> float:
-    """Bisection in theta on the step's quartic for the zero of one event
-    row, until the midpoint's time t + mid * width equals an end's: to the
+def _locate(values: Callable, r: int, seg: DenseSegment, g_lo: float) -> float:
+    """Bisection in theta on the step's quartic for the zero of event row r
+    of values, until the midpoint's time t + mid * width equals an end's: to the
     precision of t, in at most _MAX_HALVINGS halvings.  Returns theta in [0, 1]."""
     lo, hi = 0.0, 1.0
     t, w = seg.t_start, seg.width
@@ -273,13 +263,10 @@ def _locate(row: tuple, seg: DenseSegment, g_lo: float) -> float:
         mid = 0.5 * (lo + hi)
         if t + mid * w in (t + lo * w, t + hi * w):
             break
-        gm = _value(row, seg.at(mid).tolist())
+        gm = values(seg.at(mid).tolist())[r]
         if gm == 0.0:
             return mid
-        if (gm < 0.0) == neg:
-            lo = mid
-        else:
-            hi = mid
+        lo, hi = (mid, hi) if (gm < 0.0) == neg else (lo, mid)
     return 0.5 * (lo + hi)
 
 
@@ -308,15 +295,15 @@ def integrate(
     ``stop_after`` the span may be open, t1 = inf: the run ends on that event
     within one ``max_steps`` budget.  A non-finite energy or step, the step
     budget and a step-size underflow raise IntegrationError, each reading
-    "<what> at t = ..., y = ..." plus the awaited ``stop_after``.  The attempt kernel of dimension d
-    is bound once per run to its constants and buffers, and the dense output is one batched
-    contraction per run.  The error estimate is one numpy contraction whose sum order is
-    the host BLAS kernel's, so the steps can differ across CPUs at rounding level: 10
-    periods at alpha = beta = 1.5 from (0, 1) take 3014/1262 accepted/rejected steps
-    on an OpenBLAS SkylakeX core, 3003/1243 on Haswell and 3007/1256 on Sandybridge.
+    "<what> at t = ..., y = ..." plus the awaited ``stop_after``.  The error estimate's sum order
+    is the host BLAS kernel's, so the steps can differ across CPUs at rounding level: 10 periods
+    at alpha = beta = 1.5 from (0, 1) take 3014/1262 accepted/rejected steps on an OpenBLAS
+    SkylakeX core, 3003/1243 on Haswell and 3007/1256 on Sandybridge.
     """
     if cfg is None:
         cfg = IntegratorConfig()
+    if not (isinstance(span, (tuple, list)) and len(span) == 2):
+        raise DomainError(f"span must be a (t0, t1) pair, got {span!r}")
     require_finite(t0=span[0], t1=span[1] if span[1] != math.inf else 0.0)  # t1 = inf with stop_after
     t0, t1 = float(span[0]), float(span[1])
     if not t0 < t1 or (t1 == math.inf and stop_after is None):
@@ -330,9 +317,8 @@ def integrate(
     q0, p0 = ic.resolve(params)
     d = q0.size
     y = q0.tolist() + p0.tolist()
-    rows, stop_n = _event_rows(d, q_levels, radial_direction, stop_after)
-    levels = [(index, level) for _, _, index, level, _ in rows if index is not None]
-    radial, ways = len(levels) < len(rows), [row[4] for row in rows]  # the q.p row comes last
+    rows, values, stop_n = _event_rows(d, q_levels, radial_direction, stop_after)
+    ways = [row[4] for row in rows]
     rhs = _field(params, pot, d)
 
     e0 = float(_energy(params, pot, q0, p0))
@@ -372,7 +358,7 @@ def integrate(
     except ZeroDivisionError:  # a zero error scale or a non-finite field; the first step reports it
         h = math.nan
     t = t0
-    g_old = [_value(row, y) for row in rows]
+    g_old = values(y)
 
     while True:
         if accepted + rejected >= cfg.max_steps:
@@ -401,15 +387,13 @@ def integrate(
         accepted += 1
 
         # locate the sign crossings of the event functions on this step
-        g_new = [y_new[i] - level for i, level in levels]
-        if radial:
-            g_new.append(_dot(y_new[:d], y_new[d:]))
+        g_new = values(y_new)
         # a row that starts exactly at zero is departing an event, not crossing one
         hit_rows = [r for r, (a, b, way) in enumerate(zip(g_old, g_new, ways))
                     if (a < 0.0 <= b and way >= 0) or (a > 0.0 >= b and way <= 0)]
         if hit_rows:
             seg = DenseSegment(t, h, np.array(y), kbuf.T @ _DENSE)
-            hits = sorted((_locate(rows[r], seg, g_old[r]), r) for r in hit_rows)
+            hits = sorted((_locate(values, r, seg, g_old[r]), r) for r in hit_rows)
             for theta, r in hits:
                 t_ev, y_ev = t + theta * h, seg.at(theta)
                 kind, comp = rows[r][:2]

@@ -72,8 +72,12 @@ def exponents(alpha: float, beta_degree: float) -> SimilarityExponents:
 
 
 def _require_scale_factors(rho_list: Sequence[float]) -> None:
-    """Raise DomainError on the first scale factor that is not finite and positive."""
+    """Raise DomainError unless rho_list is a sequence of scale factors, each a finite positive number."""
+    if not (isinstance(rho_list, Sequence) or isinstance(rho_list, np.ndarray) and rho_list.ndim):
+        raise DomainError(f"rho_list must be a sequence of scale factors, got {rho_list!r}")
     for rho in rho_list:
+        if np.ndim(rho):
+            raise DomainError(f"rho must be a finite number, got {rho!r}")
         require_finite(rho=rho)
         if not rho > 0.0:
             raise DomainError(f"scale factors must be finite and positive, got {rho}")

@@ -205,15 +205,16 @@ def hyp2f1(mu: float, one_minus_nu: float, mu_plus_one: float, x: float) -> floa
     """Gauss hypergeometric F(mu, 1-nu; mu+1; x) on the family this package uses.
 
     Evaluated through the incomplete Beta identity
-    F(mu, 1-nu; mu+1; x) = mu * B_x(mu, nu) / x^mu for x > 0, and 1 at
-    x = 0; where x^mu / mu leaves the float range and x < (mu+1)/(mu+nu+2),
-    as (1-x)^nu times B_x's continued fraction, x^mu / mu cancelled.  Only
-    this contiguous family is supported: the second parameter must be
-    1 - nu with nu > 0 and the third must equal mu + 1.
+    F(mu, 1-nu; mu+1; x) = mu * B_x(mu, nu) / x^mu, and 1 at x = 0: for
+    x < (mu+1)/(mu+nu+2) as inc_beta's continued-fraction branch with
+    x^mu / mu cancelled, (1-x)^nu times the fraction, so no factor leaves
+    the float range; above it as mu * inc_beta / x^mu.  Only this
+    contiguous family is supported: the second parameter must be 1 - nu
+    with nu > 0 and the third must equal mu + 1.
     """
     try:
-        if not mu > 0.0:
-            raise DomainError(f"hyp2f1 family requires mu > 0, got {mu}")
+        if not 0.0 < mu < math.inf:
+            raise DomainError(f"hyp2f1 family requires finite mu > 0, got {mu}")
         nu = 1.0 - one_minus_nu
         if not nu > 0.0:
             raise DomainError(
@@ -227,14 +228,11 @@ def hyp2f1(mu: float, one_minus_nu: float, mu_plus_one: float, x: float) -> floa
             raise DomainError(f"hyp2f1 argument must be in [0, 1], got {x}")
         if x == 0.0:
             return 1.0
+        if x < (mu + 1.0) / (mu + nu + 2.0):
+            return math.exp(nu * math.log1p(-x)) * _beta_cont_frac(mu, nu, x)
         power = math.exp(mu * math.log(x))
-        try:
-            return mu * inc_beta(mu, nu, x) / power
-        except (DomainError, ZeroDivisionError):  # B_x or x^mu beyond the floats; a failed fraction recurs
-            if x < (mu + 1.0) / (mu + nu + 2.0):
-                return math.exp(nu * math.log1p(-x)) * _beta_cont_frac(mu, nu, x)
-            if power:
-                raise
-        raise DomainError(f"hyp2f1({mu}, {one_minus_nu}, {mu_plus_one}, {x}): x^mu underflows to 0")
+        if not power:
+            raise DomainError(f"hyp2f1({mu}, {one_minus_nu}, {mu_plus_one}, {x}): x^mu underflows to 0")
+        return mu * inc_beta(mu, nu, x) / power
     except TypeError as exc:
         raise _refused(exc, mu=mu, one_minus_nu=one_minus_nu, mu_plus_one=mu_plus_one, x=x) from None

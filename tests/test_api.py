@@ -9,6 +9,7 @@ import re
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import fracmech
@@ -175,6 +176,8 @@ TYPE_EDGE = {
     "kepler-none-strength": (lambda: fracmech.fractional_kepler_check(1.5, PLANE, [2.0], strength=None), "strength"),
     "kepler-bool-d_alpha": (lambda: fracmech.fractional_kepler_check(1.5, PLANE, [2.0], d_alpha=True), "d_alpha"),
     "kepler-none-rho": (lambda: fracmech.fractional_kepler_check(1.5, PLANE, [None]), "rho"),
+    "kepler-list-rho": (lambda: fracmech.fractional_kepler_check(1.5, PLANE, [[2.0]]), "rho"),
+    "verify_scaling-array-rho": (lambda: fracmech.verify_scaling(P, V, IC, [np.array([2.0, 4.0])]), "rho"),
     "ln_gamma-none": (lambda: fracmech.ln_gamma(None), "x"),
     "beta-string-a": (lambda: fracmech.beta("0.5", 0.5), "a"),
     "inc_beta-none-a": (lambda: fracmech.inc_beta(None, 0.5, 0.3), "a"),
@@ -190,4 +193,26 @@ def test_a_value_that_is_not_a_real_number_is_a_domain_error_naming_its_field(ca
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(fracmech.DomainError, match=f"^{field} must be a finite number, got "):
+            call()
+
+
+# one row per call whose argument is not the container it must be, and the start of the
+# DomainError that names it: each once raised a raw TypeError, IndexError or ValueError, or
+# ran on the part it could read
+SHAPE_EDGE = {
+    "span-scalar": (lambda: fracmech.integrate(P, V, IC, 1.0), "span must be a (t0, t1) pair, got 1.0"),
+    "span-one": (lambda: fracmech.integrate(P, V, IC, (0.0,)), "span must be a (t0, t1) pair, got (0.0,)"),
+    "span-three": (lambda: fracmech.integrate(P, V, IC, (0.0, 1.0, 5.0)), "span must be a (t0, t1) pair, got "),
+    "q_levels-none": (lambda: fracmech.integrate(P, V, IC, (0.0, 1.0), q_levels=None), "q_levels must be a sequence"),
+    "q_levels-int": (lambda: fracmech.integrate(P, V, IC, (0.0, 1.0), q_levels=5), "q_levels must be a sequence"),
+    "verify_scaling-scalar": (lambda: fracmech.verify_scaling(P, V, IC, 2.0), "rho_list must be a sequence"),
+    "kepler-scalar": (lambda: fracmech.fractional_kepler_check(1.5, PLANE, 2.0), "rho_list must be a sequence"),
+}
+
+
+@pytest.mark.parametrize("call, message", SHAPE_EDGE.values(), ids=SHAPE_EDGE.keys())
+def test_a_malformed_span_event_option_or_scale_list_is_a_domain_error_naming_it(call, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(fracmech.DomainError, match=f"^{re.escape(message)}"):
             call()

@@ -31,7 +31,7 @@ from fracmech import (
     period,
 )
 from conftest import GRID_EXPONENTS
-from fracmech.integrate import _DENSE, _ERR, _kernel, _list_attempt, first_event_times
+from fracmech.integrate import _DENSE, _ERR, _TABLEAU, _kernel, _list_attempt, first_event_times
 from fracmech.model import PhaseState, _field, hamilton_rhs
 from fracmech.trajectory import DenseSegment
 
@@ -703,6 +703,22 @@ def test_each_attempt_has_the_order_of_its_tableau(d):
     slopes = np.log2(np.array(errors[:-1]) / np.array(errors[1:]))
     assert np.all((5.7 <= slopes[:, 0]) & (slopes[:, 0] <= 6.3)), slopes
     assert np.all((4.8 <= slopes[:, 1:]) & (slopes[:, 1:] <= 5.2)), slopes
+
+
+def test_tableau_is_scipys_dormand_prince_pair():
+    # the kernel and its reference both read _TABLEAU, so the parity tests cannot see a wrong
+    # coefficient there; scipy's RK45 states the same pair independently (A is 6 x 5 with a zero
+    # first row, E the 4th- minus the 5th-order weights, P the dense-output matrix), to the last bit
+    from scipy.integrate import RK45
+
+    a, b = np.zeros((6, 5)), np.zeros(6)
+    for i, row in enumerate(_TABLEAU[:-1], start=1):
+        for j, c in row:
+            a[i, j - 1] = c
+    for j, c in _TABLEAU[-1]:
+        b[j - 1] = c
+    assert a.tolist() == RK45.A.tolist() and b.tolist() == RK45.B.tolist()
+    assert _ERR.tolist() == (-RK45.E).tolist() and _DENSE.tolist() == RK45.P.tolist()
 
 
 @pytest.mark.parametrize("n", [2, 4, 6])
