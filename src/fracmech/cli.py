@@ -89,19 +89,23 @@ def _tolerance(text: str) -> float:
     return value
 
 
-def _config_defaults(args: argparse.Namespace) -> dict:
-    """The config file of a first parse as defaults for its subcommand.
+def _config_defaults(parser: argparse.ArgumentParser, args: argparse.Namespace) -> dict:
+    """The config file of a first parse as defaults for its subcommand's parser.
 
-    Keys must name a long flag of that subcommand; values stay strings, so
-    argparse converts them with the flag's type, except for on/off flags,
-    whose ``store_true`` action never converts a default.
+    A key names a long flag of that subcommand and sets the flag's dest, which
+    an alias shares with its long form, so two keys for one dest are refused.
+    Values stay strings, so argparse converts them with the flag's type, except
+    for on/off flags, whose ``store_true`` action never converts a default.
     """
-    defaults = {}
+    defaults, keys = {}, {}
     for key, value in _load_config(args.config).items():
-        if key in ("func", "command", "config") or not hasattr(args, key):
+        action = parser._option_string_actions.get("--" + key.replace("_", "-"))
+        if action is None or action.dest in ("config", "help"):
             raise DomainError(f"unknown config key {key!r} for {args.command}")
-        current = getattr(args, key)
-        defaults[key] = _config_flag(key, value) if isinstance(current, bool) else value
+        if action.dest in keys:
+            raise DomainError(f"config keys {keys[action.dest]!r} and {key!r} both set {action.dest}")
+        keys[action.dest] = key
+        defaults[action.dest] = _config_flag(key, value) if isinstance(getattr(args, action.dest), bool) else value
     return defaults
 
 
@@ -123,14 +127,12 @@ def _kinetic_params(args, d_alpha_default: float | None = None) -> FractionalPar
 
 
 def _potential(args) -> PowerLawPotential:
-    s = args.strength if args.strength is not None else args.g2
-    d = args.degree if args.degree is not None else args.beta
-    if s is None or d is None:
+    if args.strength is None or args.degree is None:
         raise DomainError(
             "potential is underspecified: give --g2/--beta (oscillator form) "
             "or --strength/--degree"
         )
-    return PowerLawPotential(s, d)
+    return PowerLawPotential(args.strength, args.degree)
 
 
 def _write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence[float]]) -> None:
@@ -340,11 +342,14 @@ def _add_kinetic(p: argparse.ArgumentParser) -> None:
 
 
 def _add_potential(p: argparse.ArgumentParser, g2: float | None = None) -> None:
-    """The potential flags; each alias excludes its long form, so argparse refuses both at once."""
+    """The potential flags; each alias shares its long form's dest and excludes it, so argparse
+    refuses both at once, and a given flag wins over a config default for either name."""
     strength, degree = p.add_mutually_exclusive_group(), p.add_mutually_exclusive_group()
-    strength.add_argument("--g2", type=float, default=g2, help="oscillator strength g^2 (alias of --strength)")
-    degree.add_argument("--beta", type=float, help="oscillator degree (alias of --degree)")
-    strength.add_argument("--strength", type=float, help="potential prefactor, signed")
+    strength.add_argument("--g2", type=float, dest="strength", metavar="G2", default=g2,
+                          help="oscillator strength g^2 (alias of --strength)")
+    degree.add_argument("--beta", type=float, dest="degree", metavar="BETA",
+                        help="oscillator degree (alias of --degree)")
+    strength.add_argument("--strength", type=float, default=g2, help="potential prefactor, signed")
     degree.add_argument("--degree", type=float, help="potential exponent, nonzero")
 
 
@@ -403,7 +408,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.config:
-            commands[args.command].set_defaults(**_config_defaults(args))
+            commands[args.command].set_defaults(**_config_defaults(commands[args.command], args))
             args = parser.parse_args(argv)
         cfg = IntegratorConfig(args.rel_tol, args.abs_tol, args.max_steps)
         started = time.perf_counter()

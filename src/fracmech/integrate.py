@@ -117,7 +117,8 @@ def _rms(v: list[float]) -> float:
     return math.sqrt(_dot(v, v) / len(v))
 
 
-def _list_attempt(rhs: Callable, y: list[float], k1: Sequence[float], h: float) -> tuple:
+def _list_attempt(params: FractionalParams, pot: PowerLawPotential, y: list[float], k1: Sequence[float],
+                  h: float) -> tuple:
     """One embedded attempt on lists of 2d floats, _TABLEAU row by row: (y_new, f_new, 7 stages flat).
     Each stage sum starts from its row's first product; 0 + it would turn a -0.0 sum into +0.0."""
     stages = [k1]
@@ -126,22 +127,22 @@ def _list_attempt(rhs: Callable, y: list[float], k1: Sequence[float], h: float) 
         for j, c in rest:
             acc = [a + c * v for a, v in zip(acc, stages[j - 1])]
         x = [yi + h * a for yi, a in zip(y, acc)]
-        stages.append(rhs(x))
+        stages.append(_field(params, pot, x))
     return x, stages[-1], [v for k in stages for v in k]
 
 
 @functools.cache
 def _kernel(d: int) -> Callable:
     """The whole attempt in dimension d as one straight-line function on floats, compiled once per
-    process from the rows of _TABLEAU that _list_attempt reads: bind(params, pot, rhs, atol, rel_tol,
-    kbuf, ebuf) gives a run's attempt(y, k1, h) -> (y_new, f_new, err_norm).  Each stage sum is its
-    row's, in order from the first product, with the coefficients as repr literals, which round-trip
-    exactly.  Each stage's field writes _norm_rates' formula out (norms fabs at d = 1, hypot above)
-    with _field's zero rates; the parity tests hold the kernel equal to _list_attempt with _field,
+    process from the rows of _TABLEAU that _list_attempt reads: bind(params, pot, atol, rel_tol, kbuf,
+    ebuf) gives a run's attempt(y, k1, h) -> (y_new, f_new, err_norm).  Each stage sum is its row's,
+    in order from the first product, with the coefficients as repr literals, which round-trip exactly.
+    Each stage's field writes model._field's formula out, from the same _rate_constants (norms fabs at
+    d = 1, hypot above), with its zero rates; the parity tests hold the kernel equal to _list_attempt,
     bit for bit.  The seven stages are packed into kbuf, the error estimate is _ERR.dot(kbuf, ebuf),
     one BLAS call, and err_norm is its RMS against tol + rel_tol max(|y|, |y_new|), inf where that
     scale is 0.  A power beyond the float range, or a force at q = 0 for degree <= 1, re-runs
-    _list_attempt with rhs, which raises the DomainError that names it at the same stage."""
+    _list_attempt, which raises the DomainError that names it at the same stage."""
     size = 2 * d
 
     def names(stem: str) -> list[str]:
@@ -161,7 +162,7 @@ def _kernel(d: int) -> Callable:
         body += [f"    k{i}_{d + j} = f * {x[j]} if n else 0.0" for j in range(d)]
     y_new, f_new = f"[{', '.join(names('u'))}]", f"({', '.join(names('k7_'))})"
     body += ["except (OverflowError, ZeroDivisionError):",
-             "    _list_attempt(rhs, y, k1, h)",
+             "    _list_attempt(params, pot, y, k1, h)",
              "    raise",
              f"pack(kbuf, 0, {', '.join(f'k{i}_{j}' for i in range(1, 8) for j in range(size))})",
              "errdot(kbuf, ebuf)",
@@ -174,7 +175,7 @@ def _kernel(d: int) -> Callable:
              f"    return {y_new}, {f_new}, inf",
              f"return {y_new}, {f_new}, sqrt(({' + '.join(f'{r} * {r}' for r in names('r'))}) / {size})"]
     source = "\n".join([
-        "def bind(params, pot, rhs, atol, rel_tol, kbuf, ebuf):",
+        "def bind(params, pot, atol, rel_tol, kbuf, ebuf):",
         "    (cv, ev, cf, ef), singular = _rate_constants(params, pot), pot.degree <= 1.0",
         f"    {', '.join(names('tol'))} = atol",
         "    def attempt(y, k1, h):",
@@ -189,16 +190,16 @@ def _kernel(d: int) -> Callable:
 
 
 def _initial_step(
-    rhs: Callable[[list[float]], list[float]], y0: list[float], f0: list[float],
+    params: FractionalParams, pot: PowerLawPotential, y0: list[float], f0: list[float],
     atol: list[float], rel_tol: float, span: float,
 ) -> float:
-    """Starting step size from the local magnitude and curvature of the RHS."""
+    """Starting step size from the local magnitude and curvature of the field."""
     scale = [tol + rel_tol * abs(a) for tol, a in zip(atol, y0)]
     d0 = _rms([a / s for a, s in zip(y0, scale)])
     d1 = _rms([a / s for a, s in zip(f0, scale)])
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, span)
-    f1 = rhs([a + h0 * b for a, b in zip(y0, f0)])
+    f1 = _field(params, pot, [a + h0 * b for a, b in zip(y0, f0)])
     d2 = _rms([(a - b) / s for a, b, s in zip(f1, f0, scale)]) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
@@ -302,6 +303,10 @@ def integrate(
     """
     if cfg is None:
         cfg = IntegratorConfig()
+    for name, value, kind in (("params", params, FractionalParams), ("pot", pot, PowerLawPotential),
+                              ("ic", ic, InitialConditions), ("cfg", cfg, IntegratorConfig)):
+        if not isinstance(value, kind):
+            raise DomainError(f"{name} must be of type {kind.__name__}, got {value!r}")
     if not (isinstance(span, (tuple, list)) and len(span) == 2):
         raise DomainError(f"span must be a (t0, t1) pair, got {span!r}")
     require_finite(t0=span[0], t1=span[1] if span[1] != math.inf else 0.0)  # t1 = inf with stop_after
@@ -319,7 +324,6 @@ def integrate(
     y = q0.tolist() + p0.tolist()
     rows, values, stop_n = _event_rows(d, q_levels, radial_direction, stop_after)
     ways = [row[4] for row in rows]
-    rhs = _field(params, pot, d)
 
     e0 = float(_energy(params, pot, q0, p0))
     if not math.isfinite(e0):
@@ -347,14 +351,14 @@ def integrate(
     times, ys = [t0], [y]
     stacks, cut = [], 1.0  # each accepted step's (7, 2d) stages; the last step's cut width / full width
     kbuf = np.empty((7, 2 * d))  # the attempt's stages
-    attempt = _kernel(d)(params, pot, rhs, atol, cfg.rel_tol, kbuf, np.empty(2 * d))
+    attempt = _kernel(d)(params, pot, atol, cfg.rel_tol, kbuf, np.empty(2 * d))
     widths: list[float] = []
     events: list[EventRecord] = []
     accepted = rejected = 0
 
-    f = rhs(y)
+    f = _field(params, pot, y)
     try:
-        h = _initial_step(rhs, y, f, atol, cfg.rel_tol, t1 - t0)
+        h = _initial_step(params, pot, y, f, atol, cfg.rel_tol, t1 - t0)
     except ZeroDivisionError:  # a zero error scale or a non-finite field; the first step reports it
         h = math.nan
     t = t0

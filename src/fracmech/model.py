@@ -121,42 +121,28 @@ def _power_law(scale: float, k: float, x: np.ndarray) -> np.ndarray:
 
 
 def _rate_constants(params: FractionalParams, pot: PowerLawPotential) -> tuple[float, float, float, float]:
-    """(cv, ev, cf, ef) of _norm_rates: v = cv |p|^ev and f = cf |q|^ef."""
+    """(cv, ev, cf, ef) of _field: v = cv |p|^ev and f = cf |q|^ef."""
     return params.alpha * params.d_alpha, params.alpha - 2.0, -pot.strength * pot.degree, pot.degree - 2.0
 
 
-def _norm_rates(params: FractionalParams, pot: PowerLawPotential) -> Callable[[float, float], tuple[float, float]]:
-    """(|p|, |q|) -> (v, f) with qdot = v p, pdot = f q: v = alpha d_alpha |p|^(alpha-2), 0 at p = 0,
-    f = -strength degree |q|^(degree-2), 0 at q = 0 for degree > 1 and raising for degree <= 1."""
-    (cv, ev, cf, ef), degree = _rate_constants(params, pot), pot.degree
-
-    def rates(m: float, n: float) -> tuple[float, float]:
-        try:
-            v = cv * m**ev if m else 0.0
-            f = cf * n**ef if n else 0.0
-        except OverflowError:  # abs_power repeats the power that overflowed and names it
-            if m:
-                abs_power(m, ev)
-            abs_power(n, ef)
-        if not n and degree <= 1.0:
-            raise DomainError(f"force is undefined at q = 0 for degree {degree} <= 1")
-        return v, f
-
-    return rates
-
-
-def _field(params: FractionalParams, pot: PowerLawPotential, d: int) -> Callable[[list[float]], list[float]]:
-    """The canonical equations in dimension d, bound once: y = (q, p) -> (qdot, pdot), one list;
-    norms from math.hypot, which at d = 1 is fabs, finite wherever the norm is."""
-    rates, hypot, zero = _norm_rates(params, pot), math.hypot, [0.0] * d
-
-    def field(y: list[float]) -> list[float]:
-        q, p = y[:d], y[d:]
-        m, n = hypot(*p), hypot(*q)
-        v, f = rates(m, n)
-        return ([v * x for x in p] if m else zero) + ([f * x for x in q] if n else zero)
-
-    return field
+def _field(params: FractionalParams, pot: PowerLawPotential, y: list[float]) -> list[float]:
+    """The canonical equations at the stacked float state y = (q, p): (qdot, pdot) as one list, qdot = v p
+    and pdot = f q with v = alpha d_alpha |p|^(alpha-2), 0 at p = 0, and f = -strength degree |q|^(degree-2),
+    0 at q = 0 for degree > 1 and raising for degree <= 1.  Norms come from math.hypot, which at d = 1 is
+    fabs, finite wherever the norm is.  A zero norm's rates are +0.0, where 0.0 * -0.0 would be -0.0."""
+    (cv, ev, cf, ef), d = _rate_constants(params, pot), len(y) // 2
+    q, p = y[:d], y[d:]
+    m, n = math.hypot(*p), math.hypot(*q)
+    try:
+        v = cv * m**ev if m else 0.0
+        f = cf * n**ef if n else 0.0
+    except OverflowError:  # abs_power repeats the power that overflowed and names it
+        if m:
+            abs_power(m, ev)
+        abs_power(n, ef)
+    if not n and pot.degree <= 1.0:
+        raise DomainError(f"force is undefined at q = 0 for degree {pot.degree} <= 1")
+    return ([v * x for x in p] if m else [0.0] * d) + ([f * x for x in q] if n else [0.0] * d)
 
 
 @dataclass(frozen=True)
@@ -337,8 +323,7 @@ def momentum_from_velocity(params: FractionalParams, qdot) -> np.ndarray:
 
 def _rates(params: FractionalParams, pot: PowerLawPotential, y: list[float]) -> tuple[np.ndarray, np.ndarray]:
     """(qdot, pdot) at the stacked float state y = (q, p), as arrays: _field's lists."""
-    d = len(y) // 2
-    rates = _field(params, pot, d)(y)
+    d, rates = len(y) // 2, _field(params, pot, y)
     return np.array(rates[:d]), np.array(rates[d:])
 
 
@@ -451,5 +436,5 @@ def total_time_derivative(
 ) -> float:
     """df/dt along the flow: df/dt|_explicit + {H, f}, with (qdot, pdot) in
     {H, f} = sum_i qdot_i df/dq_i + pdot_i df/dp_i exact from the canonical equations."""
-    rates = _field(params, pot, state.dimension)(state.q.tolist() + state.p.tolist())
+    rates = _field(params, pot, state.q.tolist() + state.p.tolist())
     return _partial(f, state, 0, step) + sum(r * _partial(f, state, k, step) for k, r in enumerate(rates, 1))

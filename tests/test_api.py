@@ -196,6 +196,26 @@ def test_a_value_that_is_not_a_real_number_is_a_domain_error_naming_its_field(ca
             call()
 
 
+# one row per call given an object of the wrong type, and the argument and type its DomainError
+# must name: each once raised a raw AttributeError inside integrate
+OBJECT_EDGE = {
+    "integrate-string-cfg": (lambda: fracmech.integrate(P, V, IC, (0.0, 1.0), "x"), "cfg", "IntegratorConfig"),
+    "integrate-none-params": (lambda: fracmech.integrate(None, V, IC, (0.0, 1.0)), "params", "FractionalParams"),
+    "integrate-none-pot": (lambda: fracmech.integrate(P, None, IC, (0.0, 1.0)), "pot", "PowerLawPotential"),
+    "integrate-none-ic": (lambda: fracmech.integrate(P, V, None, (0.0, 1.0)), "ic", "InitialConditions"),
+    "measure_period-int-cfg": (lambda: fracmech.measure_period(P, V, 1.0, 1), "cfg", "IntegratorConfig"),
+    "period_report-string-cfg": (lambda: fracmech.period_report(SPEC, "x"), "cfg", "IntegratorConfig"),
+}
+
+
+@pytest.mark.parametrize("call, name, kind", OBJECT_EDGE.values(), ids=OBJECT_EDGE.keys())
+def test_an_object_of_the_wrong_type_is_a_domain_error_naming_its_argument(call, name, kind):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(fracmech.DomainError, match=f"^{name} must be of type {kind}, got "):
+            call()
+
+
 # one row per call whose argument is not the container it must be, and the start of the
 # DomainError that names it: each once raised a raw TypeError, IndexError or ValueError, or
 # ran on the part it could read

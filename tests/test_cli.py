@@ -368,6 +368,30 @@ def test_config_keys_outside_the_subcommand_rejected(tmp_path, capsys, key):
     assert not (tmp_path / "p.json").exists()
 
 
+def test_flag_wins_over_a_config_default_for_its_alias(tmp_path, capsys):
+    # in process: --g2 and --strength name one quantity, so a config default for either loses to the flag
+    import fracmech.cli as cli
+
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text("strength = 2\n")
+    argv = ["period", "--alpha", "1.5", "--beta", "1.5", "--g2", "3", "--config", str(cfg), "--skip-ode"]
+    assert cli.main([*argv, "--out", str(tmp_path / "p.json")]) == 0, capsys.readouterr().err
+    assert json.loads((tmp_path / "p.json.manifest.json").read_text())["parameters"]["g2"] == 3.0
+
+
+@pytest.mark.parametrize("text, keys", [("g2 = 3\nstrength = 2\n", ("g2", "strength")),
+                                        ("beta = 1.5\ndegree = 2\n", ("beta", "degree"))])
+def test_config_naming_both_names_of_one_quantity_is_usage_error(tmp_path, capsys, text, keys):
+    import fracmech.cli as cli
+
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"alpha = 1.5\n{text}")
+    assert cli.main(["period", "--config", str(cfg), "--skip-ode", "--out", str(tmp_path / "p.json")]) == 2
+    err = capsys.readouterr().err
+    assert all(repr(key) in err for key in keys)
+    assert not (tmp_path / "p.json").exists()
+
+
 def test_event_tol_flag_is_gone(capsys):
     # events resolve to the precision of t; there is no event tolerance to set
     import fracmech.cli as cli

@@ -533,7 +533,7 @@ def test_phase_field_is_hamilton_rhs_bitwise(d):
         for _ in range(20):
             q, p = rng.normal(size=d), rng.normal(size=d)
             qdot, pdot = hamilton_rhs(params, pot, PhaseState(0.0, q, p))
-            assert _field(params, pot, d)([*q, *p]) == [*qdot, *pdot]
+            assert _field(params, pot, [*q, *p]) == [*qdot, *pdot]
 
 
 def both_attempts(params, pot, y, f, h, atol=None, rel_tol=1e-10):
@@ -544,14 +544,14 @@ def both_attempts(params, pot, y, f, h, atol=None, rel_tol=1e-10):
     n, out = len(y), []
     atol = [1e-12 * (j + 1) for j in range(n)] if atol is None else atol  # a distinct tol per component
     kbuf = np.empty((7, n))
-    kernel = _kernel(n // 2)(params, pot, _field(params, pot, n // 2), atol, rel_tol, kbuf, np.empty(n))
+    kernel = _kernel(n // 2)(params, pot, atol, rel_tol, kbuf, np.empty(n))
 
     def through_kernel():
         y_new, f_new, err_norm = kernel(y, f, h)
         return y_new, f_new, kbuf.ravel().tolist(), [err_norm]
 
     def through_list():
-        y_new, f_new, stages = _list_attempt(_field(params, pot, n // 2), y, f, h)
+        y_new, f_new, stages = _list_attempt(params, pot, y, f, h)
         sq = 0.0
         try:
             for e, a, b, tol in zip(np.dot(_ERR, np.reshape(stages, (7, n))).tolist(), y, y_new, atol):
@@ -590,14 +590,13 @@ def test_kernel_field_is_the_list_field_bitwise(d):
 def test_scalar_attempt_is_the_list_attempt_bitwise(alpha, beta):
     rng = np.random.default_rng([int(100 * alpha), int(100 * beta)])
     params, pot = FractionalParams(alpha, rng.uniform(0.2, 3.0)), PowerLawPotential(rng.uniform(0.2, 3.0), beta)
-    field = _field(params, pot, 1)
     for i in range(200):
         # every 10th state starts at rest or at the origin, where a rate is +0.0
         y = [float(v) for v in rng.normal(size=2) * 10.0 ** rng.uniform(-3, 3, size=2)]
         if i % 10 == 0:
             y[i % 20 // 10] = 0.0
         h = 10.0 ** rng.uniform(-6, 0)
-        scalar, listed = both_attempts(params, pot, y, field(y), h)
+        scalar, listed = both_attempts(params, pot, y, _field(params, pot, y), h)
         assert scalar == listed and not isinstance(scalar, str)
 
 
@@ -623,7 +622,6 @@ def test_planar_attempt_is_the_list_attempt_bitwise(d, alpha, degree):
     rng = np.random.default_rng([d, int(100 * alpha), int(100 * degree) % 1000])
     strength = math.copysign(rng.uniform(0.2, 3.0), degree)  # attractive below degree 0, a well above
     params, pot = FractionalParams(alpha, rng.uniform(0.2, 3.0)), PowerLawPotential(strength, degree)
-    field = _field(params, pot, d)
     for i in range(200):
         # every 10th state starts at rest or at the origin, where a rate vector is zero
         y = [float(v) for v in rng.normal(size=2 * d) * 10.0 ** rng.uniform(-3, 3, size=2 * d)]
@@ -631,7 +629,7 @@ def test_planar_attempt_is_the_list_attempt_bitwise(d, alpha, degree):
             j = d * (i % 20 // 10)
             y[j:j + d] = [0.0] * d
         at_singular_origin = degree <= 1.0 and not any(y[:d])
-        f = [0.0] * 2 * d if at_singular_origin else field(y)  # the first stage then raises for both
+        f = [0.0] * 2 * d if at_singular_origin else _field(params, pot, y)  # the first stage then raises for both
         h = 10.0 ** rng.uniform(-6, 0)
         planar, listed = both_attempts(params, pot, y, f, h)
         assert planar == listed and isinstance(planar, str) == at_singular_origin
@@ -687,10 +685,10 @@ def test_each_attempt_has_the_order_of_its_tableau(d):
     # sequence records.
     params, pot = FractionalParams(2.0, 0.5), PowerLawPotential(0.5, 2.0)
     kbuf = np.empty((7, 2 * d))
-    attempt = _kernel(d)(params, pot, _field(params, pot, d), [1.0] * 2 * d, 1e-10, kbuf, np.empty(2 * d))
+    attempt = _kernel(d)(params, pot, [1.0] * 2 * d, 1e-10, kbuf, np.empty(2 * d))
     q, p = np.array([0.6, -0.3, 0.2][:d]), np.array([0.8, 0.5, -0.9][:d])
     y = q.tolist() + p.tolist()
-    f = _field(params, pot, d)(y)
+    f = _field(params, pot, y)
 
     def exact(t):
         return np.concatenate([q * math.cos(t) + p * math.sin(t), p * math.cos(t) - q * math.sin(t)])

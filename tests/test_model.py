@@ -46,7 +46,7 @@ def state(q, p, t=0.0):
 
 def phase_field(params, pot, y):
     """The canonical equations at the stacked float state y = (q, p), as the integrator steps them."""
-    return _field(params, pot, len(y) // 2)(y)
+    return _field(params, pot, y)
 
 
 # ------------------------------------------------------------- primitives
@@ -139,6 +139,12 @@ def test_params_validation():
     p = FractionalParams.from_mass(2.0)
     assert p.alpha == 2.0
     assert p.d_alpha == 0.25
+
+
+@pytest.mark.parametrize("mass", [0.0, -1.0])
+def test_from_mass_refuses_a_mass_that_is_not_positive(mass):
+    with pytest.raises(DomainError, match=f"mass must be positive, got {mass}"):
+        FractionalParams.from_mass(mass)
 
 
 def test_potential_validation():

@@ -19,6 +19,7 @@ from fracmech import (
     InitialConditions,
     IntegratorConfig,
     OscillatorSpec,
+    PeriodReport,
     PowerLawPotential,
     abs_power,
     beta,
@@ -342,6 +343,18 @@ def test_classical_limit_shape():
     assert classical_limit_solution(1.0, 1.0, 1.0, 0.0, quarter) == pytest.approx(1.0, rel=1e-12)
     got = classical_limit_solution(2.0, 1.0, 1.0, 0.0, quarter)
     assert got == pytest.approx(math.sqrt(2.0), rel=1e-12)
+
+
+@pytest.mark.parametrize("args", [(0.0, 1.0, 1.0), (1.0, -1.0, 1.0), (1.0, 1.0, 0.0)])
+def test_classical_limit_refuses_an_argument_that_is_not_positive(args):
+    with pytest.raises(DomainError, match="classical limit needs positive energy, mass and g"):
+        classical_limit_solution(*args, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("values", [(0.0, 1.0, None), (1.0, -1.0, None), (1.0, 1.0, 0.0)])
+def test_period_report_refuses_a_period_that_is_not_positive(values):
+    with pytest.raises(DomainError, match="period values must be strictly positive"):
+        PeriodReport(*values, 0.0)
 
 
 def test_classical_limit_matches_extension():

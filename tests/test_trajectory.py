@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from fracmech import (
+    DenseSegment,
     DomainError,
     FractionalParams,
     InitialConditions,
@@ -38,13 +39,37 @@ def harmonic():
 
 
 def test_times_must_increase():
-    with pytest.raises(DomainError):
+    # with valid quartics and widths, so the refusal is the times' own
+    with pytest.raises(DomainError, match="strictly increasing"):
         Trajectory(
             times=np.array([0.0, 1.0, 1.0]),
             positions=np.zeros((3, 1)),
             momenta=np.zeros((3, 1)),
             energies=np.zeros(3),
+            coefs=np.zeros((2, 2, 4)),
+            widths=np.ones(2),
         )
+
+
+def test_trajectory_without_samples_is_refused():
+    with pytest.raises(DomainError, match="at least one sample"):
+        Trajectory(times=np.zeros(0), positions=np.zeros((0, 1)), momenta=np.zeros((0, 1)), energies=np.zeros(0))
+
+
+@pytest.mark.parametrize("positions, momenta", [(np.zeros((2, 1)), np.zeros((2, 2))),
+                                                (np.zeros((3, 1)), np.zeros((3, 1)))])
+def test_trajectory_arrays_of_inconsistent_shapes_are_refused(positions, momenta):
+    # q and p of different dimension, or one sample count for the times and another for the states
+    with pytest.raises(DomainError, match="inconsistent shapes"):
+        Trajectory(times=np.array([0.0, 1.0]), positions=positions, momenta=momenta, energies=np.zeros(2),
+                   coefs=np.zeros((1, 2, 4)), widths=np.ones(1))
+
+
+def test_segment_refuses_a_time_outside_its_step():
+    seg = DenseSegment(1.0, 0.5, np.zeros(2), np.zeros((2, 4)))
+    assert seg.eval(1.5).tolist() == [0.0, 0.0]
+    with pytest.raises(DomainError, match=r"time 1\.6 outside segment \[1\.0, 1\.5\]"):
+        seg.eval(1.6)
 
 
 def test_samples_without_dense_output_are_refused():
