@@ -197,7 +197,8 @@ def test_a_value_that_is_not_a_real_number_is_a_domain_error_naming_its_field(ca
 
 
 # one row per call given an object of the wrong type, and the argument and type its DomainError
-# must name: each once raised a raw AttributeError inside integrate
+# must name: each once raised a raw AttributeError inside integrate or OscillatorSpec, or (a None
+# params of OscillatorSpec) built a spec without any error
 OBJECT_EDGE = {
     "integrate-string-cfg": (lambda: fracmech.integrate(P, V, IC, (0.0, 1.0), "x"), "cfg", "IntegratorConfig"),
     "integrate-none-params": (lambda: fracmech.integrate(None, V, IC, (0.0, 1.0)), "params", "FractionalParams"),
@@ -205,6 +206,8 @@ OBJECT_EDGE = {
     "integrate-none-ic": (lambda: fracmech.integrate(P, V, None, (0.0, 1.0)), "ic", "InitialConditions"),
     "measure_period-int-cfg": (lambda: fracmech.measure_period(P, V, 1.0, 1), "cfg", "IntegratorConfig"),
     "period_report-string-cfg": (lambda: fracmech.period_report(SPEC, "x"), "cfg", "IntegratorConfig"),
+    "spec-none-params": (lambda: fracmech.OscillatorSpec(None, V, 1.0), "params", "FractionalParams"),
+    "spec-none-pot": (lambda: fracmech.OscillatorSpec(P, None, 1.0), "pot", "PowerLawPotential"),
 }
 
 

@@ -59,8 +59,8 @@ def test_child_imports_the_package_under_test(tmp_path):
 
 
 def test_cli_import_leaves_scipy_unloaded(tmp_path):
-    # scipy is only needed by the quadrature cross-check, and loading it at
-    # import time used to triple the start-up cost of every CLI call
+    # the package needs numpy alone; loading scipy at import time once
+    # tripled the start-up cost of every CLI call
     proc = subprocess.run(
         [
             sys.executable, "-c",
@@ -75,6 +75,50 @@ def test_cli_import_leaves_scipy_unloaded(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+README_COMMANDS = (
+    "simulate --alpha 1.5 --d-alpha 1 --g2 1 --beta 1.5 --q0 0 --p0 1 --t1 10 --out traj.csv",
+    "period --alpha 1.5 --beta 1.5",
+    "hj --mass 1 --g2 1 --beta 2",
+    "sweep --jobs 4 --out sweep.csv",
+    "kepler --alpha 1.75",
+)
+
+# refuses every scipy import, runs each command line of argv through main() and prints the exit
+# codes and the scipy modules loaded afterwards
+REFUSE_SCIPY_AND_RUN = """
+import sys
+
+
+class RefuseScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ModuleNotFoundError(f"No module named {name!r} (refused)")
+        return None
+
+
+sys.meta_path.insert(0, RefuseScipy())
+from fracmech.cli import main
+
+codes = [main(argv.split()) for argv in sys.argv[1:]]
+print(codes, sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
+def test_readme_commands_run_without_scipy(tmp_path):
+    # a child interpreter, because pytest's IntegrationWarning filter loads
+    # scipy.integrate into this process
+    proc = subprocess.run(
+        [sys.executable, "-c", REFUSE_SCIPY_AND_RUN, *README_COMMANDS],
+        cwd=tmp_path,
+        env=child_env(),
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[0, 0, 0, 0, 0] []", proc.stdout + proc.stderr
 
 
 def test_version_flag(tmp_path):

@@ -12,11 +12,13 @@ import pickle
 
 import numpy as np
 import pytest
+from conftest import GRID_EXPONENTS
 
 from fracmech import (
     DomainError,
     FractionalParams,
     InitialConditions,
+    IntegrationError,
     IntegratorConfig,
     OscillatorSpec,
     PeriodReport,
@@ -37,6 +39,7 @@ from fracmech import (
     turning_point,
     velocity_from_momentum,
 )
+from fracmech.oscillator import _beta_integral_quad
 
 HARMONIC = OscillatorSpec(FractionalParams.from_mass(1.0), PowerLawPotential(1.0, 2.0), 1.0)
 OMEGA = math.sqrt(2.0)
@@ -82,6 +85,37 @@ def test_period_quadrature_harmonic():
 def test_period_closed_vs_quadrature_on_grid(period_grid):
     for row in period_grid.rows:
         assert abs(row.closed - row.quadrature) / row.closed < 1e-10, row
+
+
+# a = 1/beta, b = 1/alpha over the test grid of exponents (alpha = beta = 2 among them) and the
+# edge alpha, beta = 1 + 1e-7
+EXPONENTS_AND_EDGE = GRID_EXPONENTS + (1.0 + 1e-7,)
+BETA_INTEGRAL_ARGS = [(1.0 / x, 1.0 / y) for x in EXPONENTS_AND_EDGE for y in EXPONENTS_AND_EDGE]
+
+
+def test_beta_integral_quadrature_matches_mpmath_and_qaws():
+    # the tanh-sinh table against 40-digit Beta values and against QUADPACK's QAWS rule, whose own
+    # error here is up to 5.1e-16
+    mpmath = pytest.importorskip("mpmath")
+    from scipy.integrate import quad
+
+    worst_mp = worst_qaws = 0.0
+    for a, b in BETA_INTEGRAL_ARGS:
+        value = _beta_integral_quad(a, b)
+        with mpmath.workdps(40):
+            exact = mpmath.beta(a, b)
+            worst_mp = max(worst_mp, float(abs(value - exact) / exact))
+        qaws = quad(lambda z: 1.0, 0.0, 1.0, weight="alg", wvar=(a - 1.0, b - 1.0), epsabs=1e-14, epsrel=1e-13)[0]
+        worst_qaws = max(worst_qaws, abs(value - qaws) / qaws)
+    print(f"worst tanh-sinh error {worst_mp:.3e} vs mpmath, {worst_qaws:.3e} vs QAWS")
+    assert worst_mp < 4.5e-16
+    assert worst_qaws < 1e-15
+
+
+def test_beta_integral_quadrature_refuses_an_unresolved_integrand():
+    # at a = 0.1 the z^(-0.9) end is not resolved by |t| <= 4: the step-2h sum is 2.2e-4 away
+    with pytest.raises(IntegrationError, match=r"error 2\.235e-04 too large for a=0\.1, b=0\.9"):
+        _beta_integral_quad(0.1, 0.9)
 
 
 def test_period_closed_vs_ode_on_grid(period_grid):
