@@ -19,6 +19,11 @@ on 2d floats per dimension, since at d <= 3 a numpy temporary costs more than it
 arithmetic.  The kernel writes its stages into a (7, 2d) buffer, allocated once
 per run, and contracts it with one BLAS call for the error estimate; the dense
 output is one contraction per run, at its end, of the accepted steps' buffers.
+The kernel also decides the attempt: it returns the step factor, whether the new
+state and error norm are finite and, on an accepted attempt, the new value of
+each event row and whether any row crossed, so integrate's loop makes one call
+and takes one branch per attempt.  It is compiled once per dimension and layout
+of event rows, their (index, direction) pairs; a run binds the rows' levels.
 """
 
 from __future__ import annotations
@@ -44,6 +49,7 @@ from .model import (
     _rate_constants,
     abs_power,
     require_finite,
+    require_types,
     turning_point,
 )
 from .trajectory import DenseSegment, Trajectory
@@ -132,17 +138,23 @@ def _list_attempt(params: FractionalParams, pot: PowerLawPotential, y: list[floa
 
 
 @functools.cache
-def _kernel(d: int) -> Callable:
+def _kernel(d: int, layout: tuple = ()) -> Callable:
     """The whole attempt in dimension d as one straight-line function on floats, compiled once per
-    process from the rows of _TABLEAU that _list_attempt reads: bind(params, pot, atol, rel_tol, kbuf,
-    ebuf) gives a run's attempt(y, k1, h) -> (y_new, f_new, err_norm).  Each stage sum is its row's,
+    process and event-row layout from the rows of _TABLEAU that _list_attempt reads: bind(params, pot,
+    atol, rel_tol, kbuf, ebuf, levels) gives a run's attempt(y, k1, h, g_old) -> (y_new, f_new, err_norm,
+    factor, finite, g_new, hit).  Each stage sum is its row's,
     in order from the first product, with the coefficients as repr literals, which round-trip exactly.
     Each stage's field writes model._field's formula out, from the same _rate_constants (norms fabs at
     d = 1, hypot above), with its zero rates; the parity tests hold the kernel equal to _list_attempt,
     bit for bit.  The seven stages are packed into kbuf, the error estimate is _ERR.dot(kbuf, ebuf),
     one BLAS call, and err_norm is its RMS against tol + rel_tol max(|y|, |y_new|), inf where that
     scale is 0.  A power beyond the float range, or a force at q = 0 for degree <= 1, re-runs
-    _list_attempt, which raises the DomainError that names it at the same stage."""
+    _list_attempt, which raises the DomainError that names it at the same stage.
+
+    The attempt decides itself too: factor, min(10, max(0.2, 0.9 err_norm^(-1/5))), 10 at err_norm = 0,
+    in conditionals of the same bits; finite, whether y_new and err_norm are; and on an accepted attempt
+    (finite, err_norm <= 1) g_new, each layout row's value at y_new in values()' arithmetic, its level
+    bound from levels, and hit, whether a row crossed from g_old in its direction; else None and False."""
     size = 2 * d
 
     def names(stem: str) -> list[str]:
@@ -171,14 +183,28 @@ def _kernel(d: int) -> Callable:
     for j in range(size):  # b if b > a else a is max(a, b), NaN included
         body += [f"    a, b = abs(y{j}), abs(u{j})",
                  f"    r{j} = h * e{j} / (tol{j} + rel_tol * (b if b > a else a))"]
-    body += ["except ZeroDivisionError:",
-             f"    return {y_new}, {f_new}, inf",
-             f"return {y_new}, {f_new}, sqrt(({' + '.join(f'{r} * {r}' for r in names('r'))}) / {size})"]
+    body += [f"    err = sqrt(({' + '.join(f'{r} * {r}' for r in names('r'))}) / {size})",
+             "except ZeroDivisionError:",
+             "    err = inf",
+             f"c = {_SAFETY!r} * err**{_ORDER_EXP!r} if err else {_MAX_FACTOR!r}",  # min(10, max(0.2, c))
+             f"factor = {_MAX_FACTOR!r} if c > {_MAX_FACTOR!r} else c if c > {_MIN_FACTOR!r} else {_MIN_FACTOR!r}",
+             f"finite = {' + '.join(f'({x} - {x})' for x in names('u') + ['err'])} == 0.0",  # inf - inf is NaN
+             "if err > 1.0 or not finite:",
+             f"    return {y_new}, {f_new}, err, factor, finite, None, False"]
+    g, old = [f"g{r}" for r in range(len(layout))], [f"a{r}" for r in range(len(layout))]
+    for r, (i, _) in enumerate(layout):  # each row's value in values()' arithmetic; i None is q.p
+        body.append(f"{g[r]} = " + (f"u{i} - lv{r}" if i is not None else
+                                      " + ".join(["0.0"] + [f"u{j} * u{d + j}" for j in range(d)])))
+    crossings = [f"{old[r]} < 0.0 <= {g[r]}" for r, (_, way) in enumerate(layout) if way >= 0]
+    crossings += [f"{old[r]} > 0.0 >= {g[r]}" for r, (_, way) in enumerate(layout) if way <= 0]
+    body += [f"[{', '.join(old)}] = g",
+             f"return {y_new}, {f_new}, err, factor, True, [{', '.join(g)}], {' or '.join(crossings) or 'False'}"]
     source = "\n".join([
-        "def bind(params, pot, atol, rel_tol, kbuf, ebuf):",
+        "def bind(params, pot, atol, rel_tol, kbuf, ebuf, levels=()):",
         "    (cv, ev, cf, ef), singular = _rate_constants(params, pot), pot.degree <= 1.0",
         f"    {', '.join(names('tol'))} = atol",
-        "    def attempt(y, k1, h):",
+        f"    [{', '.join(f'lv{r}' for r in range(len(layout)))}] = levels",
+        "    def attempt(y, k1, h, g=()):",
         *(f"        {line}" for line in body),
         "    return attempt",
     ])
@@ -303,10 +329,8 @@ def integrate(
     """
     if cfg is None:
         cfg = IntegratorConfig()
-    for name, value, kind in (("params", params, FractionalParams), ("pot", pot, PowerLawPotential),
-                              ("ic", ic, InitialConditions), ("cfg", cfg, IntegratorConfig)):
-        if not isinstance(value, kind):
-            raise DomainError(f"{name} must be of type {kind.__name__}, got {value!r}")
+    require_types(params=(params, FractionalParams), pot=(pot, PowerLawPotential), ic=(ic, InitialConditions),
+                  cfg=(cfg, IntegratorConfig))
     if not (isinstance(span, (tuple, list)) and len(span) == 2):
         raise DomainError(f"span must be a (t0, t1) pair, got {span!r}")
     require_finite(t0=span[0], t1=span[1] if span[1] != math.inf else 0.0)  # t1 = inf with stop_after
@@ -351,7 +375,8 @@ def integrate(
     times, ys = [t0], [y]
     stacks, cut = [], 1.0  # each accepted step's (7, 2d) stages; the last step's cut width / full width
     kbuf = np.empty((7, 2 * d))  # the attempt's stages
-    attempt = _kernel(d)(params, pot, atol, cfg.rel_tol, kbuf, np.empty(2 * d))
+    attempt = _kernel(d, tuple((row[2], row[4]) for row in rows))(
+        params, pot, atol, cfg.rel_tol, kbuf, np.empty(2 * d), [row[3] for row in rows])
     widths: list[float] = []
     events: list[EventRecord] = []
     accepted = rejected = 0
@@ -363,11 +388,12 @@ def integrate(
         h = math.nan
     t = t0
     g_old = values(y)
+    h_min = 10.0 * abs(math.ulp(t))
 
     while True:
         if accepted + rejected >= cfg.max_steps:
             raise failure(MaxStepsExceeded, f"exceeded {cfg.max_steps} steps", t, y)
-        if h < 10.0 * abs(math.ulp(t)):
+        if h < h_min:
             raise failure(StepSizeUnderflow, f"step size underflow ({h:.3e})", t, y)
         if p_band and (p_norm := math.hypot(*y[d:])) < p_band:
             pdot_norm = math.hypot(*f[d:])
@@ -377,25 +403,22 @@ def integrate(
         if finished:
             h = t1 - t
 
-        y_new, f_new, err_norm = attempt(y, f, h)
+        # g_new is None on a rejected or non-finite attempt; hit, whether any event row crossed
+        y_new, f_new, err_norm, factor, finite, g_new, hit = attempt(y, f, h, g_old)
         t_new = t + h
-        if not (math.isfinite(err_norm) and math.isfinite(t_new) and all(map(math.isfinite, y_new))):
-            raise failure(IntegrationError, f"non-finite step (h = {h}, error norm = {err_norm}, "
-                          f"y -> {np.array(y_new)})", t, y)
-        factor = _MAX_FACTOR if err_norm == 0.0 else min(_MAX_FACTOR, max(_MIN_FACTOR, _SAFETY * err_norm**_ORDER_EXP))
-        if err_norm > 1.0:
+        if g_new is None or not math.isfinite(t_new):
+            if not (finite and math.isfinite(t_new)):
+                raise failure(IntegrationError, f"non-finite step (h = {h}, error norm = {err_norm}, "
+                              f"y -> {np.array(y_new)})", t, y)
             rejected += 1
             h *= factor
             continue
 
         accepted += 1
-
-        # locate the sign crossings of the event functions on this step
-        g_new = values(y_new)
-        # a row that starts exactly at zero is departing an event, not crossing one
-        hit_rows = [r for r, (a, b, way) in enumerate(zip(g_old, g_new, ways))
-                    if (a < 0.0 <= b and way >= 0) or (a > 0.0 >= b and way <= 0)]
-        if hit_rows:
+        if hit:  # locate the sign crossings of the event functions on this step
+            # a row that starts exactly at zero is departing an event, not crossing one
+            hit_rows = [r for r, (a, b, way) in enumerate(zip(g_old, g_new, ways))
+                        if (a < 0.0 <= b and way >= 0) or (a > 0.0 >= b and way <= 0)]
             seg = DenseSegment(t, h, np.array(y), kbuf.T @ _DENSE)
             hits = sorted((_locate(values, r, seg, g_old[r]), r) for r in hit_rows)
             for theta, r in hits:
@@ -416,6 +439,7 @@ def integrate(
         if finished:
             break
         t, y, f, g_old = t_new, y_new, f_new, g_new
+        h_min = 10.0 * abs(math.ulp(t))
         h *= factor
 
     # every step's quartic at once; over a cut width w, column k of the last scales by (w / h)^k

@@ -106,6 +106,15 @@ def require_finite(**values) -> None:
             raise DomainError(f"{name} must be finite, got {value}")
 
 
+def require_types(**values) -> None:
+    """The object rule at the input edge: raise DomainError naming the first keyword whose (value, kind)
+    pair holds a value that is not an instance of kind, a type or a tuple of types."""
+    for name, (value, kind) in values.items():
+        if not isinstance(value, kind):
+            kinds = " or ".join(k.__name__ for k in (kind if isinstance(kind, tuple) else (kind,)))
+            raise DomainError(f"{name} must be of type {kinds}, got {value!r}")
+
+
 @np.errstate(all="ignore")
 def _power_law(scale: float, k: float, x: np.ndarray) -> np.ndarray:
     """scale |x|^k over the last axis of x: the kinetic energy d_alpha |p|^alpha
@@ -288,6 +297,7 @@ def _energy(params: FractionalParams, pot: PowerLawPotential, q: np.ndarray, p: 
 
 def hamiltonian(params: FractionalParams, pot: PowerLawPotential, state: PhaseState) -> float:
     """Total energy d_alpha * |p|^alpha + V(q), conserved along trajectories; finite or a DomainError."""
+    require_types(params=(params, FractionalParams), pot=(pot, PowerLawPotential), state=(state, PhaseState))
     e = float(_energy(params, pot, state.q, state.p))
     if not math.isfinite(e):
         raise DomainError(f"energy must be finite, got {e}")

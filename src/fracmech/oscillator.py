@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DomainError, IntegrationError
 from .integrate import IntegratorConfig, first_event_times
-from .model import FractionalParams, InitialConditions, PowerLawPotential, abs_power, require_finite
+from .model import FractionalParams, InitialConditions, PowerLawPotential, abs_power, require_finite, require_types
 from .model import turning_point
 from .specfun import inc_beta, inv_inc_beta
 from .specfun import beta as beta_fn
@@ -49,9 +49,7 @@ class OscillatorSpec:
     energy: float
 
     def __post_init__(self) -> None:
-        for name, value, kind in (("params", self.params, FractionalParams), ("pot", self.pot, PowerLawPotential)):
-            if not isinstance(value, kind):
-                raise DomainError(f"{name} must be of type {kind.__name__}, got {value!r}")
+        require_types(params=(self.params, FractionalParams), pot=(self.pot, PowerLawPotential))
         self.pot.require_oscillator()
         require_finite(energy=self.energy)
         if not self.energy > 0.0:
@@ -105,6 +103,7 @@ class OscillatorSpec:
 
 def period(spec: OscillatorSpec) -> float:
     """Closed-form oscillation period T = 4 * spec.quarter_period."""
+    require_types(spec=(spec, OscillatorSpec))
     return 4.0 * spec.quarter_period
 
 

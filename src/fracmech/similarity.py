@@ -27,6 +27,7 @@ from .model import (
     _energy,
     abs_power,
     require_finite,
+    require_types,
 )
 from .trajectory import Trajectory
 
@@ -93,6 +94,7 @@ def scale_trajectory(
     by rho^beta.  The dense output is remapped too, so the result
     interpolates exactly like a directly integrated trajectory.
     """
+    require_types(traj=(traj, Trajectory))
     _require_scale_factors([rho])
     exps = exponents(alpha, beta_degree)
     lam_t = abs_power(rho, exps.time_vs_length)
@@ -181,6 +183,7 @@ def verify_scaling(
     momentum rho^(beta/alpha) p0 and runs until its landmark; the measured
     time ratio is compared to rho^(1-beta+beta/alpha).
     """
+    require_types(params=(params, FractionalParams), pot=(pot, PowerLawPotential), ic=(ic, InitialConditions))
     q0, p0 = ic.resolve(params)
     if pot.strength > 0.0 and pot.degree > 1.0:
         kind, levels = "turning_point", []
@@ -202,6 +205,8 @@ def fit_time_exponent(rows: Sequence[ScalingRow]) -> tuple[float, float] | None:
 
     Needs at least two distinct scale factors; returns None otherwise.
     """
+    require_types(rows=(rows, (tuple, list)))
+    require_types(**{f"rows[{i}]": (row, ScalingRow) for i, row in enumerate(rows)})
     rhos = [r.rho for r in rows]
     if len(set(rhos)) < 2:
         return None
@@ -245,6 +250,7 @@ def fractional_kepler_check(
         raise UnsuitablePhysicsError(
             f"orbital check needs an attractive potential, got strength {strength}"
         )
+    require_types(ic=(ic, InitialConditions))
     _require_scale_factors(rho_list)
     q0, p0 = ic.resolve(params)
     if q0.size != 2:

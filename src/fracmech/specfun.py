@@ -208,7 +208,8 @@ def hyp2f1(mu: float, one_minus_nu: float, mu_plus_one: float, x: float) -> floa
     F(mu, 1-nu; mu+1; x) = mu * B_x(mu, nu) / x^mu, and 1 at x = 0: for
     x < (mu+1)/(mu+nu+2) as inc_beta's continued-fraction branch with
     x^mu / mu cancelled, (1-x)^nu times the fraction, so no factor leaves
-    the float range; above it as mu * inc_beta / x^mu.  Only this
+    the float range; above it as mu * inc_beta / x^mu, or, where B(mu, nu) ~ 1/mu
+    overflows as mu -> 0, with mu B(mu, nu) carried whole.  Only this
     contiguous family is supported: the second parameter must be 1 - nu
     with nu > 0 and the third must equal mu + 1.
     """
@@ -233,6 +234,18 @@ def hyp2f1(mu: float, one_minus_nu: float, mu_plus_one: float, x: float) -> floa
         power = math.exp(mu * math.log(x))
         if not power:
             raise DomainError(f"hyp2f1({mu}, {one_minus_nu}, {mu_plus_one}, {x}): x^mu underflows to 0")
-        return mu * inc_beta(mu, nu, x) / power
+        try:
+            return mu * inc_beta(mu, nu, x) / power
+        except DomainError as err:
+            failed = err
+        # B(mu, nu) ~ 1/mu leaves the floats as mu -> 0 though F does not: mu B_x(mu, nu) = mu B(mu, nu)
+        # - mu B_(1-x)(nu, mu), inc_beta's complement, with mu B(mu, nu) carried as one factor
+        try:
+            mu_beta = math.exp(math.lgamma(mu + 1.0) + math.lgamma(nu) - math.lgamma(mu + nu))
+        except OverflowError:
+            mu_beta = math.inf
+        if not mu_beta < math.inf:  # also NaN, at nu = inf
+            raise failed
+        return (mu_beta - mu / nu * x**mu * (1.0 - x)**nu * _beta_cont_frac(nu, mu, 1.0 - x)) / power
     except TypeError as exc:
         raise _refused(exc, mu=mu, one_minus_nu=one_minus_nu, mu_plus_one=mu_plus_one, x=x) from None

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ToleranceWarning
-from .model import FractionalParams, PhaseState, PowerLawPotential, _power_law, require_finite
+from .model import FractionalParams, PhaseState, PowerLawPotential, _power_law, require_finite, require_types
 
 __all__ = ["DenseSegment", "Trajectory", "action"]
 
@@ -191,6 +191,7 @@ def action(
     the stored step data is too coarse for the requested accuracy; a
     quad_tol that is not finite and positive is a DomainError.
     """
+    require_types(params=(params, FractionalParams), pot=(pot, PowerLawPotential), traj=(traj, Trajectory))
     require_finite(quad_tol=quad_tol)
     if not quad_tol > 0.0:
         raise DomainError(f"quad_tol must be positive, got {quad_tol}")

@@ -197,7 +197,7 @@ def test_a_value_that_is_not_a_real_number_is_a_domain_error_naming_its_field(ca
 
 
 # one row per call given an object of the wrong type, and the argument and type its DomainError
-# must name: each once raised a raw AttributeError inside integrate or OscillatorSpec, or (a None
+# must name: each once raised a raw AttributeError or TypeError inside the call, or (a None
 # params of OscillatorSpec) built a spec without any error
 OBJECT_EDGE = {
     "integrate-string-cfg": (lambda: fracmech.integrate(P, V, IC, (0.0, 1.0), "x"), "cfg", "IntegratorConfig"),
@@ -208,6 +208,14 @@ OBJECT_EDGE = {
     "period_report-string-cfg": (lambda: fracmech.period_report(SPEC, "x"), "cfg", "IntegratorConfig"),
     "spec-none-params": (lambda: fracmech.OscillatorSpec(None, V, 1.0), "params", "FractionalParams"),
     "spec-none-pot": (lambda: fracmech.OscillatorSpec(P, None, 1.0), "pot", "PowerLawPotential"),
+    "verify_scaling-none-ic": (lambda: fracmech.verify_scaling(P, V, None, [2.0]), "ic", "InitialConditions"),
+    "kepler-none-ic": (lambda: fracmech.fractional_kepler_check(1.5, None, [2.0]), "ic", "InitialConditions"),
+    "scale_trajectory-none-traj": (lambda: fracmech.scale_trajectory(None, 2.0, 1.5, 1.5), "traj", "Trajectory"),
+    "action-none-traj": (lambda: fracmech.action(P, V, None), "traj", "Trajectory"),
+    "fit_time_exponent-none": (lambda: fracmech.fit_time_exponent(None), "rows", "tuple or list"),
+    "fit_time_exponent-ints": (lambda: fracmech.fit_time_exponent([1, 2]), "rows[0]", "ScalingRow"),
+    "hamiltonian-none-state": (lambda: fracmech.hamiltonian(P, V, None), "state", "PhaseState"),
+    "period-none-spec": (lambda: fracmech.period(None), "spec", "OscillatorSpec"),
 }
 
 
@@ -215,7 +223,7 @@ OBJECT_EDGE = {
 def test_an_object_of_the_wrong_type_is_a_domain_error_naming_its_argument(call, name, kind):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(fracmech.DomainError, match=f"^{name} must be of type {kind}, got "):
+        with pytest.raises(fracmech.DomainError, match=f"^{re.escape(name)} must be of type {kind}, got "):
             call()
 
 

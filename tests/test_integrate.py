@@ -10,6 +10,7 @@ import importlib
 import itertools
 import math
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -31,7 +32,10 @@ from fracmech import (
     period,
 )
 from conftest import GRID_EXPONENTS
-from fracmech.integrate import _DENSE, _ERR, _TABLEAU, _kernel, _list_attempt, first_event_times
+from fracmech.integrate import (
+    _DENSE, _ERR, _MAX_FACTOR, _MIN_FACTOR, _ORDER_EXP, _SAFETY, _TABLEAU, _event_rows, _kernel, _list_attempt,
+    first_event_times,
+)
 from fracmech.model import PhaseState, _field, hamilton_rhs
 from fracmech.trajectory import DenseSegment
 
@@ -547,7 +551,7 @@ def both_attempts(params, pot, y, f, h, atol=None, rel_tol=1e-10):
     kernel = _kernel(n // 2)(params, pot, atol, rel_tol, kbuf, np.empty(n))
 
     def through_kernel():
-        y_new, f_new, err_norm = kernel(y, f, h)
+        y_new, f_new, err_norm = kernel(y, f, h)[:3]
         return y_new, f_new, kbuf.ravel().tolist(), [err_norm]
 
     def through_list():
@@ -650,6 +654,61 @@ def test_planar_attempt_raises_the_list_attempts_errors(d):
     assert planar == listed and planar[3] == ["inf"]
 
 
+FUSED_NORMS = [0.0, 5e-324, 1.0, math.nextafter(1.0, 2.0), 1e308, math.inf, math.nan]
+
+
+def loop_decision(values, ways, g_old, y_new, err_norm):
+    """What integrate's loop decided from an attempt's (y_new, err_norm) before the kernel decided it:
+    (factor, finite, g_new, hit), with g_new None and hit False on a rejected or non-finite attempt."""
+    factor = _MAX_FACTOR if err_norm == 0.0 else min(_MAX_FACTOR, max(_MIN_FACTOR, _SAFETY * err_norm**_ORDER_EXP))
+    finite = math.isfinite(err_norm) and all(map(math.isfinite, y_new))
+    if not finite or err_norm > 1.0:
+        return factor, finite, None, False
+    g_new = values(y_new)
+    hit_rows = [r for r, (a, b, way) in enumerate(zip(g_old, g_new, ways))
+                if (a < 0.0 <= b and way >= 0) or (a > 0.0 >= b and way <= 0)]
+    return factor, finite, g_new, bool(hit_rows)
+
+
+@pytest.mark.parametrize("way", [-1, 0, 1])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_fused_decision_is_the_loops_formulas_bitwise(monkeypatch, d, way):
+    # the kernel's step factor, finiteness verdict, row values and hit flag against the formulas
+    # integrate applied after each attempt, on turning-point, origin, level and q.p rows (direction
+    # way).  States hold +-0.0 and the levels' own values, so some g_new are exactly 0, some g_old are
+    # exactly 0, and every 4th state has an inf or NaN component.  Each error norm of FUSED_NORMS comes
+    # from a kernel compiled with a sqrt that returns it; the real norm's kernel runs alongside.
+    rows, values, _ = _event_rows(d, [(0, 0.25), (d - 1, -0.5)], way, None)
+    layout, levels, ways = tuple((row[2], row[4]) for row in rows), [row[3] for row in rows], [row[4] for row in rows]
+    kernels = [_kernel(d, layout)]
+    for norm in FUSED_NORMS:
+        monkeypatch.setattr(importlib.import_module("fracmech.integrate"), "math", SimpleNamespace(
+            fabs=math.fabs, hypot=math.hypot, inf=math.inf, sqrt=lambda _, norm=norm: norm))
+        kernels.append(_kernel.__wrapped__(d, layout))
+    monkeypatch.undo()
+    params, pot, kbuf = FractionalParams(1.5, 1.0), PowerLawPotential(1.0, 1.5), np.empty((7, 2 * d))
+    attempts = [bind(params, pot, [1e-3] * 2 * d, 1e-10, kbuf, np.empty(2 * d), levels) for bind in kernels]
+    rng = np.random.default_rng([d, way + 1])
+    finite_values = np.array([0.0, -0.0, 5e-324, 0.25, -0.5, 1.5])
+    outcomes = set()
+    for i in range(300):
+        y = rng.choice(finite_values, size=2 * d).tolist()
+        if i % 4 == 0:
+            y[i // 4 % (2 * d)] = [math.inf, -math.inf, math.nan][i // 4 % 3]
+        g_old = rng.choice([-1.0, -0.0, 0.0, 5e-324, 2.0], size=len(rows)).tolist()
+        h = [0.0, 1e-3, 0.1][i % 3]
+        for attempt in attempts:
+            with np.errstate(all="ignore"):
+                y_new, _, err_norm, *fused = attempt(y, _field(params, pot, y), h, g_old)
+            expected = loop_decision(values, ways, g_old, y_new, err_norm)
+            assert [fused[0].hex(), *fused[1:]] == [expected[0].hex(), *expected[1:]]
+            assert [x.hex() for x in fused[2] or []] == [x.hex() for x in expected[2] or []]
+            outcomes.add((fused[1], fused[2] is not None, fused[3], 0.0 in (fused[2] or [])))
+    # non-finite, rejected, accepted with and without a crossing, and a row landing exactly on 0
+    assert {(False, False, False, False), (True, False, False, False), (True, True, False, False),
+            (True, True, True, False), (True, True, True, True)} <= outcomes
+
+
 def test_planar_oscillator_run_keeps_its_step_sequence():
     # a d = 2 run outside the Kepler check, on the turning-point and origin-crossing
     # rows of both components; recorded before the planar attempt, which keeps every bit
@@ -695,7 +754,7 @@ def test_each_attempt_has_the_order_of_its_tableau(d):
 
     errors = []
     for h in (0.2 / 2**k for k in range(5)):
-        y_new, _, err_norm = attempt(y, f, h)
+        y_new, _, err_norm = attempt(y, f, h)[:3]
         quartic = DenseSegment(0.0, h, np.array(y), kbuf.T @ _DENSE).at(0.5)
         errors.append([np.linalg.norm(np.array(y_new) - exact(h)), err_norm, np.linalg.norm(quartic - exact(0.5 * h))])
     slopes = np.log2(np.array(errors[:-1]) / np.array(errors[1:]))

@@ -491,6 +491,33 @@ def test_hyp2f1_cancels_a_factor_beyond_the_float_range(mu, nu, x):
     assert hyp2f1(mu, 1.0 - nu, mu + 1.0, x) == pytest.approx(expected, rel=1e-13)
 
 
+@pytest.mark.parametrize("mu", [1e-300, 1e-305, 1e-308, 3e-309, 1e-309, 1e-310])
+@pytest.mark.parametrize("nu, x", [(0.5, 0.9), (0.5, 0.5), (2.0, 1.0), (1e-15, 0.75), (3.0, 0.3)])
+def test_hyp2f1_above_the_switch_point_as_mu_goes_to_zero_matches_mpmath(mu, nu, x):
+    # mu * B_x(mu, nu) / x^mu, with mu B(mu, nu) carried as one factor where B(mu, nu) ~ 1/mu overflows
+    # (the last three mu); measured worst 4.2e-14, at mu = 1e-305 on inc_beta's own path
+    mpmath = pytest.importorskip("mpmath")
+    assert x >= (mu + 1.0) / (mu + nu + 2.0)
+    with mpmath.workdps(40):
+        expected = float(mpmath.hyp2f1(mu, 1.0 - nu, mpmath.mpf(mu) + 1, x))
+    assert hyp2f1(mu, 1.0 - nu, mu + 1.0, x) == pytest.approx(expected, rel=1e-13)
+
+
+@pytest.mark.parametrize("mu, one_minus_nu, x", [(1e-310, 0.5, 0.9), (6.8e-311, 1.0 - 22680.6, 0.5),
+                                                 (1e-309, 1.0 - 1e5, 1e-3), (5e-324, 0.5, 1.0)])
+def test_hyp2f1_where_beta_overflowed_is_one(mu, one_minus_nu, x):
+    # each raised "beta(...) overflows"; F = 1 + O(mu), and mpmath at 40 digits rounds to 1.0 as well
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        assert float(mpmath.hyp2f1(mu, one_minus_nu, mpmath.mpf(mu) + 1, x)) == 1.0
+    assert hyp2f1(mu, one_minus_nu, 1.0, x) == 1.0
+
+
+def test_hyp2f1_where_mu_beta_overflows_too_keeps_the_beta_error():
+    with pytest.raises(DomainError, match=r"^ln_gamma\(1e\+307\) overflows the float range"):
+        hyp2f1(1e-310, 1.0 - 1e307, 1.0, 0.9)
+
+
 def test_inc_beta_names_the_non_finite_parameter():
     with pytest.raises(DomainError, match=r"a=inf, b=1\.0"):
         inc_beta(math.inf, 1.0, 0.5)
