@@ -8,10 +8,9 @@ p = 0 for alpha < 2; the error estimate shrinks steps through turning
 points on its own, and while |p| is small a cap bounds the relative momentum
 change per step.
 
-Events are sign crossings of functions held as data, one row per function, and
-one evaluator per run gives every row's value at a state (see _event_rows).  A
-crossing is located by bisection in the step's own theta in [0, 1] on its quartic,
-to the precision of t, however far the span lies from t = 0.
+Events are sign crossings of functions held as data, one row per function (see
+_event_rows).  A crossing is located by bisection in the step's own theta in [0, 1]
+on its quartic, to the precision of t, however far the span lies from t = 0.
 
 The tableau is stated once, in _TABLEAU: _list_attempt, the reference, reads it
 row by row, and _kernel compiles the same rows into one straight-line function
@@ -19,11 +18,12 @@ on 2d floats per dimension, since at d <= 3 a numpy temporary costs more than it
 arithmetic.  The kernel writes its stages into a (7, 2d) buffer, allocated once
 per run, and contracts it with one BLAS call for the error estimate; the dense
 output is one contraction per run, at its end, of the accepted steps' buffers.
-The kernel also decides the attempt: it returns the step factor, whether the new
-state and error norm are finite and, on an accepted attempt, the new value of
-each event row and whether any row crossed, so integrate's loop makes one call
-and takes one branch per attempt.  It is compiled once per dimension and layout
-of event rows, their (index, direction) pairs; a run binds the rows' levels.
+The kernel also decides the attempt: the step factor, whether the new state and
+error norm are finite and, when accepted, each event row's new value and the rows
+that crossed, so integrate's loop makes one call and one branch per attempt.  Its
+generator alone states a row's value and crossing rule, and writes from them the
+evaluator that bisection reads.  It is compiled per dimension and layout of event
+rows, their (index, direction) pairs; a run binds the rows' levels.
 """
 
 from __future__ import annotations
@@ -49,6 +49,7 @@ from .model import (
     _rate_constants,
     abs_power,
     require_finite,
+    require_scalar,
     require_types,
     turning_point,
 )
@@ -66,7 +67,7 @@ class IntegratorConfig:
     max_steps: int = 1_000_000
 
     def __post_init__(self) -> None:
-        require_finite(**vars(self))
+        require_scalar(**vars(self))
         if not (self.rel_tol > 0.0 and self.abs_tol > 0.0):
             raise DomainError("integrator tolerances must be positive")
         if not (isinstance(self.max_steps, (int, np.integer)) and self.max_steps > 0):
@@ -138,11 +139,12 @@ def _list_attempt(params: FractionalParams, pot: PowerLawPotential, y: list[floa
 
 
 @functools.cache
-def _kernel(d: int, layout: tuple = ()) -> Callable:
+def _kernel(d: int, layout: tuple) -> Callable:
     """The whole attempt in dimension d as one straight-line function on floats, compiled once per
     process and event-row layout from the rows of _TABLEAU that _list_attempt reads: bind(params, pot,
     atol, rel_tol, kbuf, ebuf, levels) gives a run's attempt(y, k1, h, g_old) -> (y_new, f_new, err_norm,
-    factor, finite, g_new, hit).  Each stage sum is its row's,
+    factor, finite, g_new, crossed) and values(y), each row's value at y in g_new's expressions: y[index]
+    - level for a layout row (index, direction), q.p where index is None.  Each stage sum is its row's,
     in order from the first product, with the coefficients as repr literals, which round-trip exactly.
     Each stage's field writes model._field's formula out, from the same _rate_constants (norms fabs at
     d = 1, hypot above), with its zero rates; the parity tests hold the kernel equal to _list_attempt,
@@ -153,12 +155,12 @@ def _kernel(d: int, layout: tuple = ()) -> Callable:
 
     The attempt decides itself too: factor, min(10, max(0.2, 0.9 err_norm^(-1/5))), 10 at err_norm = 0,
     in conditionals of the same bits; finite, whether y_new and err_norm are; and on an accepted attempt
-    (finite, err_norm <= 1) g_new, each layout row's value at y_new in values()' arithmetic, its level
-    bound from levels, and hit, whether a row crossed from g_old in its direction; else None and False."""
+    (finite, err_norm <= 1) g_new, values(y_new), and crossed, the rows that crossed from g_old in their
+    direction (+1 g_old < 0 <= g_new, -1 g_old > 0 >= g_new, 0 either), or (); else None and ()."""
     size = 2 * d
 
-    def names(stem: str) -> list[str]:
-        return [f"{stem}{j}" for j in range(size)]
+    def names(stem: str, count: int = size) -> list[str]:
+        return [f"{stem}{j}" for j in range(count)]
 
     def norm(x: list[str]) -> str:
         return f"fabs({x[0]})" if d == 1 else f"hypot({', '.join(x)})"
@@ -190,23 +192,29 @@ def _kernel(d: int, layout: tuple = ()) -> Callable:
              f"factor = {_MAX_FACTOR!r} if c > {_MAX_FACTOR!r} else c if c > {_MIN_FACTOR!r} else {_MIN_FACTOR!r}",
              f"finite = {' + '.join(f'({x} - {x})' for x in names('u') + ['err'])} == 0.0",  # inf - inf is NaN
              "if err > 1.0 or not finite:",
-             f"    return {y_new}, {f_new}, err, factor, finite, None, False"]
-    g, old = [f"g{r}" for r in range(len(layout))], [f"a{r}" for r in range(len(layout))]
-    for r, (i, _) in enumerate(layout):  # each row's value in values()' arithmetic; i None is q.p
-        body.append(f"{g[r]} = " + (f"u{i} - lv{r}" if i is not None else
-                                      " + ".join(["0.0"] + [f"u{j} * u{d + j}" for j in range(d)])))
-    crossings = [f"{old[r]} < 0.0 <= {g[r]}" for r, (_, way) in enumerate(layout) if way >= 0]
-    crossings += [f"{old[r]} > 0.0 >= {g[r]}" for r, (_, way) in enumerate(layout) if way <= 0]
-    body += [f"[{', '.join(old)}] = g",
-             f"return {y_new}, {f_new}, err, factor, True, [{', '.join(g)}], {' or '.join(crossings) or 'False'}"]
+             f"    return {y_new}, {f_new}, err, factor, finite, None, ()"]
+    q_dot_p = " + ".join(["0.0"] + [f"u{j} * u{d + j}" for j in range(d)])
+    values = [f"u{i} - lv{r}" if i is not None else q_dot_p for r, (i, _) in enumerate(layout)]
+    crossed = [" or ".join([f"a{r} < 0.0 <= g{r}"] * (way >= 0) + [f"a{r} > 0.0 >= g{r}"] * (way <= 0))
+               for r, (_, way) in enumerate(layout)]  # a row leaving 0 departs an event, not crossing one
+    g = f"[{', '.join(names('g', len(layout)))}]"
+    body += [f"g{r} = {value}" for r, value in enumerate(values)]
+    body += [f"[{', '.join(names('a', len(layout)))}] = g",
+             f"if {' or '.join(crossed) or 'False'}:",  # the common path, where no row crosses, tests one chain
+             f"    return {y_new}, {f_new}, err, factor, True, {g}, "
+             f"[r for r, c in enumerate([{', '.join(crossed)}]) if c]",
+             f"return {y_new}, {f_new}, err, factor, True, {g}, ()"]
     source = "\n".join([
-        "def bind(params, pot, atol, rel_tol, kbuf, ebuf, levels=()):",
+        "def bind(params, pot, atol, rel_tol, kbuf, ebuf, levels):",
         "    (cv, ev, cf, ef), singular = _rate_constants(params, pot), pot.degree <= 1.0",
         f"    {', '.join(names('tol'))} = atol",
-        f"    [{', '.join(f'lv{r}' for r in range(len(layout)))}] = levels",
-        "    def attempt(y, k1, h, g=()):",
+        f"    [{', '.join(names('lv', len(layout)))}] = levels",
+        "    def values(y):",
+        f"        {', '.join(names('u'))} = y",
+        f"        return [{', '.join(values)}]",
+        "    def attempt(y, k1, h, g):",
         *(f"        {line}" for line in body),
-        "    return attempt",
+        "    return attempt, values",
     ])
     scope = {"_rate_constants": _rate_constants, "_list_attempt": _list_attempt, "errdot": _ERR.dot,
              "pack": struct.Struct(f"{7 * size}d").pack_into,
@@ -235,12 +243,11 @@ def _initial_step(
 
 
 def _event_rows(d: int, q_levels: Sequence, radial_direction: int | None, stop_after) -> tuple:
-    """The event rows of a run, their evaluator values(y) -> [each row's value], and the count of
-    events that ends the run, 0 without stop_after=(kind, n), which keeps the rows of its kind
-    alone.  One row (kind, component, index, level, direction) per event function: turning points
-    (p_j = 0), origin crossings (q_j = 0), the level crossings q[c] = level, and optionally the
-    zeros of q.p, last.  A row's value is y[index] - level, or q.p where index is None; direction
-    +1 counts rising zeros only, -1 falling only, 0 both.  Malformed options are DomainErrors."""
+    """The event rows of a run and the count of events that ends the run, 0 without stop_after=(kind, n),
+    which keeps the rows of its kind alone.  One row (kind, component, index, level, direction) per event
+    function: turning points (p_j = 0), origin crossings (q_j = 0), the level crossings q[c] = level, and
+    optionally the zeros of q.p, last.  A row's value is y[index] - level, or q.p where index is None;
+    direction +1 counts rising zeros only, -1 falling only, 0 both.  Malformed options are DomainErrors."""
     rows = [("turning_point", j, d + j, 0.0, 0) for j in range(d)]
     rows += [("origin_crossing", j, j, 0.0, 0) for j in range(d)]
     if not isinstance(q_levels, (tuple, list)):
@@ -263,17 +270,7 @@ def _event_rows(d: int, q_levels: Sequence, radial_direction: int | None, stop_a
     require_finite(stop_after_count=n)
     if stop_after is not None and not (isinstance(n, (int, np.integer)) and n >= 1 and kind in stoppable):
         raise DomainError(f"stop_after needs kind {' or '.join(stoppable)} and a count >= 1, got {stop_after!r}")
-    rows = [row for row in rows if stop_after is None or row[0] == kind]
-    levels = [(index, level) for _, _, index, level, _ in rows if index is not None]
-    radial = len(levels) < len(rows)
-
-    def values(y: list[float]) -> list[float]:
-        g = [y[index] - level for index, level in levels]
-        if radial:
-            g.append(_dot(y[:d], y[d:]))
-        return g
-
-    return rows, values, n
+    return [row for row in rows if stop_after is None or row[0] == kind], n
 
 
 _MAX_HALVINGS = 60  # exhausts a double's 53-bit mantissa with room to spare
@@ -346,8 +343,7 @@ def integrate(
     q0, p0 = ic.resolve(params)
     d = q0.size
     y = q0.tolist() + p0.tolist()
-    rows, values, stop_n = _event_rows(d, q_levels, radial_direction, stop_after)
-    ways = [row[4] for row in rows]
+    rows, stop_n = _event_rows(d, q_levels, radial_direction, stop_after)
 
     e0 = float(_energy(params, pot, q0, p0))
     if not math.isfinite(e0):
@@ -375,7 +371,7 @@ def integrate(
     times, ys = [t0], [y]
     stacks, cut = [], 1.0  # each accepted step's (7, 2d) stages; the last step's cut width / full width
     kbuf = np.empty((7, 2 * d))  # the attempt's stages
-    attempt = _kernel(d, tuple((row[2], row[4]) for row in rows))(
+    attempt, values = _kernel(d, tuple((row[2], row[4]) for row in rows))(
         params, pot, atol, cfg.rel_tol, kbuf, np.empty(2 * d), [row[3] for row in rows])
     widths: list[float] = []
     events: list[EventRecord] = []
@@ -403,8 +399,8 @@ def integrate(
         if finished:
             h = t1 - t
 
-        # g_new is None on a rejected or non-finite attempt; hit, whether any event row crossed
-        y_new, f_new, err_norm, factor, finite, g_new, hit = attempt(y, f, h, g_old)
+        # g_new is None on a rejected or non-finite attempt; crossed, the event rows that crossed
+        y_new, f_new, err_norm, factor, finite, g_new, crossed = attempt(y, f, h, g_old)
         t_new = t + h
         if g_new is None or not math.isfinite(t_new):
             if not (finite and math.isfinite(t_new)):
@@ -415,12 +411,9 @@ def integrate(
             continue
 
         accepted += 1
-        if hit:  # locate the sign crossings of the event functions on this step
-            # a row that starts exactly at zero is departing an event, not crossing one
-            hit_rows = [r for r, (a, b, way) in enumerate(zip(g_old, g_new, ways))
-                        if (a < 0.0 <= b and way >= 0) or (a > 0.0 >= b and way <= 0)]
+        if crossed:  # locate the sign crossings of the event functions on this step
             seg = DenseSegment(t, h, np.array(y), kbuf.T @ _DENSE)
-            hits = sorted((_locate(values, r, seg, g_old[r]), r) for r in hit_rows)
+            hits = sorted((_locate(values, r, seg, g_old[r]), r) for r in crossed)
             for theta, r in hits:
                 t_ev, y_ev = t + theta * h, seg.at(theta)
                 kind, comp = rows[r][:2]

@@ -106,6 +106,14 @@ def require_finite(**values) -> None:
             raise DomainError(f"{name} must be finite, got {value}")
 
 
+def require_scalar(**values) -> None:
+    """require_finite for fields that hold one number: an array or sequence (ndim >= 1) is not one."""
+    for name, value in values.items():
+        if not (type(value) is float or type(value) is int) and np.ndim(value):
+            raise DomainError(f"{name} must be a finite number, got {value!r}")
+    require_finite(**values)
+
+
 def require_types(**values) -> None:
     """The object rule at the input edge: raise DomainError naming the first keyword whose (value, kind)
     pair holds a value that is not an instance of kind, a type or a tuple of types."""
@@ -163,7 +171,7 @@ class FractionalParams:
     d_alpha: float
 
     def __post_init__(self) -> None:
-        require_finite(**vars(self))
+        require_scalar(**vars(self))
         if not (1.0 < self.alpha <= 2.0):
             raise DomainError(f"alpha must be in (1, 2], got {self.alpha}")
         if not self.d_alpha > 0.0:
@@ -172,7 +180,7 @@ class FractionalParams:
     @classmethod
     def from_mass(cls, mass: float) -> "FractionalParams":
         """Classical limit alpha = 2 with d_alpha = 1/(2 mass)."""
-        require_finite(mass=mass)
+        require_scalar(mass=mass)
         if not mass > 0.0:
             raise DomainError(f"mass must be positive, got {mass}")
         return cls(alpha=2.0, d_alpha=1.0 / (2.0 * mass))
@@ -192,7 +200,7 @@ class PowerLawPotential:
     degree: float
 
     def __post_init__(self) -> None:
-        require_finite(**vars(self))
+        require_scalar(**vars(self))
         if self.degree == 0.0:
             raise DomainError("potential degree must be nonzero")
 
@@ -235,7 +243,7 @@ class PhaseState:
     p: np.ndarray
 
     def __post_init__(self) -> None:
-        require_finite(t=self.t)
+        require_scalar(t=self.t)
         q = _vec(self.q, "q")
         p = _vec(self.p, "p")
         if q.shape != p.shape:

@@ -27,6 +27,7 @@ from .model import (
     _energy,
     abs_power,
     require_finite,
+    require_scalar,
     require_types,
 )
 from .trajectory import Trajectory
@@ -77,9 +78,7 @@ def _require_scale_factors(rho_list: Sequence[float]) -> None:
     if not (isinstance(rho_list, Sequence) or isinstance(rho_list, np.ndarray) and rho_list.ndim):
         raise DomainError(f"rho_list must be a sequence of scale factors, got {rho_list!r}")
     for rho in rho_list:
-        if np.ndim(rho):
-            raise DomainError(f"rho must be a finite number, got {rho!r}")
-        require_finite(rho=rho)
+        require_scalar(rho=rho)
         if not rho > 0.0:
             raise DomainError(f"scale factors must be finite and positive, got {rho}")
 
@@ -125,6 +124,8 @@ class ScalingRow:
 
     @classmethod
     def of(cls, rho: float, predicted: float, measured: float) -> "ScalingRow":
+        if not predicted > 0.0:
+            raise DomainError(f"scaling row at rho = {rho} needs a positive predicted ratio, got {predicted}")
         return cls(rho, predicted, measured, abs(measured - predicted) / predicted)
 
 
@@ -207,6 +208,10 @@ def fit_time_exponent(rows: Sequence[ScalingRow]) -> tuple[float, float] | None:
     """
     require_types(rows=(rows, (tuple, list)))
     require_types(**{f"rows[{i}]": (row, ScalingRow) for i, row in enumerate(rows)})
+    for i, row in enumerate(rows):  # the fit takes the logarithms of both
+        require_scalar(**{f"rows[{i}].rho": row.rho, f"rows[{i}].measured_ratio": row.measured_ratio})
+        if not (row.rho > 0.0 and row.measured_ratio > 0.0):
+            raise DomainError(f"rows[{i}] needs rho > 0 and a measured ratio > 0 for the log-log fit, got {row}")
     rhos = [r.rho for r in rows]
     if len(set(rhos)) < 2:
         return None

@@ -4,8 +4,9 @@ Log-gamma, the complete and incomplete Beta functions, the inverse of the
 incomplete Beta in its x argument, and the one Gauss hypergeometric family
 F(mu, 1-nu; mu+1; x) that the oscillator solution needs.  Everything is
 scalar, pure and reentrant, and computes with the standard library alone.
-An argument that is not a number is a DomainError that names it, from
-model.require_finite, called only once a comparison or float() has refused it.
+An argument that is not one number (an array is not) is a DomainError that
+names it, from model.require_scalar, called only once a comparison or float()
+has refused it.
 
 Log-gamma is ``math.lgamma``.  The incomplete Beta is the continued
 fraction of DLMF 8.17.22 (modified Lentz), switched by the symmetry
@@ -18,7 +19,7 @@ from __future__ import annotations
 import math
 
 from .errors import DomainError
-from .model import require_finite
+from .model import require_scalar
 
 __all__ = [
     "ln_gamma",
@@ -30,10 +31,10 @@ __all__ = [
 
 
 def _refused(exc: Exception, **args) -> Exception:
-    """require_finite's DomainError for the first argument that is not a number, else
+    """require_scalar's DomainError for the first argument that is not one number, else
     exc, the TypeError or ValueError that an entry point caught from its arguments."""
     try:
-        require_finite(**args)
+        require_scalar(**args)
     except DomainError as err:
         return err
     return exc
@@ -47,7 +48,7 @@ def ln_gamma(x: float) -> float:
         return math.lgamma(x)
     except OverflowError:
         raise DomainError(f"ln_gamma({x}) overflows the float range") from None
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise _refused(exc, x=x) from None
 
 
@@ -56,10 +57,11 @@ def beta(a: float, b: float) -> float:
     try:
         if not (a > 0.0 and b > 0.0):
             raise DomainError(f"beta requires positive arguments, got a={a}, b={b}")
+        a, b = float(a), float(b)  # a one-element array passes the comparison
         return math.exp(ln_gamma(a) + ln_gamma(b) - ln_gamma(a + b))
     except OverflowError:
         raise DomainError(f"beta({a}, {b}) overflows the float range") from None
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise _refused(exc, a=a, b=b) from None
 
 
@@ -163,7 +165,8 @@ def inv_inc_beta(a: float, b: float, target: float) -> float:
             raise DomainError(
                 f"inverse incomplete Beta target {target} outside [0, B(a,b)={total}]"
             )
-    except TypeError as exc:
+        target = float(target)  # a one-element array passes the comparison
+    except (TypeError, ValueError) as exc:
         raise _refused(exc, target=target) from None
     if target == 0.0:
         return 0.0
@@ -227,6 +230,7 @@ def hyp2f1(mu: float, one_minus_nu: float, mu_plus_one: float, x: float) -> floa
             )
         if not 0.0 <= x <= 1.0:
             raise DomainError(f"hyp2f1 argument must be in [0, 1], got {x}")
+        mu, nu, x, _ = float(mu), float(nu), float(x), float(mu_plus_one)  # one-element arrays pass the comparisons
         if x == 0.0:
             return 1.0
         if x < (mu + 1.0) / (mu + nu + 2.0):
@@ -247,5 +251,5 @@ def hyp2f1(mu: float, one_minus_nu: float, mu_plus_one: float, x: float) -> floa
         if not mu_beta < math.inf:  # also NaN, at nu = inf
             raise failed
         return (mu_beta - mu / nu * x**mu * (1.0 - x)**nu * _beta_cont_frac(nu, mu, 1.0 - x)) / power
-    except TypeError as exc:
+    except (TypeError, ValueError, OverflowError) as exc:  # float() of an int beyond the float range overflows
         raise _refused(exc, mu=mu, one_minus_nu=one_minus_nu, mu_plus_one=mu_plus_one, x=x) from None

@@ -62,6 +62,8 @@ class DenseSegment:
         return self.y_start + self.width * _quartic(self.coef, theta)
 
     def eval(self, t: float) -> np.ndarray:
+        """State at time t in the step; a t that is not a finite number is a DomainError, as in Trajectory.eval."""
+        require_finite(t=t)
         return self.at(_theta(t, self.t_start, self.width))
 
 

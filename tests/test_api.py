@@ -185,6 +185,27 @@ TYPE_EDGE = {
     "inv_inc_beta-string-a": (lambda: fracmech.inv_inc_beta("0.5", 0.5, 0.3), "a"),
     "inv_inc_beta-string-target": (lambda: fracmech.inv_inc_beta(0.5, 0.5, "0.3"), "target"),
     "hyp2f1-string-mu": (lambda: fracmech.hyp2f1("0.5", 0.5, 1.5, 0.3), "mu"),
+    "segment-eval-string-t": (lambda: _traj().segment(0).eval("x"), "t"),
+    # an array in a field that holds one number: the records took it (a spec's period came back an
+    # array), PhaseState and the specfun kernels raised a raw TypeError or ValueError, and hyp2f1
+    # given a one-element mu returned an array
+    "params-array-alpha": (lambda: fracmech.FractionalParams(np.array([1.5]), 1.0), "alpha"),
+    "from_mass-array": (lambda: fracmech.FractionalParams.from_mass(np.array([1.0])), "mass"),
+    "potential-array-strength": (lambda: fracmech.PowerLawPotential(np.array([1.0]), 1.5), "strength"),
+    "config-array-rel_tol": (lambda: fracmech.IntegratorConfig(rel_tol=np.array([1e-10])), "rel_tol"),
+    "spec-array-energy": (lambda: fracmech.OscillatorSpec.from_exponents(1.5, 1.5, energy=np.array([1.0])), "energy"),
+    "state-array-t": (lambda: fracmech.PhaseState(np.array([0.0]), [1.0], [1.0]), "t"),
+    "ln_gamma-array": (lambda: fracmech.ln_gamma(np.array([0.5])), "x"),
+    "ln_gamma-pair": (lambda: fracmech.ln_gamma(np.array([0.5, 0.6])), "x"),
+    "beta-array-a": (lambda: fracmech.beta(np.array([0.5]), 0.5), "a"),
+    "beta-pair-b": (lambda: fracmech.beta(0.5, np.array([0.5, 0.6])), "b"),
+    "inc_beta-array-x": (lambda: fracmech.inc_beta(0.5, 0.5, np.array([0.5])), "x"),
+    "inc_beta-pair-a": (lambda: fracmech.inc_beta(np.array([0.5, 0.6]), 0.5, 0.3), "a"),
+    "inv_inc_beta-array-target": (lambda: fracmech.inv_inc_beta(0.5, 0.5, np.array([0.5])), "target"),
+    "inv_inc_beta-pair-target": (lambda: fracmech.inv_inc_beta(0.5, 0.5, np.array([0.5, 0.6])), "target"),
+    "hyp2f1-array-mu": (lambda: fracmech.hyp2f1(np.array([0.5]), 0.5, 1.5, 0.3), "mu"),
+    "hyp2f1-array-mu_plus_one": (lambda: fracmech.hyp2f1(0.5, 0.5, np.array([1.5]), 0.3), "mu_plus_one"),
+    "hyp2f1-pair-x": (lambda: fracmech.hyp2f1(0.5, 0.5, 1.5, np.array([0.5, 0.6])), "x"),
 }
 
 

@@ -36,7 +36,7 @@ from fracmech.integrate import (
     _DENSE, _ERR, _MAX_FACTOR, _MIN_FACTOR, _ORDER_EXP, _SAFETY, _TABLEAU, _event_rows, _kernel, _list_attempt,
     first_event_times,
 )
-from fracmech.model import PhaseState, _field, hamilton_rhs
+from fracmech.model import PhaseState, _dot, _field, hamilton_rhs
 from fracmech.trajectory import DenseSegment
 
 M1 = FractionalParams.from_mass(1.0)
@@ -548,10 +548,10 @@ def both_attempts(params, pot, y, f, h, atol=None, rel_tol=1e-10):
     n, out = len(y), []
     atol = [1e-12 * (j + 1) for j in range(n)] if atol is None else atol  # a distinct tol per component
     kbuf = np.empty((7, n))
-    kernel = _kernel(n // 2)(params, pot, atol, rel_tol, kbuf, np.empty(n))
+    kernel, _ = _kernel(n // 2, ())(params, pot, atol, rel_tol, kbuf, np.empty(n), ())
 
     def through_kernel():
-        y_new, f_new, err_norm = kernel(y, f, h)[:3]
+        y_new, f_new, err_norm = kernel(y, f, h, ())[:3]
         return y_new, f_new, kbuf.ravel().tolist(), [err_norm]
 
     def through_list():
@@ -657,40 +657,56 @@ def test_planar_attempt_raises_the_list_attempts_errors(d):
 FUSED_NORMS = [0.0, 5e-324, 1.0, math.nextafter(1.0, 2.0), 1e308, math.inf, math.nan]
 
 
-def loop_decision(values, ways, g_old, y_new, err_norm):
+def row_values(rows, y):
+    """Each event row's value at the float state y from the rows' definition, written apart from the
+    kernel's generator: y[index] - level, or q.p summed by model._dot where index is None."""
+    d = len(y) // 2
+    return [y[index] - level if index is not None else _dot(y[:d], y[d:]) for _, _, index, level, _ in rows]
+
+
+def loop_decision(rows, g_old, y_new, err_norm):
     """What integrate's loop decided from an attempt's (y_new, err_norm) before the kernel decided it:
-    (factor, finite, g_new, hit), with g_new None and hit False on a rejected or non-finite attempt."""
+    (factor, finite, g_new, hit_rows), with g_new None and hit_rows [] on a rejected or non-finite
+    attempt.  A row starting exactly at 0 departs an event: it does not cross one."""
     factor = _MAX_FACTOR if err_norm == 0.0 else min(_MAX_FACTOR, max(_MIN_FACTOR, _SAFETY * err_norm**_ORDER_EXP))
     finite = math.isfinite(err_norm) and all(map(math.isfinite, y_new))
     if not finite or err_norm > 1.0:
-        return factor, finite, None, False
-    g_new = values(y_new)
-    hit_rows = [r for r, (a, b, way) in enumerate(zip(g_old, g_new, ways))
+        return factor, finite, None, []
+    g_new = row_values(rows, y_new)
+    hit_rows = [r for r, (a, b, (*_, way)) in enumerate(zip(g_old, g_new, rows))
                 if (a < 0.0 <= b and way >= 0) or (a > 0.0 >= b and way <= 0)]
-    return factor, finite, g_new, bool(hit_rows)
+    return factor, finite, g_new, hit_rows
+
+
+def bound_kernel(d, rows, kernel=None):
+    """(attempt, values) of the kernel for rows, bound at alpha = beta = 1.5 with a (7, 2d) kbuf."""
+    layout, levels = tuple((row[2], row[4]) for row in rows), [row[3] for row in rows]
+    params, pot = FractionalParams(1.5, 1.0), PowerLawPotential(1.0, 1.5)
+    return (kernel or _kernel(d, layout))(params, pot, [1e-3] * 2 * d, 1e-10, np.empty((7, 2 * d)), np.empty(2 * d),
+                                          levels)
 
 
 @pytest.mark.parametrize("way", [-1, 0, 1])
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_fused_decision_is_the_loops_formulas_bitwise(monkeypatch, d, way):
-    # the kernel's step factor, finiteness verdict, row values and hit flag against the formulas
+    # the kernel's step factor, finiteness verdict, row values and crossed rows against the formulas
     # integrate applied after each attempt, on turning-point, origin, level and q.p rows (direction
     # way).  States hold +-0.0 and the levels' own values, so some g_new are exactly 0, some g_old are
     # exactly 0, and every 4th state has an inf or NaN component.  Each error norm of FUSED_NORMS comes
     # from a kernel compiled with a sqrt that returns it; the real norm's kernel runs alongside.
-    rows, values, _ = _event_rows(d, [(0, 0.25), (d - 1, -0.5)], way, None)
-    layout, levels, ways = tuple((row[2], row[4]) for row in rows), [row[3] for row in rows], [row[4] for row in rows]
+    rows, _ = _event_rows(d, [(0, 0.25), (d - 1, -0.5)], way, None)
+    layout = tuple((row[2], row[4]) for row in rows)
     kernels = [_kernel(d, layout)]
     for norm in FUSED_NORMS:
         monkeypatch.setattr(importlib.import_module("fracmech.integrate"), "math", SimpleNamespace(
             fabs=math.fabs, hypot=math.hypot, inf=math.inf, sqrt=lambda _, norm=norm: norm))
         kernels.append(_kernel.__wrapped__(d, layout))
     monkeypatch.undo()
-    params, pot, kbuf = FractionalParams(1.5, 1.0), PowerLawPotential(1.0, 1.5), np.empty((7, 2 * d))
-    attempts = [bind(params, pot, [1e-3] * 2 * d, 1e-10, kbuf, np.empty(2 * d), levels) for bind in kernels]
+    params, pot = FractionalParams(1.5, 1.0), PowerLawPotential(1.0, 1.5)
+    attempts = [bound_kernel(d, rows, bind)[0] for bind in kernels]
     rng = np.random.default_rng([d, way + 1])
     finite_values = np.array([0.0, -0.0, 5e-324, 0.25, -0.5, 1.5])
-    outcomes = set()
+    outcomes, most_crossed = set(), 0
     for i in range(300):
         y = rng.choice(finite_values, size=2 * d).tolist()
         if i % 4 == 0:
@@ -700,13 +716,32 @@ def test_fused_decision_is_the_loops_formulas_bitwise(monkeypatch, d, way):
         for attempt in attempts:
             with np.errstate(all="ignore"):
                 y_new, _, err_norm, *fused = attempt(y, _field(params, pot, y), h, g_old)
-            expected = loop_decision(values, ways, g_old, y_new, err_norm)
-            assert [fused[0].hex(), *fused[1:]] == [expected[0].hex(), *expected[1:]]
+            expected = loop_decision(rows, g_old, y_new, err_norm)
+            assert [fused[0].hex(), *fused[1:3]] == [expected[0].hex(), *expected[1:3]]
             assert [x.hex() for x in fused[2] or []] == [x.hex() for x in expected[2] or []]
-            outcomes.add((fused[1], fused[2] is not None, fused[3], 0.0 in (fused[2] or [])))
+            assert fused[3] == (expected[3] or ())  # the crossed rows in row order, () when none
+            outcomes.add((fused[1], fused[2] is not None, bool(fused[3]), 0.0 in (fused[2] or [])))
+            most_crossed = max(most_crossed, len(fused[3]))
     # non-finite, rejected, accepted with and without a crossing, and a row landing exactly on 0
     assert {(False, False, False, False), (True, False, False, False), (True, True, False, False),
             (True, True, True, False), (True, True, True, True)} <= outcomes
+    assert most_crossed >= 2
+
+
+@pytest.mark.parametrize("way", [-1, 0, 1])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_bound_values_are_the_rows_definition_bitwise(d, way):
+    # values(y), the evaluator that bisection reads, against y[index] - level and q.p from model._dot,
+    # on every row kind: states of +-0.0, subnormals and the levels' own values, so rows land on +-0.0,
+    # a level difference is subnormal and a q.p product underflows to -0.0
+    rows, _ = _event_rows(d, [(0, 0.25), (d - 1, -0.5), (0, 5e-324)], way, None)
+    _, values = bound_kernel(d, rows)
+    entries = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 0.25, -0.5, 1.5]
+    states = itertools.product(entries, repeat=2 * d) if d < 3 else np.random.default_rng(way + 1).choice(
+        entries, size=(5000, 2 * d))
+    for y in states:
+        y = [float(x) for x in y]
+        assert [x.hex() for x in values(y)] == [x.hex() for x in row_values(rows, y)]
 
 
 def test_planar_oscillator_run_keeps_its_step_sequence():
@@ -744,7 +779,7 @@ def test_each_attempt_has_the_order_of_its_tableau(d):
     # sequence records.
     params, pot = FractionalParams(2.0, 0.5), PowerLawPotential(0.5, 2.0)
     kbuf = np.empty((7, 2 * d))
-    attempt = _kernel(d)(params, pot, [1.0] * 2 * d, 1e-10, kbuf, np.empty(2 * d))
+    attempt, _ = _kernel(d, ())(params, pot, [1.0] * 2 * d, 1e-10, kbuf, np.empty(2 * d), ())
     q, p = np.array([0.6, -0.3, 0.2][:d]), np.array([0.8, 0.5, -0.9][:d])
     y = q.tolist() + p.tolist()
     f = _field(params, pot, y)
@@ -754,7 +789,7 @@ def test_each_attempt_has_the_order_of_its_tableau(d):
 
     errors = []
     for h in (0.2 / 2**k for k in range(5)):
-        y_new, _, err_norm = attempt(y, f, h)[:3]
+        y_new, _, err_norm = attempt(y, f, h, ())[:3]
         quartic = DenseSegment(0.0, h, np.array(y), kbuf.T @ _DENSE).at(0.5)
         errors.append([np.linalg.norm(np.array(y_new) - exact(h)), err_norm, np.linalg.norm(quartic - exact(0.5 * h))])
     slopes = np.log2(np.array(errors[:-1]) / np.array(errors[1:]))

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from fracmech import (
     verify_scaling,
 )
 from fracmech.model import PhaseState
+from fracmech.similarity import ScalingRow
 from conftest import TIGHT_CFG
 
 ALPHAS = st.floats(min_value=1.05, max_value=2.0)
@@ -272,6 +274,23 @@ def test_fit_needs_two_distinct_scales():
     ic = InitialConditions(q0=np.array([1.0]), p0=np.array([0.0]))
     rows = verify_scaling(params, pot, ic, [1.0])
     assert fit_time_exponent(rows) is None
+
+
+@pytest.mark.parametrize("bad", [ScalingRow(2.0, 1.5, 0.0, 1.0), ScalingRow(2.0, 1.5, -1.0, 1.5),
+                                 ScalingRow(0.0, 1.0, 1.0, 0.0)], ids=["zero-ratio", "negative-ratio", "zero-rho"])
+def test_fit_refuses_a_row_without_a_logarithm(bad):
+    # a hand-built row the log-log fit cannot take: np.log warned, and the slope came back NaN
+    rows = [ScalingRow(1.0, 1.0, 1.0, 0.0), bad]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=re.escape("rows[1] needs rho > 0 and a measured ratio > 0")):
+            fit_time_exponent(rows)
+
+
+def test_scaling_row_refuses_a_predicted_ratio_of_zero():
+    # its relative error divided by 0
+    with pytest.raises(DomainError, match="scaling row at rho = 2.0 needs a positive predicted ratio, got 0.0"):
+        ScalingRow.of(2.0, 0.0, 1.0)
 
 
 def test_similarity_initial_conditions_scale_energy():

@@ -439,6 +439,12 @@ def test_hyp2f1_rejects_malformed_signature():
         hyp2f1(0.5, 0.5, 1.5, 1.5)
 
 
+def test_hyp2f1_names_an_int_mu_beyond_the_float_range():
+    # it passes the range comparisons, and its float() raised a raw OverflowError
+    with pytest.raises(DomainError, match="^mu must be finite, got an int of 1329 bits$"):
+        hyp2f1(10**400, 0.5, 1.5, 0.3)
+
+
 @pytest.mark.parametrize("x", [1e-320, 1e-310, 1e-9])
 def test_ln_gamma_near_zero_matches_lgamma(x):
     # the reflection formula overflows pi / sin(pi x) at subnormal x
