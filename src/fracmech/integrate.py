@@ -49,7 +49,6 @@ from .model import (
     _rate_constants,
     abs_power,
     require_finite,
-    require_scalar,
     require_types,
     turning_point,
 )
@@ -67,7 +66,7 @@ class IntegratorConfig:
     max_steps: int = 1_000_000
 
     def __post_init__(self) -> None:
-        require_scalar(**vars(self))
+        require_finite(**vars(self))
         if not (self.rel_tol > 0.0 and self.abs_tol > 0.0):
             raise DomainError("integrator tolerances must be positive")
         if not (isinstance(self.max_steps, (int, np.integer)) and self.max_steps > 0):
@@ -330,7 +329,8 @@ def integrate(
                   cfg=(cfg, IntegratorConfig))
     if not (isinstance(span, (tuple, list)) and len(span) == 2):
         raise DomainError(f"span must be a (t0, t1) pair, got {span!r}")
-    require_finite(t0=span[0], t1=span[1] if span[1] != math.inf else 0.0)  # t1 = inf with stop_after
+    # an open span, t1 = inf, is legal with stop_after; an array t1 is refused before it is compared
+    require_finite(t0=span[0], t1=span[1] if np.ndim(span[1]) or span[1] != math.inf else 0.0)
     t0, t1 = float(span[0]), float(span[1])
     if not t0 < t1 or (t1 == math.inf and stop_after is None):
         raise DomainError(f"integration span needs finite t0 < t1 (inf t1 only with stop_after), got {span}")

@@ -54,7 +54,7 @@ def abs_power(x: float, k: float) -> float:
     genuine singularity and raises, as does a result beyond the float range.
     """
     try:
-        m = abs(x)
+        m = math.fabs(x)  # an array, even of one element, is a TypeError: not one number
         if m == 0.0:
             if k > 0.0:
                 return 0.0
@@ -70,9 +70,9 @@ def abs_power(x: float, k: float) -> float:
 
 
 def _vec(x, name: str = "vector") -> np.ndarray:
-    """A finite real scalar / sequence (require_finite's rule) as a 1..3 component float vector."""
+    """A finite real scalar / sequence (_require_finite_arrays' rule) as a 1..3 component float vector."""
     v = np.atleast_1d(x)
-    require_finite(**{name: v})
+    _require_finite_arrays(**{name: v})
     if v.ndim != 1 or not 1 <= v.size <= 3:
         raise DomainError(f"{name} must have 1 to 3 components, got shape {v.shape}")
     return v.astype(float, copy=False)
@@ -87,31 +87,32 @@ def _dot(u: Sequence[float], v: Sequence[float]) -> float:
 
 
 def require_finite(**values) -> None:
-    """The one type rule at the input edge: raise DomainError naming the first keyword value that is
-    not a finite real number or an array of them.  Python and numpy ints and floats and int or float
-    arrays pass; bool, None, str and bytes (numeric strings are not converted), complex and object
-    arrays are not numbers; inf, NaN and an int beyond the float range are not finite.  The specfun
-    kernels alone convert with float() instead."""
+    """The one number rule at the input edge: raise DomainError naming the first keyword value that is
+    not one finite real number.  Python and numpy ints and floats and 0-d int or float arrays pass; an
+    array or sequence (ndim >= 1, even of one element), bool, None, str and bytes (numeric strings are
+    not converted), complex and object values are not a finite number; inf, NaN and an int beyond the
+    float range are not finite.  The specfun kernels alone convert with float() instead."""
     for name, value in values.items():
         if type(value) is float or type(value) is int:  # plain (not np.float64 or bool): no numpy round trip
             try:
                 finite = math.isfinite(value)
             except OverflowError:  # an int beyond the float range
                 raise DomainError(f"{name} must be finite, got an int of {value.bit_length()} bits") from None
-        elif np.asarray(value).dtype.kind in "iuf":
-            finite = np.all(np.isfinite(value))
+        elif np.ndim(value) == 0 and np.asarray(value).dtype.kind in "iuf":
+            finite = np.isfinite(value)
         else:
             raise DomainError(f"{name} must be a finite number, got {value!r}")
         if not finite:
             raise DomainError(f"{name} must be finite, got {value}")
 
 
-def require_scalar(**values) -> None:
-    """require_finite for fields that hold one number: an array or sequence (ndim >= 1) is not one."""
-    for name, value in values.items():
-        if not (type(value) is float or type(value) is int) and np.ndim(value):
+def _require_finite_arrays(**arrays) -> None:
+    """require_finite's rule for arrays of any shape (vectors, a trajectory's samples): int or float, all finite."""
+    for name, value in arrays.items():
+        if np.asarray(value).dtype.kind not in "iuf":
             raise DomainError(f"{name} must be a finite number, got {value!r}")
-    require_finite(**values)
+        if not np.all(np.isfinite(value)):
+            raise DomainError(f"{name} must be finite, got {value}")
 
 
 def require_types(**values) -> None:
@@ -171,7 +172,7 @@ class FractionalParams:
     d_alpha: float
 
     def __post_init__(self) -> None:
-        require_scalar(**vars(self))
+        require_finite(**vars(self))
         if not (1.0 < self.alpha <= 2.0):
             raise DomainError(f"alpha must be in (1, 2], got {self.alpha}")
         if not self.d_alpha > 0.0:
@@ -180,7 +181,7 @@ class FractionalParams:
     @classmethod
     def from_mass(cls, mass: float) -> "FractionalParams":
         """Classical limit alpha = 2 with d_alpha = 1/(2 mass)."""
-        require_scalar(mass=mass)
+        require_finite(mass=mass)
         if not mass > 0.0:
             raise DomainError(f"mass must be positive, got {mass}")
         return cls(alpha=2.0, d_alpha=1.0 / (2.0 * mass))
@@ -200,7 +201,7 @@ class PowerLawPotential:
     degree: float
 
     def __post_init__(self) -> None:
-        require_scalar(**vars(self))
+        require_finite(**vars(self))
         if self.degree == 0.0:
             raise DomainError("potential degree must be nonzero")
 
@@ -243,7 +244,7 @@ class PhaseState:
     p: np.ndarray
 
     def __post_init__(self) -> None:
-        require_scalar(t=self.t)
+        require_finite(t=self.t)
         q = _vec(self.q, "q")
         p = _vec(self.p, "p")
         if q.shape != p.shape:

@@ -21,7 +21,7 @@ import numpy as np
 from .errors import DomainError, IntegrationError
 from .integrate import IntegratorConfig, first_event_times
 from .model import (
-    FractionalParams, InitialConditions, PowerLawPotential, abs_power, require_finite, require_scalar, require_types,
+    FractionalParams, InitialConditions, PowerLawPotential, abs_power, require_finite, require_types,
 )
 from .model import turning_point
 from .specfun import inc_beta, inv_inc_beta
@@ -53,7 +53,7 @@ class OscillatorSpec:
     def __post_init__(self) -> None:
         require_types(params=(self.params, FractionalParams), pot=(self.pot, PowerLawPotential))
         self.pot.require_oscillator()
-        require_scalar(energy=self.energy)
+        require_finite(energy=self.energy)
         if not self.energy > 0.0:
             raise DomainError(f"oscillator energy must be positive, got {self.energy}")
 

@@ -25,9 +25,9 @@ from .model import (
     PowerLawPotential,
     _dot,
     _energy,
+    _require_finite_arrays,
     abs_power,
     require_finite,
-    require_scalar,
     require_types,
 )
 from .trajectory import Trajectory
@@ -78,7 +78,7 @@ def _require_scale_factors(rho_list: Sequence[float]) -> None:
     if not (isinstance(rho_list, Sequence) or isinstance(rho_list, np.ndarray) and rho_list.ndim):
         raise DomainError(f"rho_list must be a sequence of scale factors, got {rho_list!r}")
     for rho in rho_list:
-        require_scalar(rho=rho)
+        require_finite(rho=rho)
         if not rho > 0.0:
             raise DomainError(f"scale factors must be finite and positive, got {rho}")
 
@@ -149,7 +149,7 @@ def _scaling_rows(
             continue
         with np.errstate(all="ignore"):
             q, p = q0 * rho, p0 * abs_power(rho, pot.degree / params.alpha)
-        require_finite(scaled_q0=q, scaled_p0=p)
+        _require_finite_arrays(scaled_q0=q, scaled_p0=p)
         e = float(_energy(params, pot, q, p))
         if not np.isfinite(e) or (e == 0.0 and e0 != 0.0):
             raise DomainError(f"rho = {rho} takes the launch energy {e0} to {e}, outside the float range")
@@ -209,7 +209,7 @@ def fit_time_exponent(rows: Sequence[ScalingRow]) -> tuple[float, float] | None:
     require_types(rows=(rows, (tuple, list)))
     require_types(**{f"rows[{i}]": (row, ScalingRow) for i, row in enumerate(rows)})
     for i, row in enumerate(rows):  # the fit takes the logarithms of both
-        require_scalar(**{f"rows[{i}].rho": row.rho, f"rows[{i}].measured_ratio": row.measured_ratio})
+        require_finite(**{f"rows[{i}].rho": row.rho, f"rows[{i}].measured_ratio": row.measured_ratio})
         if not (row.rho > 0.0 and row.measured_ratio > 0.0):
             raise DomainError(f"rows[{i}] needs rho > 0 and a measured ratio > 0 for the log-log fit, got {row}")
     rhos = [r.rho for r in rows]

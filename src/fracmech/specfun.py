@@ -5,7 +5,7 @@ incomplete Beta in its x argument, and the one Gauss hypergeometric family
 F(mu, 1-nu; mu+1; x) that the oscillator solution needs.  Everything is
 scalar, pure and reentrant, and computes with the standard library alone.
 An argument that is not one number (an array is not) is a DomainError that
-names it, from model.require_scalar, called only once a comparison or float()
+names it, from model.require_finite, called only once a comparison or float()
 has refused it.
 
 Log-gamma is ``math.lgamma``.  The incomplete Beta is the continued
@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 
 from .errors import DomainError
-from .model import require_scalar
+from .model import require_finite
 
 __all__ = [
     "ln_gamma",
@@ -31,10 +31,10 @@ __all__ = [
 
 
 def _refused(exc: Exception, **args) -> Exception:
-    """require_scalar's DomainError for the first argument that is not one number, else
+    """require_finite's DomainError for the first argument that is not one number, else
     exc, the TypeError or ValueError that an entry point caught from its arguments."""
     try:
-        require_scalar(**args)
+        require_finite(**args)
     except DomainError as err:
         return err
     return exc

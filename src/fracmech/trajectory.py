@@ -14,7 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ToleranceWarning
-from .model import FractionalParams, PhaseState, PowerLawPotential, _power_law, require_finite, require_types
+from .model import (
+    FractionalParams, PhaseState, PowerLawPotential, _power_law, _require_finite_arrays, require_finite, require_types,
+)
 
 __all__ = ["DenseSegment", "Trajectory", "action"]
 
@@ -98,7 +100,7 @@ class Trajectory:
             raise DomainError("trajectory arrays have inconsistent shapes")
         if np.shape(self.coefs) != (n - 1, 2 * self.dimension, 4) or np.shape(self.widths) != (n - 1,):
             raise DomainError("dense output needs one quartic and one width per step")
-        require_finite(**vars(self))  # the arrays in field order, before times are differenced
+        _require_finite_arrays(**vars(self))  # the arrays in field order, before times are differenced
         if n > 1 and not np.all(np.diff(self.times) > 0.0):
             raise DomainError("trajectory times must be strictly increasing")
         # the samples as stacked (q, p) rows, the layout of a step's quartic

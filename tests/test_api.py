@@ -206,6 +206,36 @@ TYPE_EDGE = {
     "hyp2f1-array-mu": (lambda: fracmech.hyp2f1(np.array([0.5]), 0.5, 1.5, 0.3), "mu"),
     "hyp2f1-array-mu_plus_one": (lambda: fracmech.hyp2f1(0.5, 0.5, np.array([1.5]), 0.3), "mu_plus_one"),
     "hyp2f1-pair-x": (lambda: fracmech.hyp2f1(0.5, 0.5, 1.5, np.array([0.5, 0.6])), "x"),
+    # a one-element array where an argument holds one number: these calls returned an array (turning_point,
+    # quantum_levels, free_particle_trajectory, abs_power) or a float, or raised a raw TypeError or ValueError
+    # or a DomainError naming the wrong argument
+    "eval-array-t": (lambda: _traj().eval(np.array([0.1])), "t"),
+    "derivative-array-t": (lambda: _traj().derivative(np.array([0.1])), "t"),
+    "segment-eval-array-t": (lambda: _traj().segment(0).eval(np.array([0.1])), "t"),
+    "span-array-t0": (lambda: fracmech.integrate(P, V, IC, (np.array([0.0]), 1.0)), "t0"),
+    "span-array-t1": (lambda: fracmech.integrate(P, V, IC, (0.0, np.array([1.0]))), "t1"),
+    "span-pair-t1": (lambda: fracmech.integrate(P, V, IC, (0.0, np.array([1.0, 2.0]))), "t1"),
+    "q_levels-array-level": (lambda: fracmech.integrate(P, V, IC, (0.0, 1.0), q_levels=[(0, np.array([0.5]))]),
+                             "level"),
+    "radial_direction-array": (lambda: fracmech.integrate(P, V, PLANE, (0.0, 1.0), radial_direction=np.array([1])),
+                               "radial_direction"),
+    "stop_after-array-count": (
+        lambda: fracmech.integrate(P, V, IC, (0.0, 1.0), stop_after=("turning_point", np.array([1]))),
+        "stop_after_count"),
+    "hj_trajectory-array-t": (lambda: fracmech.hj_trajectory(SPEC, np.array([0.1])), "t"),
+    "hj_position-array-t": (lambda: fracmech.hj_position(SPEC, np.array([0.1])), "t"),
+    "hj_time_of_flight-array": (lambda: fracmech.hj_time_of_flight(SPEC, np.array([0.1])), "q"),
+    "classical-array-t": (lambda: fracmech.classical_limit_solution(1.0, 1.0, 1.0, 0.0, np.array([0.1])), "t"),
+    "levels-array-hbar": (lambda: fracmech.quantum_levels(SPEC, np.array([1.0]), 1), "hbar"),
+    "levels-array-n": (lambda: fracmech.quantum_levels(SPEC, 1.0, np.array([1])), "n"),
+    "turning_point-array": (lambda: fracmech.turning_point(V, np.array([1.0])), "energy"),
+    "free_particle-array": (lambda: fracmech.free_particle_trajectory(P, np.array([1.0]), 0.0, 0.0), "energy"),
+    "action-array-tol": (lambda: fracmech.action(P, V, _traj(), np.array([1e-10])), "quad_tol"),
+    "residual-array-q": (lambda: fracmech.euler_lagrange_residual(P, V, np.array([1.0]), 1.0, 1.0), "q"),
+    "poisson-array-step": (
+        lambda: fracmech.poisson_bracket(len, len, fracmech.PhaseState(0.0, [1.0], [0.0]), np.array([1e-6])), "step"),
+    "abs_power-array-x": (lambda: fracmech.abs_power(np.array([0.1]), 2.0), "x"),
+    "abs_power-pair-x": (lambda: fracmech.abs_power(np.array([0.1, 0.2]), 2.0), "x"),
 }
 
 

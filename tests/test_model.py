@@ -34,7 +34,7 @@ from fracmech import (
     turning_point,
     velocity_from_momentum,
 )
-from fracmech.model import _field, require_finite
+from fracmech.model import _field, _require_finite_arrays, require_finite
 
 ALPHAS = st.floats(min_value=1.05, max_value=2.0)
 SCALES = st.floats(min_value=0.1, max_value=10.0)
@@ -69,16 +69,17 @@ def test_require_finite_checks_plain_floats_without_numpy(monkeypatch):
         require_finite(a=2.0, b=math.nan)
 
 
-# a finite real number or an array of them: Python and numpy ints and floats,
-# and arrays of integer or float dtype whose elements are all finite
-ACCEPTED = [
-    0, -7, 2**62, np.float64(1.5), np.int64(3), np.uint8(3),
-    np.array(2.0), np.array([1.0, 2.0]), np.array([1, 2]), np.array([]),
-]
+# one finite real number: Python and numpy ints and floats, and 0-d arrays of integer or float dtype
+ACCEPTED = [0, -7, 2**62, np.float64(1.5), np.int64(3), np.uint8(3), np.array(2.0)]
 REFUSED = [
     np.float64(math.inf), np.float64(-math.inf), np.float64(math.nan), np.float32(math.inf),
-    np.array(math.nan), np.array(-math.inf), np.array([1.0, math.inf]), np.array([math.nan, 0.0]),
+    np.array(math.nan), np.array(-math.inf),
 ]
+# the array rule of vectors and trajectories: arrays of any shape, of integer or float dtype,
+# whose elements are all finite
+ARRAYS_ACCEPTED = [np.array([1.0, 2.0]), np.array([1, 2]), np.array([]), np.array(2.0)]
+ARRAYS_REFUSED = [np.array([1.0, math.inf]), np.array([math.nan, 0.0])]
+ARRAYS_NON_NUMERIC = [np.array([1.0, "a"], dtype=object), np.array(["1.0"]), np.array([True]), None]
 
 
 @pytest.mark.parametrize("value", ACCEPTED, ids=[repr(v) for v in ACCEPTED])
@@ -101,15 +102,36 @@ def test_require_finite_refuses_non_finite_numpy_values(value):
     assert str(err.value) == f"x must be finite, got {value}"
 
 
+@pytest.mark.parametrize("value", ARRAYS_ACCEPTED, ids=[repr(v) for v in ARRAYS_ACCEPTED])
+def test_the_array_rule_accepts_finite_int_and_float_arrays(value):
+    _require_finite_arrays(x=value)
+
+
+@pytest.mark.parametrize("value", ARRAYS_REFUSED, ids=[repr(v) for v in ARRAYS_REFUSED])
+def test_the_array_rule_refuses_non_finite_elements(value):
+    with pytest.raises(DomainError) as err:
+        _require_finite_arrays(good=np.array([1.0]), x=value)
+    assert str(err.value) == f"x must be finite, got {value}"
+
+
+@pytest.mark.parametrize("value", ARRAYS_NON_NUMERIC, ids=[repr(v) for v in ARRAYS_NON_NUMERIC])
+def test_the_array_rule_names_a_non_numeric_array(value):
+    with pytest.raises(DomainError) as err:
+        _require_finite_arrays(good=np.array([1.0]), x=value)
+    assert str(err.value) == f"x must be a finite number, got {value!r}"
+
+
 NON_NUMERIC = [
     "1.5", b"2", np.array([1.0, "a"], dtype=object), np.array(["1.0"]),
     None, True, False, np.bool_(True), np.array([True]), 1j, np.complex128(1.0), np.array([1.0], dtype=object),
+    np.array([1.0]), np.array([1.0, 2.0]), [1.0],
 ]
 
 
 @pytest.mark.parametrize("value", NON_NUMERIC, ids=[repr(v) for v in NON_NUMERIC])
 def test_require_finite_names_a_non_numeric_value(value):
-    # not a real number: bools, None, strings (numeric or not), complex and object arrays
+    # not one real number: bools, None, strings (numeric or not), complex values, and arrays
+    # and sequences, even of one finite element
     with pytest.raises(DomainError) as err:
         require_finite(good=1.0, x=value)
     assert str(err.value) == f"x must be a finite number, got {value!r}"
