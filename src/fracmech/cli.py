@@ -218,8 +218,8 @@ def cmd_hj(args, cfg: IntegratorConfig):
     params = _kinetic_params(args, d_alpha_default=1.0)
     pot = _potential(args)
     energy, samples = args.energy, args.samples
-    if samples < 1:
-        raise DomainError(f"--samples must be at least 1, got {samples}")
+    if not 1 <= samples <= 10**6:  # a bounded amount of work
+        raise DomainError(f"--samples must be in [1, 1000000], got {samples}")
 
     spec = OscillatorSpec(params, pot, energy)
     full = period(spec)

@@ -42,14 +42,15 @@ from .model import (
     InitialConditions,
     PhaseState,
     PowerLawPotential,
+    _FiniteRecord,
     _dot,
     _energy,
     _field,
     _power_law,
     _rate_constants,
     abs_power,
+    guard_layer,
     require_finite,
-    require_types,
     turning_point,
 )
 from .trajectory import DenseSegment, Trajectory
@@ -74,7 +75,7 @@ class IntegratorConfig:
 
 
 @dataclass(frozen=True)
-class EventRecord:
+class EventRecord(_FiniteRecord):
     """A located zero crossing: its kind, time, interpolated state, and the
     state component that crossed (None for scalar-valued event functions)."""
 
@@ -260,7 +261,6 @@ def _event_rows(d: int, q_levels: Sequence, radial_direction: int | None, stop_a
             raise DomainError(f"level-crossing component {comp} outside dimension {d}")
         rows.append(("custom", int(comp), int(comp), float(level), 0))
     if radial_direction is not None:
-        require_finite(radial_direction=radial_direction)
         if radial_direction not in (-1, 0, 1):
             raise DomainError(f"radial_direction must be -1, 0 or +1, got {radial_direction!r}")
         rows.append(("custom", None, None, 0.0, int(radial_direction)))
@@ -325,8 +325,6 @@ def integrate(
     """
     if cfg is None:
         cfg = IntegratorConfig()
-    require_types(params=(params, FractionalParams), pot=(pot, PowerLawPotential), ic=(ic, InitialConditions),
-                  cfg=(cfg, IntegratorConfig))
     if not (isinstance(span, (tuple, list)) and len(span) == 2):
         raise DomainError(f"span must be a (t0, t1) pair, got {span!r}")
     # an open span, t1 = inf, is legal with stop_after; an array t1 is refused before it is compared
@@ -469,3 +467,6 @@ def first_event_times(
     """
     _, found = integrate(params, pot, ic, (0.0, math.inf), cfg, stop_after=(kind, count), **events)
     return [ev.time for ev in found]
+
+
+guard_layer(globals())

@@ -11,13 +11,23 @@ erg^(1-alpha) cm^alpha s^(-alpha)); nothing tracks units at runtime.
 Vectors with one to three components are supported; the kinetic term is
 isotropic, so vector forms use unit vectors q/|q| and p/|p| where the 1D
 equations use the sign function, with sgn(0) = 0.
+
+The input rule lives here too.  ``guard_layer`` puts one boundary rule on the
+public functions of this module and of trajectory, integrate, oscillator and
+similarity: each argument passed is checked by its annotation (a number, a
+Vector or a package object), so a malformed one is a DomainError naming it.
+specfun's kernels and abs_power, which the hot paths call, stay unwrapped.
 """
 
 from __future__ import annotations
 
+import functools
+import inspect
 import math
+import types
+import typing
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
-from typing import Callable, Sequence
 
 import numpy as np
 
@@ -42,6 +52,7 @@ __all__ = [
 ]
 
 PhaseField = Callable[["PhaseState"], float]
+Vector = Sequence[float] | np.ndarray  # 1 to 3 finite components; the boundary passes on a float array
 
 
 def abs_power(x: float, k: float) -> float:
@@ -51,28 +62,28 @@ def abs_power(x: float, k: float) -> float:
     raising a negative float to a non-integer power is a domain error in
     ``math.pow``, so every power in this package goes through the absolute
     value.  At x = 0 the result is 0 for k > 0 and 1 for k = 0; k < 0 is a
-    genuine singularity and raises, as does a result beyond the float range.
+    genuine singularity and raises, as do a result beyond the float range and
+    an x or k that is NaN or infinite, whose power fails the one comparison
+    after it.
     """
     try:
-        m = math.fabs(x)  # an array, even of one element, is a TypeError: not one number
-        if m == 0.0:
-            if k > 0.0:
-                return 0.0
-            if k == 0.0:
-                return 1.0
-            raise DomainError(f"0 raised to negative power {k}")
-        return m ** k
+        r = math.pow(math.fabs(x), k)  # an array, even of one element, is a TypeError: not one number
+        if r < math.inf:
+            return r
     except OverflowError:
         raise DomainError(f"|{x}| ** {k} overflows the float range") from None
+    except ValueError:  # math.pow's 0 ** k for k < 0
+        raise DomainError(f"0 raised to negative power {k}") from None
     except TypeError:  # not a number: the rule names which argument, off the hot path
         require_finite(x=x, k=k)
         raise
+    require_finite(x=x, k=k)  # r is NaN or inf only where x or k is
 
 
 def _vec(x, name: str = "vector") -> np.ndarray:
     """A finite real scalar / sequence (_require_finite_arrays' rule) as a 1..3 component float vector."""
+    _require_finite_arrays(**{name: x})
     v = np.atleast_1d(x)
-    _require_finite_arrays(**{name: v})
     if v.ndim != 1 or not 1 <= v.size <= 3:
         raise DomainError(f"{name} must have 1 to 3 components, got shape {v.shape}")
     return v.astype(float, copy=False)
@@ -86,19 +97,27 @@ def _dot(u: Sequence[float], v: Sequence[float]) -> float:
     return s
 
 
+def _numeric(value) -> bool:
+    """Whether value, as an array, has int or float dtype; a ragged sequence, which numpy refuses, has not."""
+    try:
+        return np.asarray(value).dtype.kind in "iuf"
+    except ValueError:
+        return False
+
+
 def require_finite(**values) -> None:
     """The one number rule at the input edge: raise DomainError naming the first keyword value that is
     not one finite real number.  Python and numpy ints and floats and 0-d int or float arrays pass; an
-    array or sequence (ndim >= 1, even of one element), bool, None, str and bytes (numeric strings are
-    not converted), complex and object values are not a finite number; inf, NaN and an int beyond the
-    float range are not finite.  The specfun kernels alone convert with float() instead."""
+    array or sequence (ndim >= 1, even of one element, or ragged), bool, None, str and bytes (numeric
+    strings are not converted), complex and object values are not a finite number; inf, NaN and an int
+    beyond the float range are not finite.  The specfun kernels alone convert with float() instead."""
     for name, value in values.items():
         if type(value) is float or type(value) is int:  # plain (not np.float64 or bool): no numpy round trip
             try:
                 finite = math.isfinite(value)
             except OverflowError:  # an int beyond the float range
                 raise DomainError(f"{name} must be finite, got an int of {value.bit_length()} bits") from None
-        elif np.ndim(value) == 0 and np.asarray(value).dtype.kind in "iuf":
+        elif _numeric(value) and np.ndim(value) == 0:
             finite = np.isfinite(value)
         else:
             raise DomainError(f"{name} must be a finite number, got {value!r}")
@@ -109,9 +128,9 @@ def require_finite(**values) -> None:
 def _require_finite_arrays(**arrays) -> None:
     """require_finite's rule for arrays of any shape (vectors, a trajectory's samples): int or float, all finite."""
     for name, value in arrays.items():
-        if np.asarray(value).dtype.kind not in "iuf":
+        if not _numeric(value):
             raise DomainError(f"{name} must be a finite number, got {value!r}")
-        if not np.all(np.isfinite(value)):
+        if not np.isfinite(value).all():
             raise DomainError(f"{name} must be finite, got {value}")
 
 
@@ -122,6 +141,68 @@ def require_types(**values) -> None:
         if not isinstance(value, kind):
             kinds = " or ".join(k.__name__ for k in (kind if isinstance(kind, tuple) else (kind,)))
             raise DomainError(f"{name} must be of type {kinds}, got {value!r}")
+
+
+class _FiniteRecord:
+    """The base of the records the library returns: each field that is a number or a numeric array must be
+    finite (_require_finite_arrays' rule), so that a record built by hand holds no NaN or inf either."""
+
+    def __post_init__(self) -> None:
+        for name, value in vars(self).items():  # a finite float or an int takes one test
+            if isinstance(value, np.ndarray) or isinstance(value, (float, int)) and value - value != 0:
+                _require_finite_arrays(**{name: value})
+
+
+def _number(value, name: str):
+    """require_finite's rule on one value, passed on as given; a finite plain float and a plain int well
+    inside the float range take the fast path."""
+    if not (type(value) is float and value - value == 0.0 or type(value) is int and value.bit_length() < 1024):
+        require_finite(**{name: value})
+    return value
+
+
+def _rule(hint) -> Callable | None:
+    """The boundary's check(value, name) of an argument annotated hint, which returns the value to pass on:
+    _number for float and int, _vec for Vector, require_types' isinstance for a class of this package or a
+    PhaseField, and X's check or None for X | None; None for any other annotation."""
+    if hint is float or hint is int:
+        return _number
+    if hint == Vector:
+        return _vec
+    if type(hint) is types.UnionType and len(hint.__args__) == 2 and type(None) in hint.__args__:
+        check = _rule(next(k for k in hint.__args__ if k is not type(None)))
+        return check and (lambda value, name: value if value is None else check(value, name))
+    kind = typing.get_origin(hint) or hint
+    if kind is Callable or getattr(kind, "__module__", "").startswith(f"{__package__}."):
+        return lambda value, name: value if isinstance(value, kind) else require_types(**{name: (value, kind)})
+    return None
+
+
+def _guarded(fn: Callable) -> Callable:
+    """fn behind the boundary rule: each argument passed meets its annotation's _rule, read here, once."""
+    hints, params = typing.get_type_hints(fn), inspect.signature(fn).parameters.values()
+    checks = [(i if p.kind is p.POSITIONAL_OR_KEYWORD else math.inf, p.name, check)
+              for i, p in enumerate(params) if (check := _rule(hints.get(p.name)))]
+
+    @functools.wraps(fn)
+    def guarded(*args, **kwargs):
+        args = list(args)
+        for i, name, check in checks:
+            if i < len(args):
+                args[i] = check(args[i], name)
+            elif name in kwargs:
+                kwargs[name] = check(kwargs[name], name)
+        return fn(*args, **kwargs)
+
+    return guarded
+
+
+def guard_layer(namespace: dict) -> None:
+    """Rebind each function of a layer's __all__, abs_power aside, to _guarded's wrapper in namespace: the
+    binding that internal calls and other layers' imports go through."""
+    for name in namespace["__all__"]:
+        if inspect.isfunction(fn := namespace[name]) and fn is not abs_power:
+            namespace[name] = _guarded(fn)
 
 
 @np.errstate(all="ignore")
@@ -299,6 +380,7 @@ class InitialConditions:
         return self.q0.copy(), np.asarray(p0, dtype=float)
 
 
+@np.errstate(all="ignore")
 def _energy(params: FractionalParams, pot: PowerLawPotential, q: np.ndarray, p: np.ndarray) -> np.ndarray:
     """d_alpha * |p|^alpha + V(q) over the last axis of q and p, inf or nan beyond the float range."""
     return _power_law(params.d_alpha, params.alpha, p) + _power_law(pot.strength, pot.degree, q)
@@ -306,38 +388,36 @@ def _energy(params: FractionalParams, pot: PowerLawPotential, q: np.ndarray, p: 
 
 def hamiltonian(params: FractionalParams, pot: PowerLawPotential, state: PhaseState) -> float:
     """Total energy d_alpha * |p|^alpha + V(q), conserved along trajectories; finite or a DomainError."""
-    require_types(params=(params, FractionalParams), pot=(pot, PowerLawPotential), state=(state, PhaseState))
     e = float(_energy(params, pot, state.q, state.p))
     if not math.isfinite(e):
         raise DomainError(f"energy must be finite, got {e}")
     return e
 
 
-def lagrangian(params: FractionalParams, pot: PowerLawPotential, q, qdot) -> float:
+def lagrangian(params: FractionalParams, pot: PowerLawPotential, q: Vector, qdot: Vector) -> float:
     """Lagrangian L(qdot, q) conjugate to the fractional Hamiltonian.
 
     L = (1/(alpha d_alpha))^(1/(alpha-1)) * (alpha-1)/alpha
         * |qdot|^(alpha/(alpha-1)) - V(q).
     """
     a, d = params.alpha, params.d_alpha
-    n = math.hypot(*_vec(qdot, "qdot").tolist())
+    n = math.hypot(*qdot.tolist())
     coeff = abs_power(1.0 / (a * d), 1.0 / (a - 1.0)) * (a - 1.0) / a
     kinetic = coeff * abs_power(n, a / (a - 1.0))
     require_finite(kinetic=kinetic)
     return kinetic - pot.energy(q)
 
 
-def momentum_from_velocity(params: FractionalParams, qdot) -> np.ndarray:
+def momentum_from_velocity(params: FractionalParams, qdot: Vector) -> np.ndarray:
     """Invert the velocity relation: |p| = (1/(alpha d_alpha))^(1/(alpha-1))
     * |qdot|^(1/(alpha-1)), direction preserved; p = 0 at qdot = 0."""
     a, d = params.alpha, params.d_alpha
-    v = _vec(qdot, "qdot")
-    n = math.hypot(*v.tolist())
+    n = math.hypot(*qdot.tolist())
     if n == 0.0:
-        return np.zeros_like(v)
+        return np.zeros_like(qdot)
     m = abs_power(1.0 / (a * d), 1.0 / (a - 1.0)) * abs_power(n, 1.0 / (a - 1.0))
     require_finite(momentum=m)
-    return m * (v / n)
+    return m * (qdot / n)
 
 
 def _rates(params: FractionalParams, pot: PowerLawPotential, y: list[float]) -> tuple[np.ndarray, np.ndarray]:
@@ -346,10 +426,9 @@ def _rates(params: FractionalParams, pot: PowerLawPotential, y: list[float]) -> 
     return np.array(rates[:d]), np.array(rates[d:])
 
 
-def velocity_from_momentum(params: FractionalParams, p) -> np.ndarray:
+def velocity_from_momentum(params: FractionalParams, p: Vector) -> np.ndarray:
     """qdot = alpha d_alpha |p|^(alpha-1) p/|p|, extended to 0 at p = 0 (alpha > 1)."""
-    p = _vec(p, "p").tolist()
-    return _rates(params, _FREE, [0.0] * len(p) + p)[0]
+    return _rates(params, _FREE, [0.0] * len(p) + p.tolist())[0]
 
 
 def hamilton_rhs(
@@ -374,7 +453,6 @@ def euler_lagrange_residual(
     m qddot + dV/dq.
     """
     a, d = params.alpha, params.d_alpha
-    require_finite(q=q, qdot=qdot, qddot=qddot)
     if qdot == 0.0 and a < 2.0:
         raise DomainError("kinematic factor singular at qdot = 0 for alpha < 2")
     coeff = abs_power(1.0 / (a * d), 1.0 / (a - 1.0)) / (a - 1.0)
@@ -386,14 +464,13 @@ def euler_lagrange_residual(
 
 def turning_point(pot: PowerLawPotential, energy: float) -> float:
     """Distance |q| where V(q) = E for a confining power law: (E/strength)^(1/degree)."""
-    require_finite(energy=energy)
     if not (energy > 0.0 and pot.strength > 0.0 and pot.degree > 0.0):
         raise DomainError(
             "turning point needs energy > 0, strength > 0 and degree > 0"
         )
-    q_turn = abs_power(energy / pot.strength, 1.0 / pot.degree)
-    require_finite(turning_point=q_turn)
-    return q_turn
+    ratio = energy / pot.strength
+    require_finite(turning_point=ratio)  # an E/strength beyond the float range puts the turning point there
+    return abs_power(ratio, 1.0 / pot.degree)
 
 
 def free_particle_trajectory(
@@ -404,7 +481,6 @@ def free_particle_trajectory(
     q(t) = alpha d_alpha (E/d_alpha)^(1-1/alpha) (t + delta),
     p    = (E/d_alpha)^(1/alpha), constant.
     """
-    require_finite(energy=energy, delta=delta, t=t)
     if not energy > 0.0:
         raise DomainError(f"free-particle trajectory needs energy > 0, got {energy}")
     a, d = params.alpha, params.d_alpha
@@ -417,7 +493,6 @@ def free_particle_trajectory(
 def _partial(f: PhaseField, state: PhaseState, k: int, step: float) -> float:
     """Central-difference partial derivative of a phase-space field in
     coordinate k of the stacked (t, q, p), with step h = step * max(1, |x|)."""
-    require_finite(step=step)
     if not step > 0.0:
         raise DomainError(f"finite-difference step must be positive, got {step}")
     y, d = [state.t, *state.q.tolist(), *state.p.tolist()], state.dimension
@@ -457,3 +532,6 @@ def total_time_derivative(
     {H, f} = sum_i qdot_i df/dq_i + pdot_i df/dp_i exact from the canonical equations."""
     rates = _field(params, pot, state.q.tolist() + state.p.tolist())
     return _partial(f, state, 0, step) + sum(r * _partial(f, state, k, step) for k, r in enumerate(rates, 1))
+
+
+guard_layer(globals())

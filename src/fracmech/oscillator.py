@@ -21,7 +21,7 @@ import numpy as np
 from .errors import DomainError, IntegrationError
 from .integrate import IntegratorConfig, first_event_times
 from .model import (
-    FractionalParams, InitialConditions, PowerLawPotential, abs_power, require_finite, require_types,
+    FractionalParams, InitialConditions, PowerLawPotential, abs_power, guard_layer, require_finite, require_types,
 )
 from .model import turning_point
 from .specfun import inc_beta, inv_inc_beta
@@ -105,7 +105,6 @@ class OscillatorSpec:
 
 def period(spec: OscillatorSpec) -> float:
     """Closed-form oscillation period T = 4 * spec.quarter_period."""
-    require_types(spec=(spec, OscillatorSpec))
     return 4.0 * spec.quarter_period
 
 
@@ -163,10 +162,11 @@ class PeriodReport:
     max_pairwise_rel_diff: float
 
     def __post_init__(self) -> None:
-        vals = [self.closed_form, self.quadrature]
+        vals = {"closed_form": self.closed_form, "quadrature": self.quadrature}
         if self.ode_measured is not None:
-            vals.append(self.ode_measured)
-        if not all(v > 0.0 for v in vals):
+            vals["ode_measured"] = self.ode_measured
+        require_finite(**vals, max_pairwise_rel_diff=self.max_pairwise_rel_diff)
+        if not all(v > 0.0 for v in vals.values()):
             raise DomainError("period values must be strictly positive")
 
 
@@ -192,7 +192,6 @@ def hj_time_of_flight(spec: OscillatorSpec, q: float) -> float:
     Strictly increasing on [0, q_turn]; t(q_turn) is exactly a quarter
     period.
     """
-    require_finite(q=q)
     q_turn = spec.q_turn
     if not 0.0 <= q <= q_turn * (1.0 + 1e-12):
         raise DomainError(f"position {q} outside [0, q_turn={q_turn}]")
@@ -206,7 +205,6 @@ def hj_position(spec: OscillatorSpec, t: float) -> float:
     Defined for t in [0, T/4]; uses the inverse incomplete Beta, so the
     roundtrip with :func:`hj_time_of_flight` is exact to solver tolerance.
     """
-    require_finite(t=t)
     quarter = spec.quarter_period
     if not 0.0 <= t <= quarter * (1.0 + 1e-12):
         raise DomainError(f"time {t} outside the quarter period [0, {quarter}]")
@@ -224,7 +222,6 @@ def hj_trajectory(spec: OscillatorSpec, t: float, delta: float = 0.0) -> float:
     conservation; the result is periodic with the closed-form period.
     """
     full = period(spec)
-    require_finite(t=t, delta=delta)  # before the sum, which a huge int overflows
     require_finite(phase=t + delta)
     quarter = 0.25 * full
     s = math.fmod(t + delta, full)
@@ -247,7 +244,6 @@ def quantum_levels(spec: OscillatorSpec, hbar: float, n: int) -> float:
     fractional exponents the levels crowd together as n grows, mirroring
     the energy dependence of the classical period.
     """
-    require_finite(hbar=hbar, n=n)
     if not hbar > 0.0:
         raise DomainError(f"hbar must be positive, got {hbar}")
     if n < 0 or n != int(n):
@@ -273,9 +269,14 @@ def classical_limit_solution(
     The frequency is w = sqrt(2/m) g, matching the alpha = beta = 2
     oscillator with strength g^2; the amplitude equals the turning point.
     """
-    require_finite(energy=energy, mass=mass, g=g, delta=delta, t=t)
     if not (energy > 0.0 and mass > 0.0 and g > 0.0):
         raise DomainError("classical limit needs positive energy, mass and g")
     omega = math.sqrt(2.0 / mass) * g
-    amplitude = math.sqrt(2.0 * energy / mass) / omega
-    return amplitude * math.sin(omega * (t + delta))
+    if not 0.0 < omega < math.inf:
+        raise DomainError(f"classical limit frequency sqrt(2/mass) g leaves the float range: {omega}")
+    amplitude, phase = math.sqrt(2.0 * energy / mass) / omega, omega * (t + delta)
+    require_finite(amplitude=amplitude, phase=phase)  # a subnormal mass or g, or a huge t
+    return amplitude * math.sin(phase)
+
+
+guard_layer(globals())

@@ -23,10 +23,12 @@ from .model import (
     FractionalParams,
     InitialConditions,
     PowerLawPotential,
+    _FiniteRecord,
     _dot,
     _energy,
     _require_finite_arrays,
     abs_power,
+    guard_layer,
     require_finite,
     require_types,
 )
@@ -46,7 +48,7 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class SimilarityExponents:
+class SimilarityExponents(_FiniteRecord):
     """Scaling exponents relating trajectory families of one system.
 
     With lengths scaled by rho: times scale by rho^time_vs_length,
@@ -60,11 +62,11 @@ class SimilarityExponents:
     time_vs_energy: float
 
 
-def exponents(alpha: float, beta_degree: float) -> SimilarityExponents:
+def exponents(alpha: float, degree: float) -> SimilarityExponents:
     """The four similarity exponents for kinetic exponent alpha and potential
-    degree beta_degree, which FractionalParams and PowerLawPotential check."""
-    FractionalParams(alpha, 1.0), PowerLawPotential(1.0, beta_degree)
-    b = beta_degree
+    degree, whose domains FractionalParams and PowerLawPotential check."""
+    FractionalParams(alpha, 1.0), PowerLawPotential(1.0, degree)
+    b = degree
     return SimilarityExponents(
         time_vs_length=1.0 - b + b / alpha,
         velocity_vs_length=b - b / alpha,
@@ -84,7 +86,7 @@ def _require_scale_factors(rho_list: Sequence[float]) -> None:
 
 
 def scale_trajectory(
-    traj: Trajectory, rho: float, alpha: float, beta_degree: float
+    traj: Trajectory, rho: float, alpha: float, degree: float
 ) -> Trajectory:
     """Map an integrated trajectory through the similarity transformation.
 
@@ -93,11 +95,10 @@ def scale_trajectory(
     by rho^beta.  The dense output is remapped too, so the result
     interpolates exactly like a directly integrated trajectory.
     """
-    require_types(traj=(traj, Trajectory))
     _require_scale_factors([rho])
-    exps = exponents(alpha, beta_degree)
+    exps = exponents(alpha, degree)
     lam_t = abs_power(rho, exps.time_vs_length)
-    lam_p = abs_power(rho, beta_degree / alpha)  # momentum of the velocity times rho^(beta - beta/alpha)
+    lam_p = abs_power(rho, degree / alpha)  # momentum of the velocity times rho^(beta - beta/alpha)
     lam_e = abs_power(rho, exps.energy_vs_length)
     d = traj.dimension
     stretch = np.concatenate([np.full(d, rho), np.full(d, lam_p)])
@@ -114,7 +115,7 @@ def scale_trajectory(
 
 
 @dataclass(frozen=True)
-class ScalingRow:
+class ScalingRow(_FiniteRecord):
     """One scale factor's outcome: predicted vs measured landmark-time ratio."""
 
     rho: float
@@ -184,7 +185,6 @@ def verify_scaling(
     momentum rho^(beta/alpha) p0 and runs until its landmark; the measured
     time ratio is compared to rho^(1-beta+beta/alpha).
     """
-    require_types(params=(params, FractionalParams), pot=(pot, PowerLawPotential), ic=(ic, InitialConditions))
     q0, p0 = ic.resolve(params)
     if pot.strength > 0.0 and pot.degree > 1.0:
         kind, levels = "turning_point", []
@@ -223,7 +223,7 @@ def fit_time_exponent(rows: Sequence[ScalingRow]) -> tuple[float, float] | None:
 
 
 @dataclass(frozen=True)
-class KeplerReport:
+class KeplerReport(_FiniteRecord):
     """Radial-period scaling of similarity-mapped orbits in the plane."""
 
     rows: tuple[ScalingRow, ...]
@@ -255,7 +255,6 @@ def fractional_kepler_check(
         raise UnsuitablePhysicsError(
             f"orbital check needs an attractive potential, got strength {strength}"
         )
-    require_types(ic=(ic, InitialConditions))
     _require_scale_factors(rho_list)
     q0, p0 = ic.resolve(params)
     if q0.size != 2:
@@ -313,3 +312,6 @@ def kepler_gamma(alpha: float) -> float:
     """
     FractionalParams(alpha, 1.0)  # checks alpha as a kinetic exponent
     return alpha / (2.0 * (alpha - 1.0))
+
+
+guard_layer(globals())

@@ -126,7 +126,7 @@ def inc_beta(a: float, b: float, x: float) -> float:
     """
     try:
         a, b, x = float(a), float(b), float(x)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:  # float() of an int beyond the float range overflows
         raise _refused(exc, a=a, b=b, x=x) from None
     if not (0.0 < a < math.inf and 0.0 < b < math.inf):
         raise DomainError(f"Beta parameters must be positive and finite, got a={a}, b={b}")
@@ -224,7 +224,7 @@ def hyp2f1(mu: float, one_minus_nu: float, mu_plus_one: float, x: float) -> floa
             raise DomainError(
                 f"hyp2f1 family requires second parameter 1 - nu with nu > 0, got {one_minus_nu}"
             )
-        if abs(mu_plus_one - (mu + 1.0)) > 1e-12 * (1.0 + abs(mu)):
+        if not abs(mu_plus_one - (mu + 1.0)) <= 1e-12 * (1.0 + abs(mu)):  # NaN fails too
             raise DomainError(
                 f"hyp2f1 family requires third parameter mu + 1, got {mu_plus_one} for mu={mu}"
             )

@@ -15,7 +15,8 @@ import numpy as np
 
 from .errors import DomainError, ToleranceWarning
 from .model import (
-    FractionalParams, PhaseState, PowerLawPotential, _power_law, _require_finite_arrays, require_finite, require_types,
+    FractionalParams, PhaseState, PowerLawPotential, _FiniteRecord, _power_law, _require_finite_arrays, guard_layer,
+    require_finite, require_types,
 )
 
 __all__ = ["DenseSegment", "Trajectory", "action"]
@@ -42,7 +43,7 @@ def _theta(t: float, t_start: float, width: float) -> float:
 
 
 @dataclass(frozen=True)
-class DenseSegment:
+class DenseSegment(_FiniteRecord):
     """Quartic dense-output polynomial for one accepted step.
 
     Over t in [t_start, t_start + width] the stacked state vector is
@@ -93,10 +94,14 @@ class Trajectory:
     rejected_steps: int = 0
 
     def __post_init__(self) -> None:
-        n = len(self.times)
+        samples, steps = ("times", "positions", "momenta", "energies"), ("coefs", "widths")  # steps may be None
+        require_types(**{name: (getattr(self, name), np.ndarray) for name in samples},
+                      **{name: (getattr(self, name), (np.ndarray, type(None))) for name in steps})
+        n = self.times.size
         if n == 0:
             raise DomainError("trajectory needs at least one sample")
-        if self.positions.shape != self.momenta.shape or self.positions.shape[0] != n:
+        if (self.times.shape, self.energies.shape) != ((n,), (n,)) or self.positions.ndim != 2 \
+                or self.positions.shape != self.momenta.shape or self.positions.shape[0] != n:
             raise DomainError("trajectory arrays have inconsistent shapes")
         if np.shape(self.coefs) != (n - 1, 2 * self.dimension, 4) or np.shape(self.widths) != (n - 1,):
             raise DomainError("dense output needs one quartic and one width per step")
@@ -195,8 +200,6 @@ def action(
     the stored step data is too coarse for the requested accuracy; a
     quad_tol that is not finite and positive is a DomainError.
     """
-    require_types(params=(params, FractionalParams), pot=(pot, PowerLawPotential), traj=(traj, Trajectory))
-    require_finite(quad_tol=quad_tol)
     if not quad_tol > 0.0:
         raise DomainError(f"quad_tol must be positive, got {quad_tol}")
     d = traj.dimension
@@ -218,3 +221,6 @@ def action(
             stacklevel=2,
         )
     return total
+
+
+guard_layer(globals())

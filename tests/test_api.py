@@ -236,6 +236,13 @@ TYPE_EDGE = {
         lambda: fracmech.poisson_bracket(len, len, fracmech.PhaseState(0.0, [1.0], [0.0]), np.array([1e-6])), "step"),
     "abs_power-array-x": (lambda: fracmech.abs_power(np.array([0.1]), 2.0), "x"),
     "abs_power-pair-x": (lambda: fracmech.abs_power(np.array([0.1, 0.2]), 2.0), "x"),
+    # the exponent's array was taken as a power: abs_power returned array([0.01])
+    "abs_power-array-k": (lambda: fracmech.abs_power(0.1, np.array([2.0])), "k"),
+    # a ragged sequence, which numpy refuses with a raw ValueError ("inhomogeneous shape")
+    "params-ragged-alpha": (lambda: fracmech.FractionalParams([1.5, [2.0]], 1.0), "alpha"),
+    "turning_point-ragged": (lambda: fracmech.turning_point(V, [1.0, [2.0]]), "energy"),
+    "ic-ragged-q0": (lambda: fracmech.InitialConditions(q0=[1.0, [2.0]], p0=[0.0, 0.0]), "q0"),
+    "hyp2f1-ragged-x": (lambda: fracmech.hyp2f1(0.5, 0.5, 1.5, [0.3, [0.2]]), "x"),
 }
 
 
@@ -267,6 +274,13 @@ OBJECT_EDGE = {
     "fit_time_exponent-ints": (lambda: fracmech.fit_time_exponent([1, 2]), "rows[0]", "ScalingRow"),
     "hamiltonian-none-state": (lambda: fracmech.hamiltonian(P, V, None), "state", "PhaseState"),
     "period-none-spec": (lambda: fracmech.period(None), "spec", "OscillatorSpec"),
+    # these raised a raw AttributeError inside the call
+    "period_quadrature-none-spec": (lambda: fracmech.period_quadrature(None), "spec", "OscillatorSpec"),
+    "hj_position-string-spec": (lambda: fracmech.hj_position("x", 0.1), "spec", "OscillatorSpec"),
+    "levels-none-spec": (lambda: fracmech.quantum_levels(None, 1.0, 1), "spec", "OscillatorSpec"),
+    "lagrangian-none-params": (lambda: fracmech.lagrangian(None, V, [1.0], [0.5]), "params", "FractionalParams"),
+    "poisson-none-field": (lambda: fracmech.poisson_bracket(None, len, fracmech.PhaseState(0.0, [1.0], [0.0])), "u",
+                           "Callable"),
 }
 
 

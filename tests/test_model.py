@@ -149,6 +149,11 @@ def test_abs_power_edges():
     assert abs_power(-8.0, 1.0 / 3.0) == pytest.approx(2.0, rel=1e-15)
     with pytest.raises(DomainError):
         abs_power(0.0, -1.0)
+    # a NaN x or k, which the power passes on, returned NaN
+    with pytest.raises(DomainError, match="^x must be finite, got nan$"):
+        abs_power(float("nan"), 2.0)
+    with pytest.raises(DomainError, match="^k must be finite, got nan$"):
+        abs_power(0.5, float("nan"))
 
 
 def test_params_validation():

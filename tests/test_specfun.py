@@ -437,6 +437,9 @@ def test_hyp2f1_rejects_malformed_signature():
         hyp2f1(0.5, 1.5, 1.5, 0.1)  # implies nu < 0
     with pytest.raises(DomainError):
         hyp2f1(0.5, 0.5, 1.5, 1.5)
+    # a NaN third parameter passed the family test, whose comparison is False for NaN, and returned 1.058
+    with pytest.raises(DomainError, match="^mu_plus_one must be finite, got nan$"):
+        hyp2f1(0.5, 0.5, float("nan"), 0.3)
 
 
 def test_hyp2f1_names_an_int_mu_beyond_the_float_range():
