@@ -42,7 +42,6 @@ from .model import (
     InitialConditions,
     PhaseState,
     PowerLawPotential,
-    _FiniteRecord,
     _dot,
     _energy,
     _field,
@@ -67,7 +66,6 @@ class IntegratorConfig:
     max_steps: int = 1_000_000
 
     def __post_init__(self) -> None:
-        require_finite(**vars(self))
         if not (self.rel_tol > 0.0 and self.abs_tol > 0.0):
             raise DomainError("integrator tolerances must be positive")
         if not (isinstance(self.max_steps, (int, np.integer)) and self.max_steps > 0):
@@ -75,7 +73,7 @@ class IntegratorConfig:
 
 
 @dataclass(frozen=True)
-class EventRecord(_FiniteRecord):
+class EventRecord:
     """A located zero crossing: its kind, time, interpolated state, and the
     state component that crossed (None for scalar-valued event functions)."""
 

@@ -13,10 +13,12 @@ isotropic, so vector forms use unit vectors q/|q| and p/|p| where the 1D
 equations use the sign function, with sgn(0) = 0.
 
 The input rule lives here too.  ``guard_layer`` puts one boundary rule on the
-public functions of this module and of trajectory, integrate, oscillator and
-similarity: each argument passed is checked by its annotation (a number, a
-Vector or a package object), so a malformed one is a DomainError naming it.
-specfun's kernels and abs_power, which the hot paths call, stay unwrapped.
+public functions and the dataclass records of this module and of trajectory,
+integrate, oscillator and similarity: each argument or field passed is checked
+by its annotation (a number, a Vector, an array or an object of a type), so a
+malformed one is a DomainError naming it, and a record's __post_init__ checks
+its domain alone.  specfun's kernels and abs_power, which the hot paths call,
+stay unwrapped.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import math
 import types
 import typing
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, is_dataclass
 
 import numpy as np
 
@@ -81,12 +83,13 @@ def abs_power(x: float, k: float) -> float:
 
 
 def _vec(x, name: str = "vector") -> np.ndarray:
-    """A finite real scalar / sequence (_require_finite_arrays' rule) as a 1..3 component float vector."""
+    """A finite real scalar / sequence (_require_finite_arrays' rule) as a 1..3 component float vector of its
+    own: a caller's array is copied, so a record that freezes or keeps the vector leaves the caller's alone."""
     _require_finite_arrays(**{name: x})
-    v = np.atleast_1d(x)
+    v = np.array(x, dtype=float, ndmin=1)
     if v.ndim != 1 or not 1 <= v.size <= 3:
         raise DomainError(f"{name} must have 1 to 3 components, got shape {v.shape}")
-    return v.astype(float, copy=False)
+    return v
 
 
 def _dot(u: Sequence[float], v: Sequence[float]) -> float:
@@ -105,24 +108,31 @@ def _numeric(value) -> bool:
         return False
 
 
+def _number(value, name: str):
+    """The one number rule at the input edge, on one value passed on as given: raise DomainError naming it
+    unless it is one finite real number.  Python and numpy ints and floats and 0-d int or float arrays pass; an
+    array or sequence (ndim >= 1, even of one element, or ragged), bool, None, str and bytes (numeric strings
+    are not converted), complex and object values are not a finite number; inf, NaN and an int beyond the
+    float range are not finite.  The specfun kernels alone convert with float() instead."""
+    if type(value) is float or type(value) is int:  # plain (not np.float64 or bool): no numpy round trip
+        try:
+            finite = math.isfinite(value)
+        except OverflowError:  # an int beyond the float range
+            raise DomainError(f"{name} must be finite, got an int of {value.bit_length()} bits") from None
+    elif _numeric(value) and np.ndim(value) == 0:
+        finite = np.isfinite(value)
+    else:
+        raise DomainError(f"{name} must be a finite number, got {value!r}")
+    if not finite:
+        raise DomainError(f"{name} must be finite, got {value}")
+    return value
+
+
 def require_finite(**values) -> None:
-    """The one number rule at the input edge: raise DomainError naming the first keyword value that is
-    not one finite real number.  Python and numpy ints and floats and 0-d int or float arrays pass; an
-    array or sequence (ndim >= 1, even of one element, or ragged), bool, None, str and bytes (numeric
-    strings are not converted), complex and object values are not a finite number; inf, NaN and an int
-    beyond the float range are not finite.  The specfun kernels alone convert with float() instead."""
+    """_number's rule on each keyword value in turn: the DomainError names the first that is not one finite
+    real number."""
     for name, value in values.items():
-        if type(value) is float or type(value) is int:  # plain (not np.float64 or bool): no numpy round trip
-            try:
-                finite = math.isfinite(value)
-            except OverflowError:  # an int beyond the float range
-                raise DomainError(f"{name} must be finite, got an int of {value.bit_length()} bits") from None
-        elif _numeric(value) and np.ndim(value) == 0:
-            finite = np.isfinite(value)
-        else:
-            raise DomainError(f"{name} must be a finite number, got {value!r}")
-        if not finite:
-            raise DomainError(f"{name} must be finite, got {value}")
+        _number(value, name)
 
 
 def _require_finite_arrays(**arrays) -> None:
@@ -143,37 +153,25 @@ def require_types(**values) -> None:
             raise DomainError(f"{name} must be of type {kinds}, got {value!r}")
 
 
-class _FiniteRecord:
-    """The base of the records the library returns: each field that is a number or a numeric array must be
-    finite (_require_finite_arrays' rule), so that a record built by hand holds no NaN or inf either."""
-
-    def __post_init__(self) -> None:
-        for name, value in vars(self).items():  # a finite float or an int takes one test
-            if isinstance(value, np.ndarray) or isinstance(value, (float, int)) and value - value != 0:
-                _require_finite_arrays(**{name: value})
-
-
-def _number(value, name: str):
-    """require_finite's rule on one value, passed on as given; a finite plain float and a plain int well
-    inside the float range take the fast path."""
-    if not (type(value) is float and value - value == 0.0 or type(value) is int and value.bit_length() < 1024):
-        require_finite(**{name: value})
-    return value
-
-
 def _rule(hint) -> Callable | None:
-    """The boundary's check(value, name) of an argument annotated hint, which returns the value to pass on:
-    _number for float and int, _vec for Vector, require_types' isinstance for a class of this package or a
-    PhaseField, and X's check or None for X | None; None for any other annotation."""
+    """The boundary's check(value, name) of an argument or record field annotated hint, which returns the value
+    to pass on: _number for float and int, _vec for Vector, require_types' isinstance for str, a variadic
+    tuple[X, ...], a class of this package or a PhaseField, the same and then the array rule for np.ndarray, and
+    X's check or None for X | None, where X may be a union itself; None for any other annotation."""
     if hint is float or hint is int:
         return _number
     if hint == Vector:
         return _vec
-    if type(hint) is types.UnionType and len(hint.__args__) == 2 and type(None) in hint.__args__:
-        check = _rule(next(k for k in hint.__args__ if k is not type(None)))
+    args = typing.get_args(hint)
+    if type(hint) is types.UnionType and type(None) in args:
+        check = _rule(typing.Union[tuple(k for k in args if k is not type(None))])
         return check and (lambda value, name: value if value is None else check(value, name))
     kind = typing.get_origin(hint) or hint
-    if kind is Callable or getattr(kind, "__module__", "").startswith(f"{__package__}."):
+    if hint is np.ndarray:
+        return lambda value, name: (_require_finite_arrays(**{name: value}) or value) if isinstance(value, kind) \
+            else require_types(**{name: (value, kind)})
+    if hint is str or kind is tuple and args[-1:] == (...,) or kind is Callable \
+            or getattr(kind, "__module__", "").startswith(f"{__package__}."):
         return lambda value, name: value if isinstance(value, kind) else require_types(**{name: (value, kind)})
     return None
 
@@ -198,11 +196,15 @@ def _guarded(fn: Callable) -> Callable:
 
 
 def guard_layer(namespace: dict) -> None:
-    """Rebind each function of a layer's __all__, abs_power aside, to _guarded's wrapper in namespace: the
-    binding that internal calls and other layers' imports go through."""
+    """Put the boundary rule on each function and record of a layer's __all__, abs_power aside: a function's
+    binding in namespace, the one that internal calls and other layers' imports go through, becomes _guarded's
+    wrapper, and so does a dataclass record's __init__, which dataclasses.replace calls too, so that each field
+    meets its annotation's rule before __post_init__ runs."""
     for name in namespace["__all__"]:
-        if inspect.isfunction(fn := namespace[name]) and fn is not abs_power:
-            namespace[name] = _guarded(fn)
+        if is_dataclass(obj := namespace[name]):
+            obj.__init__ = _guarded(obj.__init__)
+        elif inspect.isfunction(obj) and obj is not abs_power:
+            namespace[name] = _guarded(obj)
 
 
 @np.errstate(all="ignore")
@@ -253,7 +255,6 @@ class FractionalParams:
     d_alpha: float
 
     def __post_init__(self) -> None:
-        require_finite(**vars(self))
         if not (1.0 < self.alpha <= 2.0):
             raise DomainError(f"alpha must be in (1, 2], got {self.alpha}")
         if not self.d_alpha > 0.0:
@@ -282,7 +283,6 @@ class PowerLawPotential:
     degree: float
 
     def __post_init__(self) -> None:
-        require_finite(**vars(self))
         if self.degree == 0.0:
             raise DomainError("potential degree must be nonzero")
 
@@ -318,23 +318,18 @@ _AT_REST, _FREE = FractionalParams(2.0, 1.0), PowerLawPotential(0.0, 2.0)
 @dataclass(frozen=True)
 class PhaseState:
     """A point (t, q, p) in extended phase space; q and p are finite and share
-    one dimension d in {1, 2, 3}."""
+    one dimension d in {1, 2, 3}, held as read-only float arrays of their own."""
 
     t: float
-    q: np.ndarray
-    p: np.ndarray
+    q: Vector
+    p: Vector
 
     def __post_init__(self) -> None:
-        require_finite(t=self.t)
-        q = _vec(self.q, "q")
-        p = _vec(self.p, "p")
-        if q.shape != p.shape:
-            raise DomainError(f"q and p dimensions differ: {q.shape} vs {p.shape}")
-        q.flags.writeable = False
-        p.flags.writeable = False
+        if self.q.shape != self.p.shape:
+            raise DomainError(f"q and p dimensions differ: {self.q.shape} vs {self.p.shape}")
+        self.q.flags.writeable = False
+        self.p.flags.writeable = False
         object.__setattr__(self, "t", float(self.t))
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "p", p)
 
     @classmethod
     def _of_row(cls, t: float, y: np.ndarray) -> "PhaseState":
@@ -358,17 +353,14 @@ class InitialConditions:
     same trajectory.
     """
 
-    q0: np.ndarray
-    p0: np.ndarray | None = None
-    qdot0: np.ndarray | None = None
+    q0: Vector
+    p0: Vector | None = None
+    qdot0: Vector | None = None
 
     def __post_init__(self) -> None:
         if (self.p0 is None) == (self.qdot0 is None):
             raise DomainError("supply exactly one of p0 and qdot0")
-        given = "p0" if self.qdot0 is None else "qdot0"
-        for name in ("q0", given):
-            object.__setattr__(self, name, _vec(getattr(self, name), name))
-        if getattr(self, given).shape != self.q0.shape:
+        if (self.qdot0 if self.p0 is None else self.p0).shape != self.q0.shape:
             raise DomainError("initial momentum/velocity dimension must match q0")
 
     def resolve(self, params: FractionalParams) -> tuple[np.ndarray, np.ndarray]:
@@ -377,7 +369,7 @@ class InitialConditions:
             p0 = self.p0
         else:
             p0 = momentum_from_velocity(params, self.qdot0)
-        return self.q0.copy(), np.asarray(p0, dtype=float)
+        return self.q0.copy(), np.array(p0, dtype=float)
 
 
 @np.errstate(all="ignore")

@@ -20,9 +20,7 @@ import numpy as np
 
 from .errors import DomainError, IntegrationError
 from .integrate import IntegratorConfig, first_event_times
-from .model import (
-    FractionalParams, InitialConditions, PowerLawPotential, abs_power, guard_layer, require_finite, require_types,
-)
+from .model import FractionalParams, InitialConditions, PowerLawPotential, abs_power, guard_layer, require_finite
 from .model import turning_point
 from .specfun import inc_beta, inv_inc_beta
 from .specfun import beta as beta_fn
@@ -51,9 +49,7 @@ class OscillatorSpec:
     energy: float
 
     def __post_init__(self) -> None:
-        require_types(params=(self.params, FractionalParams), pot=(self.pot, PowerLawPotential))
         self.pot.require_oscillator()
-        require_finite(energy=self.energy)
         if not self.energy > 0.0:
             raise DomainError(f"oscillator energy must be positive, got {self.energy}")
 
@@ -162,11 +158,7 @@ class PeriodReport:
     max_pairwise_rel_diff: float
 
     def __post_init__(self) -> None:
-        vals = {"closed_form": self.closed_form, "quadrature": self.quadrature}
-        if self.ode_measured is not None:
-            vals["ode_measured"] = self.ode_measured
-        require_finite(**vals, max_pairwise_rel_diff=self.max_pairwise_rel_diff)
-        if not all(v > 0.0 for v in vals.values()):
+        if not all(v > 0.0 for v in (self.closed_form, self.quadrature, self.ode_measured) if v is not None):
             raise DomainError("period values must be strictly positive")
 
 

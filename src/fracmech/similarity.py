@@ -23,7 +23,6 @@ from .model import (
     FractionalParams,
     InitialConditions,
     PowerLawPotential,
-    _FiniteRecord,
     _dot,
     _energy,
     _require_finite_arrays,
@@ -48,7 +47,7 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class SimilarityExponents(_FiniteRecord):
+class SimilarityExponents:
     """Scaling exponents relating trajectory families of one system.
 
     With lengths scaled by rho: times scale by rho^time_vs_length,
@@ -115,7 +114,7 @@ def scale_trajectory(
 
 
 @dataclass(frozen=True)
-class ScalingRow(_FiniteRecord):
+class ScalingRow:
     """One scale factor's outcome: predicted vs measured landmark-time ratio."""
 
     rho: float
@@ -208,8 +207,7 @@ def fit_time_exponent(rows: Sequence[ScalingRow]) -> tuple[float, float] | None:
     """
     require_types(rows=(rows, (tuple, list)))
     require_types(**{f"rows[{i}]": (row, ScalingRow) for i, row in enumerate(rows)})
-    for i, row in enumerate(rows):  # the fit takes the logarithms of both
-        require_finite(**{f"rows[{i}].rho": row.rho, f"rows[{i}].measured_ratio": row.measured_ratio})
+    for i, row in enumerate(rows):  # the fit takes the logarithms of both, finite in a ScalingRow
         if not (row.rho > 0.0 and row.measured_ratio > 0.0):
             raise DomainError(f"rows[{i}] needs rho > 0 and a measured ratio > 0 for the log-log fit, got {row}")
     rhos = [r.rho for r in rows]
@@ -223,7 +221,7 @@ def fit_time_exponent(rows: Sequence[ScalingRow]) -> tuple[float, float] | None:
 
 
 @dataclass(frozen=True)
-class KeplerReport(_FiniteRecord):
+class KeplerReport:
     """Radial-period scaling of similarity-mapped orbits in the plane."""
 
     rows: tuple[ScalingRow, ...]

@@ -14,10 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ToleranceWarning
-from .model import (
-    FractionalParams, PhaseState, PowerLawPotential, _FiniteRecord, _power_law, _require_finite_arrays, guard_layer,
-    require_finite, require_types,
-)
+from .model import FractionalParams, PhaseState, PowerLawPotential, _power_law, guard_layer, require_finite
 
 __all__ = ["DenseSegment", "Trajectory", "action"]
 
@@ -43,7 +40,7 @@ def _theta(t: float, t_start: float, width: float) -> float:
 
 
 @dataclass(frozen=True)
-class DenseSegment(_FiniteRecord):
+class DenseSegment:
     """Quartic dense-output polynomial for one accepted step.
 
     Over t in [t_start, t_start + width] the stacked state vector is
@@ -94,9 +91,6 @@ class Trajectory:
     rejected_steps: int = 0
 
     def __post_init__(self) -> None:
-        samples, steps = ("times", "positions", "momenta", "energies"), ("coefs", "widths")  # steps may be None
-        require_types(**{name: (getattr(self, name), np.ndarray) for name in samples},
-                      **{name: (getattr(self, name), (np.ndarray, type(None))) for name in steps})
         n = self.times.size
         if n == 0:
             raise DomainError("trajectory needs at least one sample")
@@ -105,7 +99,6 @@ class Trajectory:
             raise DomainError("trajectory arrays have inconsistent shapes")
         if np.shape(self.coefs) != (n - 1, 2 * self.dimension, 4) or np.shape(self.widths) != (n - 1,):
             raise DomainError("dense output needs one quartic and one width per step")
-        _require_finite_arrays(**vars(self))  # the arrays in field order, before times are differenced
         if n > 1 and not np.all(np.diff(self.times) > 0.0):
             raise DomainError("trajectory times must be strictly increasing")
         # the samples as stacked (q, p) rows, the layout of a step's quartic

@@ -34,7 +34,7 @@ from fracmech import (
     turning_point,
     velocity_from_momentum,
 )
-from fracmech.model import _field, _require_finite_arrays, require_finite
+from fracmech.model import Vector, _field, _require_finite_arrays, _rule, require_finite
 
 ALPHAS = st.floats(min_value=1.05, max_value=2.0)
 SCALES = st.floats(min_value=0.1, max_value=10.0)
@@ -212,6 +212,30 @@ def test_initial_conditions_exactly_one_velocity_form():
     ic = InitialConditions(q0=np.array([0.0]), qdot0=np.array([1.5]))
     q0, p0 = ic.resolve(params)
     assert p0 == pytest.approx(np.array([1.0]), rel=1e-14)
+
+
+def test_states_and_initial_conditions_copy_the_callers_arrays():
+    # PhaseState froze the caller's float arrays, and InitialConditions kept them, so a later write reached it
+    q, p, qdot = np.array([1.0, 2.0]), np.array([0.5, 0.0]), np.array([0.25, 0.0])
+    state = PhaseState(0.0, q, p)
+    ics = InitialConditions(q0=q, p0=p), InitialConditions(q0=q, qdot0=qdot)
+    assert q.flags.writeable and p.flags.writeable
+    q[0], p[0], qdot[0] = 9.0, 9.0, 9.0
+    assert (state.q.tolist(), state.p.tolist()) == ([1.0, 2.0], [0.5, 0.0])
+    assert [ic.q0.tolist() for ic in ics] == [[1.0, 2.0]] * 2
+    assert (ics[0].p0.tolist(), ics[1].qdot0.tolist()) == ([0.5, 0.0], [0.25, 0.0])
+    ics[0].resolve(FractionalParams(1.5, 1.0))[1][0] = 9.0
+    assert ics[0].p0.tolist() == [0.5, 0.0]
+
+
+def test_the_rule_of_an_optional_vector_passes_none_and_checks_a_vector():
+    check = _rule(Vector | None)
+    assert check(None, "p0") is None
+    assert check([1, 2], "p0").tolist() == [1.0, 2.0]
+    with pytest.raises(DomainError, match=r"^p0 must be finite, got \[nan\]$"):
+        check([math.nan], "p0")
+    with pytest.raises(DomainError, match="^p0 must have 1 to 3 components"):
+        check(np.zeros(4), "p0")
 
 
 def test_initial_conditions_dimension_mismatch_is_refused_at_construction():
