@@ -157,13 +157,14 @@ def _rule(hint) -> Callable | None:
     """The boundary's check(value, name) of an argument or record field annotated hint, which returns the value
     to pass on: _number for float and int, _vec for Vector, require_types' isinstance for str, a variadic
     tuple[X, ...], a class of this package or a PhaseField, the same and then the array rule for np.ndarray, and
-    X's check or None for X | None, where X may be a union itself; None for any other annotation."""
+    X's check or None for X | None or Optional[X] (Python 3.10's get_type_hints makes a None default the latter),
+    where X may be a union itself; None for any other annotation."""
     if hint is float or hint is int:
         return _number
     if hint == Vector:
         return _vec
     args = typing.get_args(hint)
-    if type(hint) is types.UnionType and type(None) in args:
+    if typing.get_origin(hint) in (typing.Union, types.UnionType) and type(None) in args:
         check = _rule(typing.Union[tuple(k for k in args if k is not type(None))])
         return check and (lambda value, name: value if value is None else check(value, name))
     kind = typing.get_origin(hint) or hint

@@ -7,6 +7,7 @@ import dataclasses
 import importlib
 import inspect
 import re
+import types
 import typing
 import warnings
 from pathlib import Path
@@ -302,6 +303,20 @@ def test_every_record_field_has_a_boundary_rule():
                  for name, hint in typing.get_type_hints(record.__init__).items()
                  if name != "return" and not _rule(hint)]
     assert unchecked == []
+
+
+def test_an_optional_annotation_keeps_its_rule_in_the_typing_union_form():
+    # Python 3.10's get_type_hints turns an argument or field that defaults to None into Optional[X], a
+    # typing.Union rather than the X | None written in the source; the rule must read both forms alike
+    guarded = [obj.__init__ if dataclasses.is_dataclass(obj) else obj
+               for obj in map(fracmech.__dict__.get, fracmech.__all__) if callable(obj)]
+    optional = [(f"{fn.__qualname__}.{name}", hint) for fn in guarded if inspect.isfunction(fn)
+                for name, hint in typing.get_type_hints(fn).items()
+                if type(hint) is types.UnionType and type(None) in typing.get_args(hint)]
+    assert len(optional) >= 8
+    lost = [where for where, hint in optional
+            if bool(_rule(hint)) != bool(_rule(typing.Optional[typing.Union[typing.get_args(hint)]]))]
+    assert lost == []
 
 
 @pytest.mark.parametrize("call, name, kind", OBJECT_EDGE.values(), ids=OBJECT_EDGE.keys())

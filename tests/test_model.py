@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 import sys
+import typing
 
 import numpy as np
 import pytest
@@ -236,6 +237,17 @@ def test_the_rule_of_an_optional_vector_passes_none_and_checks_a_vector():
         check([math.nan], "p0")
     with pytest.raises(DomainError, match="^p0 must have 1 to 3 components"):
         check(np.zeros(4), "p0")
+
+
+def test_the_rule_of_an_optional_vector_reads_the_typing_union_form_alike():
+    # the form Python 3.10's get_type_hints gives a Vector field that defaults to None
+    hint = typing.get_type_hints(InitialConditions.__init__)["p0"]
+    for form in hint, typing.Optional[typing.Union[typing.get_args(hint)]]:
+        check = _rule(form)
+        assert check(None, "p0") is None
+        assert check([1, 2], "p0").tolist() == [1.0, 2.0]
+        with pytest.raises(DomainError, match=r"^p0 must be finite, got \[nan\]$"):
+            check([math.nan], "p0")
 
 
 def test_initial_conditions_dimension_mismatch_is_refused_at_construction():
