@@ -128,6 +128,13 @@ def _number(value, name: str):
     return value
 
 
+def _integer(value, name: str):
+    """_number's rule for an int annotation, and no fraction: 2.0 and np.int64(2) pass as given, 1.5 does not."""
+    if _number(value, name) % 1:
+        raise DomainError(f"{name} must be an integer, got {value}")
+    return value
+
+
 def require_finite(**values) -> None:
     """_number's rule on each keyword value in turn: the DomainError names the first that is not one finite
     real number."""
@@ -155,12 +162,12 @@ def require_types(**values) -> None:
 
 def _rule(hint) -> Callable | None:
     """The boundary's check(value, name) of an argument or record field annotated hint, which returns the value
-    to pass on: _number for float and int, _vec for Vector, require_types' isinstance for str, a variadic
-    tuple[X, ...], a class of this package or a PhaseField, the same and then the array rule for np.ndarray, and
-    X's check or None for X | None or Optional[X] (Python 3.10's get_type_hints makes a None default the latter),
-    where X may be a union itself; None for any other annotation."""
+    to pass on: _number for float, _integer for int, _vec for Vector, require_types' isinstance for str, a class of
+    this package or a PhaseField, the same and then the array rule for np.ndarray or X's check on each entry, named
+    name[i], for a variadic tuple[X, ...], and X's check or None for X | None or Optional[X] (Python 3.10's
+    get_type_hints makes a None default the latter), where X may be a union itself; None for any other annotation."""
     if hint is float or hint is int:
-        return _number
+        return _number if hint is float else _integer
     if hint == Vector:
         return _vec
     args = typing.get_args(hint)
@@ -171,8 +178,11 @@ def _rule(hint) -> Callable | None:
     if hint is np.ndarray:
         return lambda value, name: (_require_finite_arrays(**{name: value}) or value) if isinstance(value, kind) \
             else require_types(**{name: (value, kind)})
-    if hint is str or kind is tuple and args[-1:] == (...,) or kind is Callable \
-            or getattr(kind, "__module__", "").startswith(f"{__package__}."):
+    if kind is tuple and args[-1:] == (...,):
+        entry = _rule(args[0]) or (lambda value, name: value)
+        return lambda value, name: tuple(entry(v, f"{name}[{i}]") for i, v in enumerate(value)) \
+            if isinstance(value, tuple) else require_types(**{name: (value, tuple)})
+    if hint is str or kind is Callable or getattr(kind, "__module__", "").startswith(f"{__package__}."):
         return lambda value, name: value if isinstance(value, kind) else require_types(**{name: (value, kind)})
     return None
 

@@ -200,8 +200,12 @@ def hj_position(spec: OscillatorSpec, t: float) -> float:
     quarter = spec.quarter_period
     if not 0.0 <= t <= quarter * (1.0 + 1e-12):
         raise DomainError(f"time {t} outside the quarter period [0, {quarter}]")
-    target = min(t, quarter) / spec.time_scale
-    x = inv_inc_beta(1.0 / spec.beta, 1.0 / spec.alpha, target)
+    return _position(spec, min(t, quarter))
+
+
+def _position(spec: OscillatorSpec, t: float) -> float:
+    """hj_position's inversion, unchecked: the q reached at a time t in [0, T/4]."""
+    x = inv_inc_beta(1.0 / spec.beta, 1.0 / spec.alpha, t / spec.time_scale)
     return spec.q_turn * abs_power(x, 1.0 / spec.beta)
 
 
@@ -216,12 +220,9 @@ def hj_trajectory(spec: OscillatorSpec, t: float, delta: float = 0.0) -> float:
     full = period(spec)
     require_finite(phase=t + delta)
     quarter = 0.25 * full
-    s = math.fmod(t + delta, full)
-    if s < 0.0:
-        s += full
-    k, r = divmod(s, quarter)
+    k, r = divmod((t + delta) % full, quarter)  # a float % takes the sign of full
     k = int(k) % 4
-    q = hj_position(spec, quarter - r if k % 2 else r)
+    q = _position(spec, quarter - r if k % 2 else r)
     return -q if k >= 2 else q
 
 
@@ -238,7 +239,7 @@ def quantum_levels(spec: OscillatorSpec, hbar: float, n: int) -> float:
     """
     if not hbar > 0.0:
         raise DomainError(f"hbar must be positive, got {hbar}")
-    if n < 0 or n != int(n):
+    if n < 0:  # the boundary refuses a fraction
         raise DomainError(f"level index must be a nonnegative integer, got {n}")
     a, b = spec.alpha, spec.beta
     exponent = a * b / (a + b)

@@ -292,6 +292,9 @@ OBJECT_EDGE = {
     "segment-list-y_start": (lambda: fracmech.DenseSegment(0.0, 0.5, [1.0, 0.0], np.zeros((2, 4))), "y_start",
                              "ndarray"),
     "kepler_report-list-rows": (lambda: fracmech.KeplerReport([], 1.0, 1.0, None, None), "rows", "tuple"),
+    # a variadic tuple's entries: the report built with rows that are not ScalingRows
+    "kepler_report-string-row": (lambda: fracmech.KeplerReport(("x", None), 1.0, 1.0, None, None), "rows[0]",
+                                 "ScalingRow"),
 }
 
 
@@ -317,6 +320,18 @@ def test_an_optional_annotation_keeps_its_rule_in_the_typing_union_form():
     lost = [where for where, hint in optional
             if bool(_rule(hint)) != bool(_rule(typing.Optional[typing.Union[typing.get_args(hint)]]))]
     assert lost == []
+
+
+def test_an_int_field_refuses_a_fraction_and_keeps_its_integral_values():
+    # an EventRecord was built with component 1.5; quantum_levels refused a fractional n by its own check alone
+    state = fracmech.PhaseState(0.0, [1.0], [0.0])
+    with pytest.raises(fracmech.DomainError, match=r"^component must be an integer, got 1\.5$"):
+        fracmech.EventRecord("x", 0.5, state, 1.5)
+    with pytest.raises(fracmech.DomainError, match=r"^n must be an integer, got 0\.5$"):
+        fracmech.quantum_levels(fracmech.OscillatorSpec.from_exponents(1.5, 1.5), 1.0, 0.5)
+    for component in (1, np.int64(1), 1.0, np.array(1)):
+        assert fracmech.EventRecord("x", 0.5, state, component).component is component
+    assert _rule(int)(2.0, "n") == 2.0
 
 
 @pytest.mark.parametrize("call, name, kind", OBJECT_EDGE.values(), ids=OBJECT_EDGE.keys())

@@ -301,17 +301,57 @@ def test_trajectory_matches_integration(exps):
     assert worst < 1e-6 * spec.q_turn
 
 
+@pytest.mark.parametrize("alpha", GRID_EXPONENTS)
+def test_hj_trajectory_at_the_quarter_points_takes_few_evaluations(alpha, monkeypatch):
+    # t = k T/4 on a 192-sample sweep leaves a remainder within rounding of 0
+    # or T/4, so the root lies within rounding of x = 0 or 1; the 1e-12
+    # start clip and bisection took up to 48 inc_beta evaluations there
+    import fracmech.oscillator as oscillator
+    import fracmech.specfun as specfun
+
+    evaluations, solves = [], []
+    true_inc_beta, true_inv_inc_beta = specfun.inc_beta, oscillator.inv_inc_beta
+
+    def counting_inc_beta(a, b, x):
+        evaluations[-1] += 1
+        return true_inc_beta(a, b, x)
+
+    def recording_inv_inc_beta(a, b, target):
+        solves.append((a, b, target))
+        return true_inv_inc_beta(a, b, target)
+
+    monkeypatch.setattr(specfun, "inc_beta", counting_inc_beta)
+    monkeypatch.setattr(oscillator, "inv_inc_beta", recording_inv_inc_beta)
+    for beta_exp in GRID_EXPONENTS:
+        for energy in (0.5, 2.0, 7.0):
+            spec = OscillatorSpec.from_exponents(alpha, beta_exp, energy=energy)
+            full = period(spec)
+            for k in range(0, 192, 48):
+                evaluations.append(0)
+                hj_trajectory(spec, full * k / 192)
+                assert evaluations[-1] <= 3, (alpha, beta_exp, energy, k, evaluations[-1])
+    monkeypatch.undo()
+    for a, b, target in solves:
+        total = beta(a, b)
+        if not 0.0 < target < total:  # answered 0 or 1 without an evaluation
+            continue
+        if target > 0.5 * total:
+            a, b, target = b, a, total - target
+        x = specfun.inv_inc_beta(a, b, target)
+        assert abs(inc_beta(a, b, x) - target) <= 1e-13 * total
+
+
 # recorded to the bit from the Halley-step inversion, each within 1e-15 q_turn
 # of a 40-digit reference; a point in each quarter, one just short of the
 # turning point, a phase offset and a negative time
 TRAJECTORY_BITS = [
-    (0.4, 0.0, "0x1.73d28b24acf6ap-1"),
-    (1.9, 0.0, "0x1.a98bb98d5ee3bp-2"),
+    (0.4, 0.0, "0x1.73d28b24acf62p-1"),
+    (1.9, 0.0, "0x1.a98bb98d5ee34p-2"),
     (3.1, 0.0, "-0x1.7768925dd9c8bp+0"),
-    (3.9, 0.0, "-0x1.44baa7c66f577p-1"),
+    (3.9, 0.0, "-0x1.44baa7c66f575p-1"),
     (1.0615468201596465, 0.0, "0x1.80df422ae67bap+0"),
     (0.3, 0.8, "0x1.7df87ef15df91p+0"),
-    (-2.5, 0.0, "0x1.5fc49fe06936cp-1"),
+    (-2.5, 0.0, "0x1.5fc49fe069369p-1"),
 ]
 
 
