@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -403,13 +404,22 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     return parser, sub.choices
 
 
+_parser = functools.cache(_build_parser)  # one tree per process; main takes a config's defaults off it again
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser, commands = _build_parser()
+    parser, commands = _parser()
     args = parser.parse_args(argv)
     try:
         if args.config:
-            commands[args.command].set_defaults(**_config_defaults(commands[args.command], args))
-            args = parser.parse_args(argv)
+            command = commands[args.command]
+            defaults = _config_defaults(command, args)
+            flags = {dest: command.get_default(dest) for dest in defaults}
+            command.set_defaults(**defaults)
+            try:
+                args = parser.parse_args(argv)
+            finally:
+                command.set_defaults(**flags)
         cfg = IntegratorConfig(args.rel_tol, args.abs_tol, args.max_steps)
         started = time.perf_counter()
         parameters, outputs, failure = args.func(args, cfg)

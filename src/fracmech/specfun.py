@@ -2,7 +2,8 @@
 
 Log-gamma, the complete and incomplete Beta functions, the inverse of the
 incomplete Beta in its x argument, and the one Gauss hypergeometric family
-F(mu, 1-nu; mu+1; x) that the oscillator solution needs.  Everything is
+F(mu, 1-nu; mu+1; x) = mu B_x(mu, nu) / x^mu in which the oscillator's time of
+flight is written (the oscillator itself calls inc_beta).  Everything is
 scalar, pure and reentrant, and computes with the standard library alone.
 An argument that is not one number (an array is not) is a DomainError that
 names it, from model.require_finite, called only once a comparison or float()
@@ -221,14 +222,13 @@ def _inv_inc_beta_below_half(a: float, b: float, target: float, total: float) ->
 def hyp2f1(mu: float, one_minus_nu: float, mu_plus_one: float, x: float) -> float:
     """Gauss hypergeometric F(mu, 1-nu; mu+1; x) on the family this package uses.
 
-    Evaluated through the incomplete Beta identity
-    F(mu, 1-nu; mu+1; x) = mu * B_x(mu, nu) / x^mu, and 1 at x = 0: for
-    x < (mu+1)/(mu+nu+2) as inc_beta's continued-fraction branch with
-    x^mu / mu cancelled, (1-x)^nu times the fraction, so no factor leaves
-    the float range; above it as mu * inc_beta / x^mu, or, where B(mu, nu) ~ 1/mu
-    overflows as mu -> 0, with mu B(mu, nu) carried whole.  Only this
-    contiguous family is supported: the second parameter must be 1 - nu
-    with nu > 0 and the third must equal mu + 1.
+    Evaluated through the incomplete Beta identity F(mu, 1-nu; mu+1; x) = mu * B_x(mu, nu) / x^mu with
+    x^mu / mu cancelled, and 1 at x = 0.  Below x = (mu+1)/(mu+nu+2) it is (1-x)^nu times inc_beta's
+    continued fraction CF(mu, nu, x); above it the complement B_x(mu, nu) = B(mu, nu) - B_(1-x)(nu, mu)
+    gives F = (mu B - (mu/nu) x^mu (1-x)^nu CF(nu, mu, 1-x)) / x^mu, with mu B = Gamma(mu+1) Gamma(nu) /
+    Gamma(mu+nu) carried whole, since B(mu, nu) ~ 1/mu leaves the float range as mu -> 0 though F does
+    not.  Only this contiguous family is supported: the second parameter must be 1 - nu with nu > 0
+    and the third must equal mu + 1.
     """
     try:
         if not 0.0 < mu < math.inf:
@@ -253,17 +253,9 @@ def hyp2f1(mu: float, one_minus_nu: float, mu_plus_one: float, x: float) -> floa
         if not power:
             raise DomainError(f"hyp2f1({mu}, {one_minus_nu}, {mu_plus_one}, {x}): x^mu underflows to 0")
         try:
-            return mu * inc_beta(mu, nu, x) / power
-        except DomainError as err:
-            failed = err
-        # B(mu, nu) ~ 1/mu leaves the floats as mu -> 0 though F does not: mu B_x(mu, nu) = mu B(mu, nu)
-        # - mu B_(1-x)(nu, mu), inc_beta's complement, with mu B(mu, nu) carried as one factor
-        try:
-            mu_beta = math.exp(math.lgamma(mu + 1.0) + math.lgamma(nu) - math.lgamma(mu + nu))
-        except OverflowError:
-            mu_beta = math.inf
-        if not mu_beta < math.inf:  # also NaN, at nu = inf
-            raise failed
-        return (mu_beta - mu / nu * x**mu * (1.0 - x)**nu * _beta_cont_frac(nu, mu, 1.0 - x)) / power
+            mu_beta = math.exp(ln_gamma(mu + 1.0) + ln_gamma(nu) - ln_gamma(mu + nu))
+        except OverflowError:  # where ln_gamma cancels at huge mu and nu
+            raise DomainError(f"hyp2f1({mu}, {one_minus_nu}, {mu_plus_one}, {x}): mu B(mu, nu) overflows") from None
+        return (mu_beta - mu * power * (1.0 - x)**nu * _beta_cont_frac(nu, mu, 1.0 - x) / nu) / power
     except (TypeError, ValueError, OverflowError) as exc:  # float() of an int beyond the float range overflows
         raise _refused(exc, mu=mu, one_minus_nu=one_minus_nu, mu_plus_one=mu_plus_one, x=x) from None

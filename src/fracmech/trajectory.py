@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ToleranceWarning
-from .model import FractionalParams, PhaseState, PowerLawPotential, _power_law, guard_layer, require_finite
+from .model import FractionalParams, PhaseState, PowerLawPotential, _integer, _power_law, guard_layer, require_finite
 
 __all__ = ["DenseSegment", "Trajectory", "action"]
 
@@ -39,6 +39,14 @@ def _theta(t: float, t_start: float, width: float) -> float:
     return min(max(theta, 0.0), 1.0)
 
 
+def _index(i: int, n: int, entries: str) -> int:
+    """i in [0, n), a negative i counted from the end as numpy does; any other i is a DomainError naming it."""
+    i = int(_integer(i, "i"))
+    if not -n <= i < n:
+        raise DomainError(f"i must index one of the {n} {entries}, got {i}")
+    return i % n
+
+
 @dataclass(frozen=True)
 class DenseSegment:
     """Quartic dense-output polynomial for one accepted step.
@@ -58,7 +66,11 @@ class DenseSegment:
         return self.t_start + self.width
 
     def at(self, theta: float) -> np.ndarray:
-        """State at the fraction theta in [0, 1] of the step."""
+        """State at the fraction theta in [0, 1] of the step; any other theta is a DomainError naming it."""
+        if type(theta) is not float or not 0.0 <= theta <= 1.0:  # a float in range pays for these tests alone
+            require_finite(theta=theta)
+            if not 0.0 <= theta <= 1.0:
+                raise DomainError(f"theta must be in [0, 1], got {theta}")
         return self.y_start + self.width * _quartic(self.coef, theta)
 
     def eval(self, t: float) -> np.ndarray:
@@ -121,10 +133,13 @@ class Trajectory:
         return [(self.state(i), float(self.energies[i])) for i in range(len(self.times))]
 
     def state(self, i: int) -> PhaseState:
+        """Sample i; an i that indexes no sample is a DomainError naming it."""
+        i = _index(i, len(self.times), "samples")
         return PhaseState(float(self.times[i]), self.positions[i], self.momenta[i])
 
     def segment(self, i: int) -> DenseSegment:
-        """The dense-output interpolant of step i."""
+        """The dense-output interpolant of step i; an i that indexes no step is a DomainError naming it."""
+        i = _index(i, len(self.widths), "steps")
         return DenseSegment(float(self.times[i]), float(self.widths[i]), self._rows[i].copy(), self.coefs[i])
 
     def _step_at(self, t: float) -> tuple[int, float, float]:

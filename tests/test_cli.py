@@ -480,6 +480,25 @@ def test_config_default_stays_with_its_subcommand():
     assert parser.parse_args(["sweep"]).out == "sweep.csv"
 
 
+def test_a_config_run_leaves_no_default_for_the_next_call_in_process(tmp_path, capsys):
+    # main builds its parser once per process: neither a config that runs nor one whose value argparse
+    # refuses may leave its defaults on it
+    import fracmech.cli as cli
+
+    good, bad = tmp_path / "good.cfg", tmp_path / "bad.cfg"
+    good.write_text("energy = 4\ng2 = 2\n")
+    bad.write_text("g2 = 5\nenergy = x\n")
+    argv = ["period", "--alpha", "1.5", "--beta", "1.5", "--skip-ode"]
+    assert cli.main([*argv, "--config", str(good), "--out", str(tmp_path / "a.json")]) == 0, capsys.readouterr().err
+    with pytest.raises(SystemExit) as exit_:
+        cli.main([*argv, "--config", str(bad), "--out", str(tmp_path / "x.json")])
+    assert exit_.value.code == 2
+    assert cli.main([*argv, "--out", str(tmp_path / "b.json")]) == 0, capsys.readouterr().err
+    first, second = (json.loads((tmp_path / f"{n}.json.manifest.json").read_text())["parameters"] for n in "ab")
+    assert (first["energy"], first["g2"]) == (4.0, 2.0)
+    assert (second["energy"], second["g2"]) == (1.0, 1.0)
+
+
 # ----------------------------------------------------------------------- hj
 
 

@@ -270,6 +270,20 @@ def test_level_crossing_events():
         assert float(ev.state.q[0]) == pytest.approx(0.5, abs=1e-9)
 
 
+@pytest.mark.parametrize("sign", [1.0, -1.0], ids=["rising", "falling"])
+def test_a_level_equal_to_a_sample_is_crossed_at_that_sample(sign):
+    # the row is exactly 0.0 at the end of the step onto sample i: the crossing tests a < 0.0 <= g and
+    # a > 0.0 >= g count it there, where strict ones would miss it on that step and on the next; the
+    # bisection places it to the precision of t
+    traj, _ = integrate(M1, OSC, HARMONIC_IC, (0.0, HARMONIC_T))
+    q, t = traj.positions[:, 0], traj.times
+    rises = sign * np.diff(q) > 0.0
+    i = next(k for k in range(1, len(q) - 1) if abs(q[k]) < 0.5 and rises[k - 1] and rises[k])
+    again, events = integrate(M1, OSC, HARMONIC_IC, (0.0, HARMONIC_T), q_levels=[(0, float(q[i]))])
+    assert again.times.tobytes() == t.tobytes()
+    assert min(abs(ev.time - t[i]) for ev in events if ev.kind == "custom") <= 2.0 * math.ulp(t[i])
+
+
 def test_radial_flux_rising_zeros_mark_closest_approach():
     # bound orbit in an attractive inverse-distance potential; q.p rising
     # through zero happens exactly at minimum radius

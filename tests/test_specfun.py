@@ -536,8 +536,8 @@ def test_hyp2f1_cancels_a_factor_beyond_the_float_range(mu, nu, x):
 @pytest.mark.parametrize("mu", [1e-300, 1e-305, 1e-308, 3e-309, 1e-309, 1e-310])
 @pytest.mark.parametrize("nu, x", [(0.5, 0.9), (0.5, 0.5), (2.0, 1.0), (1e-15, 0.75), (3.0, 0.3)])
 def test_hyp2f1_above_the_switch_point_as_mu_goes_to_zero_matches_mpmath(mu, nu, x):
-    # mu * B_x(mu, nu) / x^mu, with mu B(mu, nu) carried as one factor where B(mu, nu) ~ 1/mu overflows
-    # (the last three mu); measured worst 4.2e-14, at mu = 1e-305 on inc_beta's own path
+    # mu * B_x(mu, nu) / x^mu, with mu B(mu, nu) carried as one factor since B(mu, nu) ~ 1/mu overflows
+    # (the last three mu); every row matches mpmath exactly (4.2e-14 at mu = 1e-305 through inc_beta's B)
     mpmath = pytest.importorskip("mpmath")
     assert x >= (mu + 1.0) / (mu + nu + 2.0)
     with mpmath.workdps(40):
@@ -553,6 +553,37 @@ def test_hyp2f1_where_beta_overflowed_is_one(mu, one_minus_nu, x):
     with mpmath.workdps(40):
         assert float(mpmath.hyp2f1(mu, one_minus_nu, mpmath.mpf(mu) + 1, x)) == 1.0
     assert hyp2f1(mu, one_minus_nu, 1.0, x) == 1.0
+
+
+@pytest.mark.parametrize("mu, one_minus_nu, x", [(1e-305, 1.0 - 1e5, 1e-3), (1e-300, 1.0 - 22680.6, 0.5)])
+def test_hyp2f1_with_a_large_nu_is_one(mu, one_minus_nu, x):
+    # mu * inc_beta / x^mu took B(mu, nu) from ln_gamma, which loses about nu * 1e-16: 0.99999999993 and
+    # 1.0000000000085; mu B(mu, nu) carried whole gives mpmath's 1.0
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        assert float(mpmath.hyp2f1(mu, one_minus_nu, mpmath.mpf(mu) + 1, x)) == 1.0
+    assert hyp2f1(mu, one_minus_nu, mu + 1.0, x) == 1.0
+
+
+@pytest.mark.parametrize("alpha", GRID)
+@pytest.mark.parametrize("beta_exp", GRID)
+def test_hyp2f1_above_the_switch_point_matches_mpmath_on_grid(alpha, beta_exp):
+    # nine points from x = (mu+1)/(mu+nu+2) to x = 1; measured worst 2.7e-15
+    mpmath = pytest.importorskip("mpmath")
+    mu, nu = 1.0 / beta_exp, 1.0 / alpha
+    switch = (mu + 1.0) / (mu + nu + 2.0)
+    for k in range(9):
+        x = switch + (1.0 - switch) * k / 8.0
+        with mpmath.workdps(40):
+            expected = float(mpmath.hyp2f1(mu, 1.0 - nu, mpmath.mpf(mu) + 1, x))
+        assert hyp2f1(mu, 1.0 - nu, mu + 1.0, x) == pytest.approx(expected, rel=1e-14)
+
+
+def test_hyp2f1_where_mu_beta_overflows_is_domain_error():
+    # ln_gamma cancels at these sizes, and exp of the difference overflows: a DomainError, not a raw OverflowError
+    mu = 3.5773160675214483e284
+    with pytest.raises(DomainError, match=r"mu B\(mu, nu\) overflows$"):
+        hyp2f1(mu, 1.0 - 1e300, mu + 1.0, 1.0)
 
 
 def test_hyp2f1_where_mu_beta_overflows_too_keeps_the_beta_error():

@@ -72,6 +72,18 @@ def test_segment_refuses_a_time_outside_its_step():
         seg.eval(1.6)
 
 
+@pytest.mark.parametrize("theta, message", [("x", "theta must be a finite number, got 'x'"),
+                                            (math.nan, "theta must be finite, got nan"),
+                                            (5.0, "theta must be in [0, 1], got 5.0"),
+                                            (-0.5, "theta must be in [0, 1], got -0.5")])
+def test_segment_at_refuses_a_theta_outside_its_step(theta, message):
+    # "x" raised a raw TypeError, NaN returned [nan nan] and 5.0 extrapolated the quartic
+    seg = DenseSegment(1.0, 0.5, np.zeros(2), np.ones((2, 4)))
+    assert seg.at(0).tolist() == [0.0, 0.0] and seg.at(1).tolist() == [2.0, 2.0]
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        seg.at(theta)
+
+
 def test_samples_without_dense_output_are_refused():
     # every trajectory passes its quartics; see the lone-sample test below
     with pytest.raises(DomainError, match="one quartic and one width per step"):
@@ -192,6 +204,25 @@ def test_sample_access(harmonic):
     for i in (0, n // 2, n - 1):
         s = harmonic.state(i)
         assert harmonic.energies[i] == pytest.approx(hamiltonian(M1, OSC, s), rel=1e-14)
+
+
+@pytest.mark.parametrize("i, message", [(10**6, "i must index one of the "), (1.5, "i must be an integer, got 1.5"),
+                                        ("a", "i must be a finite number, got 'a'"),
+                                        (None, "i must be a finite number, got None")])
+def test_state_and_segment_refuse_an_i_that_indexes_nothing(harmonic, i, message):
+    # each raised a raw IndexError or TypeError
+    for method in (harmonic.state, harmonic.segment):
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}"):
+            method(i)
+
+
+def test_negative_indices_count_from_the_end(harmonic):
+    # segment(-1) took the last sample's time as its start, one step past the last step's
+    n = len(harmonic.times)
+    assert harmonic.state(-1).t == harmonic.state(n - 1).t == harmonic.t_end
+    last = harmonic.segment(-1)
+    assert last.t_start == harmonic.segment(n - 2).t_start == float(harmonic.times[-2])
+    assert last.at(1.0).tolist() == harmonic.segment(n - 2).at(1.0).tolist()
 
 
 def test_eval_reproduces_samples(harmonic):
