@@ -12,13 +12,13 @@ Vectors with one to three components are supported; the kinetic term is
 isotropic, so vector forms use unit vectors q/|q| and p/|p| where the 1D
 equations use the sign function, with sgn(0) = 0.
 
-The input rule lives here too.  ``guard_layer`` puts one boundary rule on the
-public functions and the dataclass records of this module and of trajectory,
-integrate, oscillator and similarity: each argument or field passed is checked
-by its annotation (a number, a Vector, an array or an object of a type), so a
-malformed one is a DomainError naming it, and a record's __post_init__ checks
-its domain alone.  specfun's kernels and abs_power, which the hot paths call,
-stay unwrapped.
+The input rule lives here too.  ``guard_layer`` puts one boundary rule on every
+public entry point of this module and of trajectory, specfun, integrate,
+oscillator and similarity: the functions, the dataclass records and the
+records' public methods.  Each argument or field is checked by its annotation
+(a number, a Vector, an array or an object of a type) in a guard compiled once
+per signature, so a malformed one is a DomainError naming it, and the function
+or a record's __post_init__ checks its domain alone.
 """
 
 from __future__ import annotations
@@ -64,25 +64,19 @@ def abs_power(x: float, k: float) -> float:
     raising a negative float to a non-integer power is a domain error in
     ``math.pow``, so every power in this package goes through the absolute
     value.  At x = 0 the result is 0 for k > 0 and 1 for k = 0; k < 0 is a
-    genuine singularity and raises, as do a result beyond the float range and
-    an x or k that is NaN or infinite, whose power fails the one comparison
-    after it.
+    genuine singularity and raises, as does a result beyond the float range.
+    An x or k that is not one finite number is the boundary rule's to refuse,
+    so a finite x and k give a finite power or one of these errors.
     """
     try:
-        r = math.pow(math.fabs(x), k)  # an array, even of one element, is a TypeError: not one number
-        if r < math.inf:
-            return r
+        return math.pow(math.fabs(x), k)
     except OverflowError:
         raise DomainError(f"|{x}| ** {k} overflows the float range") from None
     except ValueError:  # math.pow's 0 ** k for k < 0
         raise DomainError(f"0 raised to negative power {k}") from None
-    except TypeError:  # not a number: the rule names which argument, off the hot path
-        require_finite(x=x, k=k)
-        raise
-    require_finite(x=x, k=k)  # r is NaN or inf only where x or k is
 
 
-def _vec(x, name: str = "vector") -> np.ndarray:
+def _vec(x, name: str) -> np.ndarray:
     """A finite real scalar / sequence (_require_finite_arrays' rule) as a 1..3 component float vector of its
     own: a caller's array is copied, so a record that freezes or keeps the vector leaves the caller's alone."""
     _require_finite_arrays(**{name: x})
@@ -113,7 +107,7 @@ def _number(value, name: str):
     unless it is one finite real number.  Python and numpy ints and floats and 0-d int or float arrays pass; an
     array or sequence (ndim >= 1, even of one element, or ragged), bool, None, str and bytes (numeric strings
     are not converted), complex and object values are not a finite number; inf, NaN and an int beyond the
-    float range are not finite.  The specfun kernels alone convert with float() instead."""
+    float range are not finite."""
     if type(value) is float or type(value) is int:  # plain (not np.float64 or bool): no numpy round trip
         try:
             finite = math.isfinite(value)
@@ -188,34 +182,41 @@ def _rule(hint) -> Callable | None:
 
 
 def _guarded(fn: Callable) -> Callable:
-    """fn behind the boundary rule: each argument passed meets its annotation's _rule, read here, once."""
-    hints, params = typing.get_type_hints(fn), inspect.signature(fn).parameters.values()
-    checks = [(i if p.kind is p.POSITIONAL_OR_KEYWORD else math.inf, p.name, check)
-              for i, p in enumerate(params) if (check := _rule(hints.get(p.name)))]
-
-    @functools.wraps(fn)
-    def guarded(*args, **kwargs):
-        args = list(args)
-        for i, name, check in checks:
-            if i < len(args):
-                args[i] = check(args[i], name)
-            elif name in kwargs:
-                kwargs[name] = check(kwargs[name], name)
-        return fn(*args, **kwargs)
-
-    return guarded
+    """fn behind the boundary rule, as a guard compiled once: a def with fn's own parameters and defaults
+    (positional-or-keyword and keyword-only, the only kinds the entry points take) that passes each argument
+    through its annotation's _rule, read here, and calls fn with what the rules return.  A float argument lets
+    a finite plain float through on two inline tests, with no call; anything else takes _number's rule."""
+    hints, scope, head, body, call = typing.get_type_hints(fn), {"_fn": fn}, [], [], []
+    for p in inspect.signature(fn).parameters.values():
+        if p.kind is p.KEYWORD_ONLY and "*" not in head:
+            head.append("*")
+        if p.default is not p.empty:
+            scope[f"_default_{p.name}"] = p.default
+        head.append(p.name if p.default is p.empty else f"{p.name}=_default_{p.name}")
+        call.append(f"{p.name}={p.name}" if p.kind is p.KEYWORD_ONLY else p.name)
+        if check := _rule(hints.get(p.name)):
+            scope[f"_check_{p.name}"] = check
+            fast = f"if not (type({p.name}) is float and {p.name} - {p.name} == 0.0): " * (hints[p.name] is float)
+            body.append(f"    {fast}{p.name} = _check_{p.name}({p.name}, {p.name!r})")
+    source = "\n".join([f"def guard({', '.join(head)}):", *body, f"    return _fn({', '.join(call)})"])
+    exec(compile(source, f"<guard of {fn.__qualname__}>", "exec"), scope)
+    return functools.update_wrapper(scope["guard"], fn)
 
 
 def guard_layer(namespace: dict) -> None:
-    """Put the boundary rule on each function and record of a layer's __all__, abs_power aside: a function's
-    binding in namespace, the one that internal calls and other layers' imports go through, becomes _guarded's
-    wrapper, and so does a dataclass record's __init__, which dataclasses.replace calls too, so that each field
-    meets its annotation's rule before __post_init__ runs."""
+    """Put the boundary rule on each entry point of a layer's __all__: a function's binding in namespace, the
+    one that internal calls and other layers' imports go through, becomes _guarded's guard; so does a dataclass
+    record's __init__, which dataclasses.replace calls too, so that each field meets its annotation's rule before
+    __post_init__ runs, and each public method or classmethod of the record that has an annotated argument."""
     for name in namespace["__all__"]:
-        if is_dataclass(obj := namespace[name]):
-            obj.__init__ = _guarded(obj.__init__)
-        elif inspect.isfunction(obj) and obj is not abs_power:
+        if inspect.isfunction(obj := namespace[name]):
             namespace[name] = _guarded(obj)
+        elif is_dataclass(obj):
+            obj.__init__ = _guarded(obj.__init__)
+            for attr, member in list(vars(obj).items()):
+                fn = getattr(member, "__func__", member)  # a classmethod's function
+                if attr[0] != "_" and inspect.isfunction(fn) and typing.get_type_hints(fn).keys() - {"return"}:
+                    setattr(obj, attr, _guarded(fn) if fn is member else type(member)(_guarded(fn)))
 
 
 @np.errstate(all="ignore")
@@ -274,7 +275,6 @@ class FractionalParams:
     @classmethod
     def from_mass(cls, mass: float) -> "FractionalParams":
         """Classical limit alpha = 2 with d_alpha = 1/(2 mass)."""
-        require_finite(mass=mass)
         if not mass > 0.0:
             raise DomainError(f"mass must be positive, got {mass}")
         return cls(alpha=2.0, d_alpha=1.0 / (2.0 * mass))
@@ -297,17 +297,17 @@ class PowerLawPotential:
         if self.degree == 0.0:
             raise DomainError("potential degree must be nonzero")
 
-    def energy(self, q) -> float:
+    def energy(self, q: Vector) -> float:
         """V(q) = strength * |q|^degree; a DomainError where singular or beyond the float range."""
-        v = float(_power_law(self.strength, self.degree, _vec(q, "q")))
+        v = float(_power_law(self.strength, self.degree, q))
         if not math.isfinite(v):
             raise DomainError(f"potential must be finite, got {v}")
         return v
 
-    def gradient(self, q) -> np.ndarray:
+    def gradient(self, q: Vector) -> np.ndarray:
         """dV/dq = strength * degree * |q|^(degree-1) * q/|q|, the negated
         force; degree <= 1 has no continuous gradient at q = 0 and raises."""
-        q = _vec(q, "q").tolist()
+        q = q.tolist()
         return -_rates(_AT_REST, self, q + [0.0] * len(q))[1]
 
     def require_oscillator(self) -> None:

@@ -5,9 +5,11 @@ incomplete Beta in its x argument, and the one Gauss hypergeometric family
 F(mu, 1-nu; mu+1; x) = mu B_x(mu, nu) / x^mu in which the oscillator's time of
 flight is written (the oscillator itself calls inc_beta).  Everything is
 scalar, pure and reentrant, and computes with the standard library alone.
-An argument that is not one number (an array is not) is a DomainError that
-names it, from model.require_finite, called only once a comparison or float()
-has refused it.
+Each public function takes the boundary rule of model.guard_layer, as every
+public entry point does: an argument that is not one finite number (an array,
+a bool or a numeric string is not) is a DomainError that names it before the
+function runs.  The functions convert what passes with float(), since numpy
+scalars and 0-d arrays pass as given and the Beta cache keys on floats.
 
 Log-gamma is ``math.lgamma``.  The incomplete Beta is the continued
 fraction of DLMF 8.17.22 (modified Lentz), switched by the symmetry
@@ -21,7 +23,7 @@ import functools
 import math
 
 from .errors import DomainError
-from .model import require_finite
+from .model import guard_layer
 
 __all__ = [
     "ln_gamma",
@@ -32,39 +34,25 @@ __all__ = [
 ]
 
 
-def _refused(exc: Exception, **args) -> Exception:
-    """require_finite's DomainError for the first argument that is not one number, else
-    exc, the TypeError or ValueError that an entry point caught from its arguments."""
-    try:
-        require_finite(**args)
-    except DomainError as err:
-        return err
-    return exc
-
-
 def ln_gamma(x: float) -> float:
     """Natural log of Gamma(x) for finite x > 0, from ``math.lgamma``."""
+    if not x > 0.0:
+        raise DomainError(f"ln_gamma requires finite x > 0, got {x}")
     try:
-        if not 0.0 < x < math.inf:
-            raise DomainError(f"ln_gamma requires finite x > 0, got {x}")
         return math.lgamma(x)
     except OverflowError:
         raise DomainError(f"ln_gamma({x}) overflows the float range") from None
-    except (TypeError, ValueError) as exc:
-        raise _refused(exc, x=x) from None
 
 
 def beta(a: float, b: float) -> float:
     """Complete Beta function B(a, b) = Gamma(a) Gamma(b) / Gamma(a+b)."""
+    if not (a > 0.0 and b > 0.0):
+        raise DomainError(f"beta requires positive arguments, got a={a}, b={b}")
+    a, b = float(a), float(b)
     try:
-        if not (a > 0.0 and b > 0.0):
-            raise DomainError(f"beta requires positive arguments, got a={a}, b={b}")
-        a, b = float(a), float(b)  # a one-element array passes the comparison
         return _beta(a, b)
     except OverflowError:
         raise DomainError(f"beta({a}, {b}) overflows the float range") from None
-    except (TypeError, ValueError) as exc:
-        raise _refused(exc, a=a, b=b) from None
 
 
 @functools.lru_cache(maxsize=64)
@@ -132,12 +120,9 @@ def inc_beta(a: float, b: float, x: float) -> float:
 
     Monotone nondecreasing in x, with B_0 = 0 and B_1 = beta(a, b).
     """
-    try:
-        a, b, x = float(a), float(b), float(x)
-    except (TypeError, ValueError, OverflowError) as exc:  # float() of an int beyond the float range overflows
-        raise _refused(exc, a=a, b=b, x=x) from None
-    if not (0.0 < a < math.inf and 0.0 < b < math.inf):
-        raise DomainError(f"Beta parameters must be positive and finite, got a={a}, b={b}")
+    a, b, x = float(a), float(b), float(x)
+    if not (a > 0.0 and b > 0.0):
+        raise DomainError(f"Beta parameters must be positive, got a={a}, b={b}")
     if not 0.0 <= x <= 1.0:
         raise DomainError(f"incomplete Beta argument x must be in [0, 1], got {x}")
     if x == 0.0:
@@ -166,15 +151,9 @@ def inv_inc_beta(a: float, b: float, target: float) -> float:
     after 200 iterations DomainError names the residual.  On a = 1/beta, b = 1/alpha it takes 1.89 inc_beta
     evaluations on average and 4 at most over the test grid, and at most 3 within a few ulps of 0 or B.
     """
-    total, a, b = beta(a, b), float(a), float(b)  # beta's errors name a and b
-    try:
-        if not 0.0 <= target <= total * (1.0 + 1e-12):
-            raise DomainError(
-                f"inverse incomplete Beta target {target} outside [0, B(a,b)={total}]"
-            )
-        target = float(target)  # a one-element array passes the comparison
-    except (TypeError, ValueError) as exc:
-        raise _refused(exc, target=target) from None
+    total, a, b, target = beta(a, b), float(a), float(b), float(target)
+    if not 0.0 <= target <= total * (1.0 + 1e-12):
+        raise DomainError(f"inverse incomplete Beta target {target} outside [0, B(a,b)={total}]")
     if target == 0.0:
         return 0.0
     if target >= total:
@@ -230,32 +209,28 @@ def hyp2f1(mu: float, one_minus_nu: float, mu_plus_one: float, x: float) -> floa
     not.  Only this contiguous family is supported: the second parameter must be 1 - nu with nu > 0
     and the third must equal mu + 1.
     """
+    if not mu > 0.0:
+        raise DomainError(f"hyp2f1 family requires finite mu > 0, got {mu}")
+    nu = 1.0 - one_minus_nu
+    if not nu > 0.0:
+        raise DomainError(f"hyp2f1 family requires second parameter 1 - nu with nu > 0, got {one_minus_nu}")
+    if not abs(mu_plus_one - (mu + 1.0)) <= 1e-12 * (1.0 + abs(mu)):
+        raise DomainError(f"hyp2f1 family requires third parameter mu + 1, got {mu_plus_one} for mu={mu}")
+    if not 0.0 <= x <= 1.0:
+        raise DomainError(f"hyp2f1 argument must be in [0, 1], got {x}")
+    mu, nu, x = float(mu), float(nu), float(x)
+    if x == 0.0:
+        return 1.0
+    if x < (mu + 1.0) / (mu + nu + 2.0):
+        return math.exp(nu * math.log1p(-x)) * _beta_cont_frac(mu, nu, x)
+    power = math.exp(mu * math.log(x))
+    if not power:
+        raise DomainError(f"hyp2f1({mu}, {one_minus_nu}, {mu_plus_one}, {x}): x^mu underflows to 0")
     try:
-        if not 0.0 < mu < math.inf:
-            raise DomainError(f"hyp2f1 family requires finite mu > 0, got {mu}")
-        nu = 1.0 - one_minus_nu
-        if not nu > 0.0:
-            raise DomainError(
-                f"hyp2f1 family requires second parameter 1 - nu with nu > 0, got {one_minus_nu}"
-            )
-        if not abs(mu_plus_one - (mu + 1.0)) <= 1e-12 * (1.0 + abs(mu)):  # NaN fails too
-            raise DomainError(
-                f"hyp2f1 family requires third parameter mu + 1, got {mu_plus_one} for mu={mu}"
-            )
-        if not 0.0 <= x <= 1.0:
-            raise DomainError(f"hyp2f1 argument must be in [0, 1], got {x}")
-        mu, nu, x, _ = float(mu), float(nu), float(x), float(mu_plus_one)  # one-element arrays pass the comparisons
-        if x == 0.0:
-            return 1.0
-        if x < (mu + 1.0) / (mu + nu + 2.0):
-            return math.exp(nu * math.log1p(-x)) * _beta_cont_frac(mu, nu, x)
-        power = math.exp(mu * math.log(x))
-        if not power:
-            raise DomainError(f"hyp2f1({mu}, {one_minus_nu}, {mu_plus_one}, {x}): x^mu underflows to 0")
-        try:
-            mu_beta = math.exp(ln_gamma(mu + 1.0) + ln_gamma(nu) - ln_gamma(mu + nu))
-        except OverflowError:  # where ln_gamma cancels at huge mu and nu
-            raise DomainError(f"hyp2f1({mu}, {one_minus_nu}, {mu_plus_one}, {x}): mu B(mu, nu) overflows") from None
-        return (mu_beta - mu * power * (1.0 - x)**nu * _beta_cont_frac(nu, mu, 1.0 - x) / nu) / power
-    except (TypeError, ValueError, OverflowError) as exc:  # float() of an int beyond the float range overflows
-        raise _refused(exc, mu=mu, one_minus_nu=one_minus_nu, mu_plus_one=mu_plus_one, x=x) from None
+        mu_beta = math.exp(ln_gamma(mu + 1.0) + ln_gamma(nu) - ln_gamma(mu + nu))
+    except OverflowError:  # where ln_gamma cancels at huge mu and nu
+        raise DomainError(f"hyp2f1({mu}, {one_minus_nu}, {mu_plus_one}, {x}): mu B(mu, nu) overflows") from None
+    return (mu_beta - mu * power * (1.0 - x)**nu * _beta_cont_frac(nu, mu, 1.0 - x) / nu) / power
+
+
+guard_layer(globals())

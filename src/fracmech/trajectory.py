@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ToleranceWarning
-from .model import FractionalParams, PhaseState, PowerLawPotential, _integer, _power_law, guard_layer, require_finite
+from .model import FractionalParams, PhaseState, PowerLawPotential, _power_law, guard_layer
 
 __all__ = ["DenseSegment", "Trajectory", "action"]
 
@@ -40,8 +40,9 @@ def _theta(t: float, t_start: float, width: float) -> float:
 
 
 def _index(i: int, n: int, entries: str) -> int:
-    """i in [0, n), a negative i counted from the end as numpy does; any other i is a DomainError naming it."""
-    i = int(_integer(i, "i"))
+    """The integer i, which the boundary rule has checked, in [0, n), a negative i counted from the end as numpy
+    does; any other i is a DomainError naming it."""
+    i = int(i)
     if not -n <= i < n:
         raise DomainError(f"i must index one of the {n} {entries}, got {i}")
     return i % n
@@ -67,15 +68,12 @@ class DenseSegment:
 
     def at(self, theta: float) -> np.ndarray:
         """State at the fraction theta in [0, 1] of the step; any other theta is a DomainError naming it."""
-        if type(theta) is not float or not 0.0 <= theta <= 1.0:  # a float in range pays for these tests alone
-            require_finite(theta=theta)
-            if not 0.0 <= theta <= 1.0:
-                raise DomainError(f"theta must be in [0, 1], got {theta}")
+        if not 0.0 <= theta <= 1.0:
+            raise DomainError(f"theta must be in [0, 1], got {theta}")
         return self.y_start + self.width * _quartic(self.coef, theta)
 
     def eval(self, t: float) -> np.ndarray:
-        """State at time t in the step; a t that is not a finite number is a DomainError, as in Trajectory.eval."""
-        require_finite(t=t)
+        """State at time t in the step."""
         return self.at(_theta(t, self.t_start, self.width))
 
 
@@ -159,14 +157,12 @@ class Trajectory:
     def eval(self, t: float) -> PhaseState:
         """The state at time t, in DenseSegment.at's arithmetic on the step holding t;
         a lone sample, at its own time, is its own state."""
-        require_finite(t=t)
         if len(self.times) == 1 and t == self.t0:
             return self.state(0)
         i, w, theta = self._step_at(t)
         return PhaseState._of_row(float(t), self._rows[i] + w * _quartic(self.coefs[i], theta))
 
     def derivative(self, t: float) -> tuple[np.ndarray, np.ndarray]:
-        require_finite(t=t)
         i, _, theta = self._step_at(t)
         dy, d = _quartic(self.coefs[i], theta, derivative=True), self.dimension
         return dy[:d], dy[d:]

@@ -247,6 +247,14 @@ TYPE_EDGE = {
     "turning_point-ragged": (lambda: fracmech.turning_point(V, [1.0, [2.0]]), "energy"),
     "ic-ragged-q0": (lambda: fracmech.InitialConditions(q0=[1.0, [2.0]], p0=[0.0, 0.0]), "q0"),
     "hyp2f1-ragged-x": (lambda: fracmech.hyp2f1(0.5, 0.5, 1.5, [0.3, [0.2]]), "x"),
+    # a bool or a numeric string where specfun or abs_power takes a number: each call returned a finite number,
+    # the bool taken as 0 or 1 and the string converted by float()
+    "inc_beta-numeric-string-a": (lambda: fracmech.inc_beta("0.5", 0.7, 0.3), "a"),
+    "ln_gamma-bool": (lambda: fracmech.ln_gamma(True), "x"),
+    "beta-bool-a": (lambda: fracmech.beta(True, 0.5), "a"),
+    "hyp2f1-bool-x": (lambda: fracmech.hyp2f1(0.5, 0.5, 1.5, True), "x"),
+    "inv_inc_beta-bool-target": (lambda: fracmech.inv_inc_beta(0.5, 0.7, True), "target"),
+    "abs_power-bool-x": (lambda: fracmech.abs_power(True, 2.0), "x"),
 }
 
 
@@ -306,6 +314,34 @@ def test_every_record_field_has_a_boundary_rule():
                  for name, hint in typing.get_type_hints(record.__init__).items()
                  if name != "return" and not _rule(hint)]
     assert unchecked == []
+
+
+def _entry_points():
+    """Each function of a package layer's __all__, each record's __init__, and each public method or
+    classmethod of a record that has an annotated argument."""
+    for layer in PACKAGE_LAYERS:
+        module = importlib.import_module(f"fracmech.{layer}")
+        for obj in map(module.__dict__.get, module.__all__):
+            if inspect.isfunction(obj):
+                yield obj
+            elif dataclasses.is_dataclass(obj):
+                yield obj.__init__
+                for attr, member in vars(obj).items():
+                    fn = getattr(member, "__func__", member)
+                    if attr[0] != "_" and inspect.isfunction(fn) and typing.get_type_hints(fn).keys() - {"return"}:
+                        yield fn
+
+
+def test_every_public_entry_point_is_the_compiled_guard():
+    # an entry point that is not the guard checks its arguments by a second rule of its own, or not at all
+    points = {fn.__qualname__: fn for fn in _entry_points()}
+    assert {"abs_power", "ln_gamma", "beta", "inc_beta", "inv_inc_beta", "hyp2f1", "Trajectory.eval",
+            "Trajectory.derivative", "Trajectory.state", "Trajectory.segment", "DenseSegment.at", "DenseSegment.eval",
+            "PowerLawPotential.energy", "PowerLawPotential.gradient", "InitialConditions.resolve",
+            "FractionalParams.from_mass", "OscillatorSpec.from_exponents", "ScalingRow.of"} <= points.keys()
+    assert len(points) >= 58  # 33 functions, 13 records and 12 methods
+    unguarded = [name for name, fn in points.items() if fn.__code__.co_filename != f"<guard of {name}>"]
+    assert unguarded == []
 
 
 def test_an_optional_annotation_keeps_its_rule_in_the_typing_union_form():

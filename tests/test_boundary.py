@@ -1,7 +1,8 @@
 """The whole public surface: every callable gives a finite answer or a FracmechError.
 
-One property test walks every callable in ``fracmech.__all__`` and every CLI
-subcommand through in-process ``main``.  Each argument in turn (each flag, for
+One property test walks every callable in ``fracmech.__all__``, every public
+method or classmethod of its records that takes an annotated argument, and
+every CLI subcommand through in-process ``main``.  Each argument in turn (each flag, for
 the CLI) takes one input while the others keep a valid base value.  The inputs
 are the explicit examples below, values that once leaked raw errors or
 non-finite answers, plus the derandomised floats of the ``fracmech``
@@ -17,9 +18,11 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import inspect
 import io
 import math
 import signal
+import typing
 import warnings
 
 import numpy as np
@@ -37,6 +40,7 @@ IC, PLANE = fm.InitialConditions(q0=[1.0], p0=[0.0]), fm.InitialConditions(q0=[1
 SPEC, CFG = fm.OscillatorSpec.from_exponents(1.5, 1.5), fm.IntegratorConfig(1e-6, 1e-9, 2000)
 TOLERANCES = ("--rel-tol", "1e-6", "--abs-tol", "1e-9", "--max-steps", "2000")
 TRAJ = fm.integrate(P, V, IC, (0.0, 0.5))[0]
+SEGMENT = TRAJ.segment(0)
 ROWS = [fm.ScalingRow(2.0, 2.0, 2.0, 0.0), fm.ScalingRow(4.0, 4.0, 4.0, 0.0)]
 
 
@@ -99,6 +103,23 @@ BASE = {
     "kepler_gamma": ((1.5,), {}),
     "fit_time_exponent": ((ROWS,), {}),
 }
+# one valid call per public method or classmethod of a record that takes an annotated argument: the bound
+# method, positional arguments, then keyword arguments
+METHODS = {
+    "Trajectory.eval": (TRAJ.eval, (0.2,), {}),
+    "Trajectory.derivative": (TRAJ.derivative, (0.2,), {}),
+    "Trajectory.state": (TRAJ.state, (1,), {}),
+    "Trajectory.segment": (TRAJ.segment, (0,), {}),
+    "DenseSegment.at": (SEGMENT.at, (0.5,), {}),
+    "DenseSegment.eval": (SEGMENT.eval, (SEGMENT.t_start + 0.5 * SEGMENT.width,), {}),
+    "PowerLawPotential.energy": (V.energy, ([0.5],), {}),
+    "PowerLawPotential.gradient": (V.gradient, ([0.5],), {}),
+    "InitialConditions.resolve": (IC.resolve, (P,), {}),
+    "FractionalParams.from_mass": (fm.FractionalParams.from_mass, (1.0,), {}),
+    "OscillatorSpec.from_exponents": (fm.OscillatorSpec.from_exponents, (1.5, 1.5), {"d_alpha": 1.0, "g2": 1.0,
+                                                                                     "energy": 1.0}),
+    "ScalingRow.of": (fm.ScalingRow.of, (2.0, 2.0, 2.1), {}),
+}
 
 # one valid command line per subcommand: the flags the walk replaces, one per kind of value a flag feeds
 # (the other flags of a kind reach the same constructors), then fixed arguments
@@ -157,10 +178,11 @@ def _bounded(call):
 
 
 def _walk_library(value) -> list[str]:
-    """Each public callable with each argument in turn replaced by value: the calls that leaked."""
+    """Each public callable and record method with each argument in turn replaced by value: the calls that
+    leaked."""
     leaks = []
-    for name, (args, kwargs) in BASE.items():
-        fn = getattr(fm, name)
+    calls = [(name, getattr(fm, name), args, kwargs) for name, (args, kwargs) in BASE.items()]
+    for name, fn, args, kwargs in calls + [(name, *call) for name, call in METHODS.items()]:
         slots = [*range(len(args)), *kwargs]
         for slot in slots:
             a, kw = list(args), dict(kwargs)
@@ -208,6 +230,14 @@ def test_the_walk_covers_every_public_callable():
     assert set(BASE) == public
     for name, (args, kwargs) in BASE.items():  # every base call is valid
         out = _bounded(lambda: getattr(fm, name)(*args, **kwargs))
+        assert _finite(out), name
+    records = [getattr(fm, n) for n in fm.__all__ if dataclasses.is_dataclass(getattr(fm, n))]
+    methods = {f"{record.__name__}.{attr}" for record in records for attr, member in vars(record).items()
+               if attr[0] != "_" and inspect.isfunction(fn := getattr(member, "__func__", member))
+               and typing.get_type_hints(fn).keys() - {"return"}}
+    assert set(METHODS) == methods
+    for name, (fn, args, kwargs) in METHODS.items():
+        out = _bounded(lambda: fn(*args, **kwargs))
         assert _finite(out), name
     assert set(COMMANDS) == set(cli._build_parser()[1])
 

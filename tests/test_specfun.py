@@ -136,9 +136,9 @@ def test_inc_beta_takes_three_scalars():
 
     assert list(inspect.signature(inc_beta).parameters) == ["a", "b", "x"]
     assert "BetaArgs" not in fracmech.__all__ and not hasattr(fracmech.specfun, "BetaArgs")
-    with pytest.raises(DomainError, match=r"^Beta parameters must be positive and finite, got a=0.5, b=inf$"):
+    with pytest.raises(DomainError, match=r"^b must be finite, got inf$"):
         inc_beta(0.5, math.inf, 0.5)
-    with pytest.raises(DomainError, match=r"^incomplete Beta argument x must be in \[0, 1\], got nan$"):
+    with pytest.raises(DomainError, match=r"^x must be finite, got nan$"):
         inc_beta(0.5, 0.5, math.nan)
 
 
@@ -592,7 +592,7 @@ def test_hyp2f1_where_mu_beta_overflows_too_keeps_the_beta_error():
 
 
 def test_inc_beta_names_the_non_finite_parameter():
-    with pytest.raises(DomainError, match=r"a=inf, b=1\.0"):
+    with pytest.raises(DomainError, match=r"^a must be finite, got inf$"):
         inc_beta(math.inf, 1.0, 0.5)
 
 
