@@ -2,10 +2,10 @@
 
 One property test walks every callable in ``fracmech.__all__``, every public
 method or classmethod of its records that takes an annotated argument, and
-every CLI subcommand through in-process ``main``.  Each argument in turn (each flag, for
-the CLI) takes one input while the others keep a valid base value.  The inputs
-are the explicit examples below, values that once leaked raw errors or
-non-finite answers, plus the derandomised floats of the ``fracmech``
+every CLI subcommand through in-process ``main``.  Each argument in turn (each
+flag, for the CLI) takes one input while the others keep a valid base value.
+The inputs are the explicit examples below, values that once leaked raw errors
+or non-finite answers, plus the derandomised floats of the ``fracmech``
 hypothesis profile.  Every call runs with warnings as errors and under a
 wall-clock bound.  It must return a value whose numbers are all finite, or raise
 a ``FracmechError``.  A CLI call must exit 0, 2, 3 or 4, never 1 or with a
